@@ -163,4 +163,20 @@ cargo run -q --offline --release -p bench-harness --bin cvar_dump -- \
 diff -u docs/TUNING.md "$tuning_tmp"
 rm -f "$tuning_tmp"
 
+# Perfbench smoke: the wall-clock benchmark (benchmark/, its own package;
+# PRs may not edit it) must still build against the public API it calls
+# (`ctx.pmix().get`, `GroupDirectives`, `PmixUniverse::new`,
+# `Launcher::universe`, ...) and every op of all five workloads must
+# verify. Tiny op counts — this gates "still runs and is still correct",
+# never speed (timing is `benchmark/run.sh compare`, per PR, by hand).
+echo "== perfbench smoke (benchmark/run.sh --smoke: 5 workloads, 0 failed ops) =="
+smoke_tmp="$(mktemp -t perfbench_ci.XXXXXX.txt)"
+benchmark/run.sh --smoke >"$smoke_tmp"
+if [ "$(grep -c ', 0 of [0-9]* ops failed$' "$smoke_tmp")" -ne 5 ]; then
+  grep 'ops failed' "$smoke_tmp" >&2 || true
+  echo "perfbench smoke: expected 5 workloads, each with 0 failed ops" >&2
+  exit 1
+fi
+rm -f "$smoke_tmp"
+
 echo "CI OK"

@@ -321,7 +321,8 @@ mod tests {
         let launcher = Launcher::new(SimTestbed::tiny(2, 2));
         let universe = launcher.universe().clone();
         // Fast typed Timeout verdicts while epochs disagree mid-repair.
-        universe.set_group_timeout(Duration::from_secs(2));
+        let obs = universe.fabric().obs();
+        obs.cvar_write("universe", "pmix.group_timeout_ms", obs::CvarValue::U64(2000)).unwrap();
         let cfg = RecoverConfig {
             steps: 6,
             step_wait: Duration::from_secs(2),

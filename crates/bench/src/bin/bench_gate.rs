@@ -443,7 +443,8 @@ fn run_recover() -> Value {
 fn run_overlap_icomm(k: usize) -> Value {
     let run = |overlap: bool| -> Value {
         let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-        launcher.universe().set_pgcid_block(1);
+        let obs = launcher.universe().fabric().obs();
+        obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).expect("cvar");
         launcher
             .spawn(JobSpec::new(2), move |ctx| {
                 let session = mpi_sessions::Session::init(

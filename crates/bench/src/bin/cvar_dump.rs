@@ -105,7 +105,7 @@ fn exercised_by(name: &str) -> &'static str {
         }
         "pmix.group_timeout_ms" => {
             "chaos `partition_rebuild` scenario (cvar_write to 800 ms); \
-             `fig_recover` / apps recovery tests via the legacy setter"
+             `fig_recover` / apps recovery tests (2 s)"
         }
         "pmix.server_shards" => "introspect gate (`introspect_dump` shard rows)",
         "pmix.epoch_retention_cap" => "`fig_soak` epoch ring-bound checks",

@@ -47,6 +47,11 @@ struct Row {
 
 /// Time `iters` dup operations on a fresh job; returns µs per dup
 /// (max across ranks).
+fn write_pgcid_block(launcher: &Launcher, block: u64) {
+    let obs = launcher.universe().fabric().obs();
+    obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(block)).expect("cvar");
+}
+
 fn time_dups(
     tb: SimTestbed,
     np: u32,
@@ -58,7 +63,7 @@ fn time_dups(
 ) -> (f64, serde_json::Value, serde_json::Value) {
     let launcher = Launcher::new(tb);
     if let Some(block) = pgcid_block {
-        launcher.universe().set_pgcid_block(block);
+        write_pgcid_block(&launcher, block);
     }
     let per_rank = launcher
         .spawn(JobSpec::new(np), move |ctx| {
@@ -111,7 +116,7 @@ fn time_idups(
 ) -> (f64, serde_json::Value, serde_json::Value) {
     let launcher = Launcher::new(tb);
     if let Some(block) = pgcid_block {
-        launcher.universe().set_pgcid_block(block);
+        write_pgcid_block(&launcher, block);
     }
     let per_rank = launcher
         .spawn(JobSpec::new(np), move |ctx| {

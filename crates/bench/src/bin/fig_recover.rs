@@ -33,7 +33,8 @@ fn main() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     // Fast typed Timeout verdicts while repair epochs disagree
     // (docs/TUNING.md: pmix.group_timeout_ms).
-    launcher.universe().set_group_timeout(Duration::from_secs(2));
+    let obs = launcher.universe().fabric().obs();
+    obs.cvar_write("universe", "pmix.group_timeout_ms", obs::CvarValue::U64(2000)).expect("cvar");
     let cfg = RecoverConfig {
         steps: 12,
         step_wait: Duration::from_secs(2),

@@ -72,8 +72,6 @@ fn main() {
     let registry = launcher.universe().registry();
     let obs = launcher.universe().fabric().obs();
     if no_gc {
-        // Through the cvar registry: behavior-identical to the legacy
-        // `set_gc_enabled(false)` setter it absorbed.
         obs.cvar_write("universe", "registry.gc_enabled", obs::CvarValue::Bool(false))
             .expect("gc_enabled cvar");
     }

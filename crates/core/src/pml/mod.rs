@@ -373,9 +373,10 @@ impl Pml {
     }
 
     /// Bound the handshake cache to `cap` entries (≥ 1), evicting LRU
-    /// entries immediately if it is already over. Tests and soak harnesses
-    /// shrink this to force eviction churn.
-    pub fn set_handshake_cache_cap(&self, cap: usize) {
+    /// entries immediately if it is already over. Written through the
+    /// `pml.handshake_cache_cap` cvar; tests and soak harnesses shrink it to
+    /// force eviction churn.
+    pub(crate) fn set_handshake_cache_cap(&self, cap: usize) {
         self.cache_cap.store(cap.max(1), Ordering::Relaxed);
         let mut st = self.state.lock();
         self.cache_enforce_cap(&mut st);

@@ -130,9 +130,10 @@ fn group_from_pset_at_detects_stale_epoch() {
         // Pinned resolution succeeds at the current epoch...
         let g = session.group_from_pset_at(PSET, first.epoch).unwrap();
         assert_eq!(g.size(), 2);
-        if ctx.rank() == 0 {
-            tx.send(first.epoch).unwrap();
-        }
+        // Every rank reports in: the driver must not mutate the pset until
+        // both watchers are live, or the late one's replay already shows
+        // the new epoch and no further change ever arrives.
+        tx.send(first.epoch).unwrap();
         // ...and after the driver mutates the pset, the same pin is a
         // typed stale error, not a silently-different group.
         let second = watcher.next_timeout(STEP).expect("membership change");
@@ -145,6 +146,7 @@ fn group_from_pset_at_detects_stale_epoch() {
         g2.size()
     });
     let epoch = rx.recv_timeout(STEP).unwrap();
+    assert_eq!(rx.recv_timeout(STEP).unwrap(), epoch);
     // Shrink the pset directly through the registry (driver-side churn).
     let registry = launcher.universe().registry();
     let (cur, members) = registry.pset_members_versioned(PSET).unwrap();

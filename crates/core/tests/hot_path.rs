@@ -117,7 +117,8 @@ fn cache_eviction_churn_never_breaks_handshake_uniqueness() {
             // pairing and forces a fresh handshake under a bumped cache
             // generation.
             let process = mpi_sessions::instance::MpiProcess::obtain(&ctx);
-            process.pml().set_handshake_cache_cap(1);
+            let scope = process.proc().to_string();
+            process.obs().cvar_write(&scope, "pml.handshake_cache_cap", obs::CvarValue::U64(1)).unwrap();
             let (s, c) = world_comm(&ctx, "hot-evict-base");
             let next = (ctx.rank() + 1) % 3;
             let prev = (ctx.rank() + 2) % 3;

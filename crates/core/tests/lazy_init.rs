@@ -169,7 +169,8 @@ fn first_receive_resolves_the_sender_passively() {
 #[test]
 fn universe_default_makes_sessions_lazy_without_info() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
-    launcher.universe().set_lazy_init_default(true);
+    let obs = launcher.universe().fabric().obs();
+    obs.cvar_write("universe", "pmix.init_mode", obs::CvarValue::Str("lazy".into())).unwrap();
     let out = launcher
         .spawn(JobSpec::new(2), |ctx| {
             let session = Session::init(

@@ -17,10 +17,9 @@
 //!   captured at boot;
 //! * reads go through a closure, so a cvar always reports the *live*
 //!   value, not a registration-time copy;
-//! * writable cvars carry a setter closure that delegates to the same
-//!   legacy setter (`set_pgcid_block`, `set_handshake_cache_cap`, …) the
-//!   pre-cvar API exposed — a registry write is behavior-identical to the
-//!   ad-hoc call it absorbs;
+//! * writable cvars carry a setter closure over the owning subsystem's
+//!   own (private) setter — a registry write is the one public write path
+//!   for the knob;
 //! * every successful write emits a `cvar.changed` event (component
 //!   `"tool"`) carrying the old and new values. Reads emit nothing: the
 //!   introspection surface must stay invisible to the perf fingerprint.
@@ -168,8 +167,8 @@ impl Registry {
     /// # Examples
     ///
     /// A read/write round-trip: the writer delegates to the subsystem's
-    /// own setter (here an atomic), so a tool's `cvar_write` and the
-    /// legacy direct setter stay behavior-identical.
+    /// own setter (here an atomic), so a tool's `cvar_write` lands on the
+    /// live state.
     ///
     /// ```
     /// use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,8 +223,8 @@ impl Registry {
     }
 
     /// Write a cvar. On success the new value is applied through the
-    /// registered setter (behavior-identical to the legacy ad-hoc call)
-    /// and a `cvar.changed` event is emitted with the old and new values.
+    /// registered setter and a `cvar.changed` event is emitted with the old
+    /// and new values.
     pub fn cvar_write(&self, scope: &str, name: &str, value: CvarValue) -> Result<(), CvarError> {
         let label = format!("{scope}/{name}");
         let old = {

@@ -4,16 +4,16 @@
 use crate::error::{PmixError, Result};
 use crate::event::{EventCode, EventStream};
 use crate::group::{GroupDirectives, GroupResult, InviteOutcome, PmixGroup};
-use crate::server::{PendingColl, PmixServer};
+use crate::server::{CollOutcome, PendingColl, PmixServer};
 use crate::types::{ProcId, Rank};
 use crate::value::PmixValue;
-use crate::server::CollOutcome;
+use crate::wire::OpKind;
 use parking_lot::Mutex;
 use simnet::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default timeout for blocking PMIx operations issued by this client.
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -46,42 +46,42 @@ impl PmixClient {
         }
     }
 
-    /// Run one collective under a client-side operation span.
-    ///
-    /// The span is *entered* for the duration of the call, so the server's
-    /// fan-in links it as causal predecessor and any fault injected on a
-    /// message this thread sends is attributed to it. On success a
-    /// zero-duration `<name>.done` child is emitted that links the server's
-    /// fan-out context: the release edge `fanout → done` closes the
-    /// cross-process loop `op → fanin → xchg → fanout → op.done` without a
-    /// cycle.
-    fn traced_coll(
+    /// Open the client-side operation span `span_name`/`key` and run the
+    /// collective's local fan-in under it. The span is *entered* whenever
+    /// this thread is inside the server, so the fan-in links it as causal
+    /// predecessor and any fault injected on a message this thread sends is
+    /// attributed to it. Every collective — fence, group construct and
+    /// destruct, blocking or not — starts here and ends in
+    /// [`PendingOp::close`].
+    #[allow(clippy::too_many_arguments)]
+    fn begin_coll(
         &self,
-        span_name: &str,
+        span_name: &'static str,
         key: &str,
-        body: impl FnOnce() -> Result<CollOutcome>,
-    ) -> Result<CollOutcome> {
-        let obs = self.server.obs();
-        let process = self.proc.to_string();
-        let span = obs.span(&process, span_name, key);
-        let res = {
+        kind: OpKind,
+        name: &str,
+        members: &[ProcId],
+        directives: &GroupDirectives,
+        kvs: HashMap<String, PmixValue>,
+    ) -> Result<PendingOp> {
+        let span = self.server.obs().span(&self.proc.to_string(), span_name, key);
+        let begun = {
             let _entered = span.enter();
-            body()
+            self.server.coll_begin(kind, name, members, directives, &self.proc, kvs)
         };
-        if let Ok(out) = &res {
-            let mut done = obs.span_with_parent(
-                &process,
-                &format!("{span_name}.done"),
-                key,
-                Some(span.context()),
-            );
-            if let Some(ctx) = out.ctx {
-                done.link(ctx);
+        match begun {
+            Ok(pending) => Ok(PendingOp {
+                client: self.clone(),
+                pending: Some(pending),
+                span: Some(span),
+                span_name,
+                key: key.to_owned(),
+            }),
+            Err(e) => {
+                span.end();
+                Err(e)
             }
-            done.end();
         }
-        span.end();
-        res
     }
 
     /// Release the client registration.
@@ -129,9 +129,24 @@ impl PmixClient {
         self.get_timeout(proc, key, DEFAULT_TIMEOUT)
     }
 
-    /// [`PmixClient::get`] with an explicit timeout.
+    /// [`PmixClient::get`] with an explicit timeout: begin a fetch ticket,
+    /// then poll it, parking on the owner's KVS shard between polls. A dead
+    /// or deregistered owner fails typed (`ProcTerminated` / `NotFound`) at
+    /// once rather than running out the clock.
     pub fn get_timeout(&self, proc: &ProcId, key: &str, timeout: Duration) -> Result<PmixValue> {
-        self.server.fetch(proc, key, timeout)
+        let deadline = Instant::now() + timeout;
+        let mut ticket = self.server.fetch_begin(proc, key)?;
+        loop {
+            if let Some(res) = self.server.fetch_poll(&mut ticket) {
+                return res;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                self.server.fetch_cancel(&mut ticket);
+                return Err(PmixError::Timeout);
+            }
+            self.server.fetch_park(&ticket, left);
+        }
     }
 
     // -- fences ------------------------------------------------------------
@@ -154,105 +169,47 @@ impl PmixClient {
         let directives = GroupDirectives::default()
             .without_pgcid()
             .with_timeout(Some(timeout));
-        let seq = self.fence_seq.fetch_add(1, Ordering::Relaxed);
-        self.traced_coll("pmix.fence", &seq.to_string(), || {
-            self.server.coll_enter(
-                crate::wire::OpKind::Fence,
-                "",
-                procs,
-                &directives,
-                &self.proc,
-                kvs,
-            )
-        })
-        .map(|_| ())
+        let seq = self.fence_seq.fetch_add(1, Ordering::Relaxed).to_string();
+        self.begin_coll("pmix.fence", &seq, OpKind::Fence, "", procs, &directives, kvs)?
+            .wait()
+            .map(|_| ())
     }
 
+    /// The fence contribution: everything this process has committed so
+    /// far, read back from the server's local store (cheap: same node).
     fn server_committed(&self) -> HashMap<String, PmixValue> {
-        // The fence contribution is the union of everything this process
-        // has committed so far; fetch it back from the server's local store.
-        // (Cheap: same-node data.)
-        let mut out = HashMap::new();
-        // The server exposes committed data through `fetch` per key; to keep
-        // the wire contribution exact we read our staged history instead.
-        // Committed data lives server-side; replaying it here would need a
-        // bulk API — provide one:
-        if let Some(all) = self.server.local_committed(&self.proc) {
-            out.extend(all);
-        }
-        out
+        self.server.local_committed(&self.proc).unwrap_or_default()
     }
 
     // -- groups ------------------------------------------------------------
 
     /// Collectively construct a PMIx group over `members`
-    /// (`PMIx_Group_construct`). Blocks for all members.
+    /// (`PMIx_Group_construct`). Blocks for all members: exactly
+    /// [`PmixClient::group_construct_nb`] + [`PendingGroup::wait`].
     pub fn group_construct(
         &self,
         name: &str,
         members: &[ProcId],
         directives: &GroupDirectives,
     ) -> Result<PmixGroup> {
-        let out = self.traced_coll("pmix.group_construct", name, || {
-            self.server.coll_enter(
-                crate::wire::OpKind::GroupConstruct,
-                name,
-                members,
-                directives,
-                &self.proc,
-                HashMap::new(),
-            )
-        })?;
-        if directives.request_pgcid && out.pgcid.is_none() {
-            return Err(PmixError::Internal("construct completed without PGCID".into()));
-        }
-        Ok(PmixGroup::new(
-            name.to_owned(),
-            &GroupResult { members: out.members, pgcid: out.pgcid },
-        ))
+        self.group_construct_nb(name, members, directives)?.wait()
     }
 
     /// Nonblocking group construct (`PMIx_Group_construct_nb` analog): run
     /// the local fan-in and return a handle to poll. The operation span
-    /// and its `.done` completion child are emitted with exactly the shape
-    /// [`PmixClient::group_construct`] produces — the span opens here,
-    /// stays open across polls, and closes (with the `.done` release edge
-    /// linking the server's fan-out) when the result is observed, so
-    /// blocking and nonblocking constructs are indistinguishable in the
-    /// trace DAG apart from their overlap.
+    /// opens here, stays open across polls, and closes (with the `.done`
+    /// release edge linking the server's fan-out) when the result is
+    /// observed.
     pub fn group_construct_nb(
         &self,
         name: &str,
         members: &[ProcId],
         directives: &GroupDirectives,
     ) -> Result<PendingGroup> {
-        let obs = self.server.obs();
-        let process = self.proc.to_string();
-        let span = obs.span(&process, "pmix.group_construct", name);
-        let begun = {
-            let _entered = span.enter();
-            self.server.coll_begin(
-                crate::wire::OpKind::GroupConstruct,
-                name,
-                members,
-                directives,
-                &self.proc,
-                HashMap::new(),
-            )
-        };
-        match begun {
-            Ok(pending) => Ok(PendingGroup {
-                client: self.clone(),
-                pending: Some(pending),
-                span: Some(span),
-                name: name.to_owned(),
-                request_pgcid: directives.request_pgcid,
-            }),
-            Err(e) => {
-                span.end();
-                Err(e)
-            }
-        }
+        let kind = OpKind::GroupConstruct;
+        let op = self
+            .begin_coll("pmix.group_construct", name, kind, name, members, directives, HashMap::new())?;
+        Ok(PendingGroup { op, request_pgcid: directives.request_pgcid })
     }
 
     /// Collectively destruct a group (`PMIx_Group_destruct`).
@@ -260,17 +217,10 @@ impl PmixClient {
         let directives = GroupDirectives::default().without_pgcid().with_timeout(
             timeout.or(Some(DEFAULT_TIMEOUT)),
         );
-        self.traced_coll("pmix.group_destruct", group.name(), || {
-            self.server.coll_enter(
-                crate::wire::OpKind::GroupDestruct,
-                group.name(),
-                group.members(),
-                &directives,
-                &self.proc,
-                HashMap::new(),
-            )
-        })
-        .map(|_| ())
+        let (name, kind) = (group.name(), OpKind::GroupDestruct);
+        self.begin_coll("pmix.group_destruct", name, kind, name, group.members(), &directives, HashMap::new())?
+            .wait()
+            .map(|_| ())
     }
 
     /// Leave a group asynchronously; remaining members get a
@@ -392,105 +342,66 @@ impl std::fmt::Debug for PmixClient {
     }
 }
 
-/// An in-flight nonblocking group construct, returned by
-/// [`PmixClient::group_construct_nb`].
-///
-/// Poll with [`PendingGroup::try_group`] or block in
-/// [`PendingGroup::wait`]. Dropping the handle abandons this member's
-/// observation of the collective (the construct itself still completes
-/// server-side — construction is collective, so cancellation must be too;
-/// see the server's abandonment bookkeeping).
-pub struct PendingGroup {
+/// A collective in flight under its client-side operation span (see
+/// [`PmixClient::begin_coll`]). Dropping it unobserved abandons this
+/// member's observation of the collective — the op itself still completes
+/// server-side (see the server's abandonment bookkeeping).
+struct PendingOp {
     client: PmixClient,
     pending: Option<PendingColl>,
     span: Option<obs::Span>,
-    name: String,
-    request_pgcid: bool,
+    span_name: &'static str,
+    key: String,
 }
 
-impl PendingGroup {
-    /// The group name this construct will produce.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// True once the construct has delivered its result.
-    pub fn is_finished(&self) -> bool {
-        self.pending.is_none()
-    }
-
-    /// Test for completion: `Some(result)` exactly once when the construct
-    /// finishes; `None` while still in flight.
-    pub fn try_group(&mut self) -> Option<Result<PmixGroup>> {
+impl PendingOp {
+    /// `Some(result)` exactly once when the collective finishes.
+    fn poll(&mut self) -> Option<Result<CollOutcome>> {
         let pending = self.pending.as_mut()?;
         let res = {
-            let span = self.span.as_ref().expect("span lives while pending");
-            let _entered = span.enter();
+            let _entered = self.span.as_ref().expect("span lives while pending").enter();
             self.client.server.coll_poll(pending)?
         };
         self.pending = None;
-        Some(self.finish(res))
+        Some(self.close(res))
     }
 
-    /// Park until the construct is ready to observe or `limit` elapses,
-    /// without observing it: a subsequent [`PendingGroup::try_group`] picks
-    /// the result up. Lets wait-style callers of the nonblocking API ride
-    /// the server condvar instead of poll-spinning.
-    pub fn park(&mut self, limit: std::time::Duration) {
-        if let Some(pending) = self.pending.as_ref() {
-            self.client.server.coll_park(pending, limit);
-        }
-    }
-
-    /// Block until the construct completes (nb + wait ≡ blocking).
-    pub fn wait(mut self) -> Result<PmixGroup> {
+    /// Block until the collective completes, fails or times out.
+    fn wait(mut self) -> Result<CollOutcome> {
         let Some(pending) = self.pending.take() else {
-            return Err(PmixError::BadParam(format!(
-                "waited on finished construct {}",
-                self.name
-            )));
+            return Err(PmixError::BadParam(format!("waited on finished {}", self.key)));
         };
         let res = {
-            let span = self.span.as_ref().expect("span lives while pending");
-            let _entered = span.enter();
+            let _entered = self.span.as_ref().expect("span lives while pending").enter();
             self.client.server.coll_wait(pending)
         };
-        self.finish(res)
+        self.close(res)
     }
 
-    fn finish(&mut self, res: Result<crate::server::CollOutcome>) -> Result<PmixGroup> {
+    /// End the operation span. On success a zero-duration `<name>.done`
+    /// child is emitted first that links the server's fan-out context: the
+    /// release edge `fanout → done` closes the cross-process loop
+    /// `op → fanin → xchg → fanout → op.done` without a cycle.
+    fn close(&mut self, res: Result<CollOutcome>) -> Result<CollOutcome> {
         let span = self.span.take().expect("span lives until completion");
-        let out = match res {
-            Ok(out) => out,
-            Err(e) => {
-                span.end();
-                return Err(e);
+        if let Ok(out) = &res {
+            let mut done = self.client.server.obs().span_with_parent(
+                &self.client.proc.to_string(),
+                &format!("{}.done", self.span_name),
+                &self.key,
+                Some(span.context()),
+            );
+            if let Some(ctx) = out.ctx {
+                done.link(ctx);
             }
-        };
-        let obs = self.client.server.obs();
-        let process = self.client.proc.to_string();
-        let mut done = obs.span_with_parent(
-            &process,
-            "pmix.group_construct.done",
-            &self.name,
-            Some(span.context()),
-        );
-        if let Some(ctx) = out.ctx {
-            done.link(ctx);
+            done.end();
         }
-        done.end();
         span.end();
-        if self.request_pgcid && out.pgcid.is_none() {
-            return Err(PmixError::Internal("construct completed without PGCID".into()));
-        }
-        Ok(PmixGroup::new(
-            self.name.clone(),
-            &GroupResult { members: out.members, pgcid: out.pgcid },
-        ))
+        res
     }
 }
 
-impl Drop for PendingGroup {
+impl Drop for PendingOp {
     fn drop(&mut self) {
         if let Some(mut pending) = self.pending.take() {
             self.client.server.coll_abandon(&mut pending);
@@ -501,10 +412,65 @@ impl Drop for PendingGroup {
     }
 }
 
+/// An in-flight nonblocking group construct, returned by
+/// [`PmixClient::group_construct_nb`].
+///
+/// Poll with [`PendingGroup::try_group`] or block in
+/// [`PendingGroup::wait`]. Dropping the handle abandons this member's
+/// observation of the collective (the construct itself still completes
+/// server-side — construction is collective, so cancellation must be too).
+pub struct PendingGroup {
+    op: PendingOp,
+    request_pgcid: bool,
+}
+
+impl PendingGroup {
+    /// The group name this construct will produce.
+    pub fn name(&self) -> &str {
+        &self.op.key
+    }
+
+    /// True once the construct has delivered its result.
+    pub fn is_finished(&self) -> bool {
+        self.op.pending.is_none()
+    }
+
+    /// Test for completion: `Some(result)` exactly once when the construct
+    /// finishes; `None` while still in flight.
+    pub fn try_group(&mut self) -> Option<Result<PmixGroup>> {
+        let res = self.op.poll()?;
+        Some(into_group(&self.op.key, self.request_pgcid, res))
+    }
+
+    /// Park until the construct is ready to observe or `limit` elapses,
+    /// without observing it: a subsequent [`PendingGroup::try_group`] picks
+    /// the result up. Lets wait-style callers of the nonblocking API ride
+    /// the server condvar instead of poll-spinning.
+    pub fn park(&mut self, limit: Duration) {
+        if let Some(pending) = self.op.pending.as_ref() {
+            self.op.client.server.coll_park(pending, limit);
+        }
+    }
+
+    /// Block until the construct completes.
+    pub fn wait(self) -> Result<PmixGroup> {
+        let name = self.op.key.clone();
+        into_group(&name, self.request_pgcid, self.op.wait())
+    }
+}
+
+fn into_group(name: &str, request_pgcid: bool, res: Result<CollOutcome>) -> Result<PmixGroup> {
+    let out = res?;
+    if request_pgcid && out.pgcid.is_none() {
+        return Err(PmixError::Internal("construct completed without PGCID".into()));
+    }
+    Ok(PmixGroup::new(name.to_owned(), &GroupResult { members: out.members, pgcid: out.pgcid }))
+}
+
 impl std::fmt::Debug for PendingGroup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PendingGroup")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("finished", &self.is_finished())
             .finish()
     }

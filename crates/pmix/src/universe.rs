@@ -12,6 +12,7 @@ use crate::server::PmixServer;
 use crate::types::ProcId;
 use parking_lot::Mutex;
 use simnet::{Endpoint, EndpointId, Fabric, NodeId, SimTestbed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -38,10 +39,10 @@ pub struct PmixUniverse {
     /// Default session-init mode ("eager" | "lazy") for sessions that do
     /// not pass an explicit `init_mode` info key. Runtime-writable through
     /// the `pmix.init_mode` cvar.
-    lazy_init_default: std::sync::atomic::AtomicBool,
+    lazy_init_default: AtomicBool,
     /// Deadline (ms) the MPI layer passes on group-construct fan-ins.
     /// Runtime-writable through the `pmix.group_timeout_ms` cvar.
-    group_timeout_ms: std::sync::atomic::AtomicU64,
+    group_timeout_ms: AtomicU64,
 }
 
 /// Default group-construct deadline, matching
@@ -63,32 +64,20 @@ impl PmixUniverse {
         // PGCID acquisition is an inter-node RPC from the lead
         // participating server.
         let head = NodeId(u32::MAX);
-        {
-            let endpoint = fabric.register(head);
-            let mut rm = PmixServer::new(&endpoint, registry.clone(), true);
-            rm.set_rpc_processing(testbed.cost.rpc_processing);
-            registry.register_rm(endpoint.id());
-            server_eps.push(endpoint.id());
-            let srv = rm.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("pmix-rm".into())
-                    .spawn(move || srv.run_loop(&endpoint))
-                    .expect("spawn rm thread"),
-            );
-            servers.push(rm);
-        }
-
-        for node in testbed.cluster.node_ids() {
+        for node in std::iter::once(head).chain(testbed.cluster.node_ids()) {
+            let is_rm = node == head;
             let endpoint = fabric.register(node);
-            let is_rm = false;
             let mut server = PmixServer::new(&endpoint, registry.clone(), is_rm);
             server.set_rpc_processing(testbed.cost.rpc_processing);
+            if is_rm {
+                registry.register_rm(endpoint.id());
+            }
             server_eps.push(endpoint.id());
             let srv = server.clone();
+            let name = if is_rm { "pmix-rm".into() } else { format!("pmix-server-{node}") };
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("pmix-server-{node}"))
+                    .name(name)
                     .spawn(move || srv.run_loop(&endpoint))
                     .expect("spawn pmix server thread"),
             );
@@ -101,10 +90,14 @@ impl PmixUniverse {
         // lock, so subscribers observe changes in strict epoch order. The
         // span parents under the mutator's context and its own context is
         // forwarded on the event, closing the `pset.update →
-        // session.rebuild` causal chain.
+        // session.rebuild` causal chain. The listener holds the servers
+        // weakly: each server owns a clone of the registry, so a strong
+        // capture here would be a cycle (registry → listener → server →
+        // registry) keeping every server, the fabric and its pump thread
+        // alive after the universe is dropped.
         {
             let obs = fabric.obs().clone();
-            let servers_l = servers.clone();
+            let servers_l: Vec<_> = servers.iter().map(Arc::downgrade).collect();
             registry.add_pset_listener(Box::new(move |change| {
                 let kind = match change.kind {
                     crate::nspace::PsetChangeKind::Defined => "defined",
@@ -132,7 +125,7 @@ impl PmixUniverse {
                     ],
                 );
                 let relayed = crate::nspace::PsetChange { ctx: Some(ctx), ..change.clone() };
-                for s in &servers_l {
+                for s in servers_l.iter().filter_map(|s| s.upgrade()) {
                     s.handle_pset_change(&relayed);
                 }
             }));
@@ -174,10 +167,10 @@ impl PmixUniverse {
             server_eps,
             threads: Mutex::new(threads),
             testbed,
-            lazy_init_default: std::sync::atomic::AtomicBool::new(
+            lazy_init_default: AtomicBool::new(
                 std::env::var("INIT_MODE").map(|v| v == "lazy").unwrap_or(false),
             ),
-            group_timeout_ms: std::sync::atomic::AtomicU64::new(DEFAULT_GROUP_TIMEOUT_MS),
+            group_timeout_ms: AtomicU64::new(DEFAULT_GROUP_TIMEOUT_MS),
         });
         uni.register_cvars();
         uni
@@ -196,12 +189,14 @@ impl PmixUniverse {
         obs.cvar_register(
             "universe",
             "pmix.pgcid_block",
-            "PGCIDs granted per RM round trip; writes fan to every server \
-             (legacy setter: PmixUniverse::set_pgcid_block)",
+            "PGCIDs granted per RM round trip (ablation/bench knob; 1 restores the \
+             unbatched one-request-per-construct behavior); writes fan to every server",
             move || r.upgrade().map(|u| obs::CvarValue::U64(u.servers[0].pgcid_block())),
             obs::u64_writer(move |v| {
                 if let Some(u) = wr.upgrade() {
-                    u.set_pgcid_block(v);
+                    for s in &u.servers {
+                        s.set_pgcid_block(v);
+                    }
                 }
             }),
         );
@@ -209,8 +204,7 @@ impl PmixUniverse {
         obs.cvar_register(
             "universe",
             "registry.gc_enabled",
-            "tombstone GC in the pset registry \
-             (legacy setter: NamespaceRegistry::set_gc_enabled)",
+            "tombstone GC in the pset registry",
             move || r.upgrade().map(|u| obs::CvarValue::Bool(u.registry.gc_enabled())),
             obs::bool_writer(move |v| {
                 if let Some(u) = wr.upgrade() {
@@ -218,52 +212,37 @@ impl PmixUniverse {
                 }
             }),
         );
-        let r = w.clone();
-        obs.cvar_register(
-            "universe",
-            "pmix.server_shards",
-            "key-hashed shards per server's ops and KVS tables (compile-time)",
-            move || r.upgrade().map(|_| obs::CvarValue::U64(crate::server::SERVER_SHARDS as u64)),
-            None,
-        );
-        let r = w.clone();
-        obs.cvar_register(
-            "universe",
-            "pmix.epoch_retention_cap",
-            "retained collective epoch counters per ops shard (compile-time)",
-            move || {
-                r.upgrade().map(|_| obs::CvarValue::U64(crate::server::EPOCH_RETENTION_CAP as u64))
-            },
-            None,
-        );
-        let r = w.clone();
-        obs.cvar_register(
-            "universe",
-            "registry.gc_tombstone_threshold",
-            "tombstone count that triggers a registry GC pass (compile-time)",
-            move || {
-                r.upgrade()
-                    .map(|_| obs::CvarValue::U64(crate::nspace::GC_TOMBSTONE_THRESHOLD as u64))
-            },
-            None,
-        );
+        for (name, description, value) in [
+            (
+                "pmix.server_shards",
+                "key-hashed shards per server's ops and KVS tables (compile-time)",
+                crate::server::SERVER_SHARDS,
+            ),
+            (
+                "pmix.epoch_retention_cap",
+                "retained collective epoch counters per ops shard (compile-time)",
+                crate::server::EPOCH_RETENTION_CAP,
+            ),
+            (
+                "registry.gc_tombstone_threshold",
+                "tombstone count that triggers a registry GC pass (compile-time)",
+                crate::nspace::GC_TOMBSTONE_THRESHOLD,
+            ),
+        ] {
+            let r = w.clone();
+            let read = move || r.upgrade().map(|_| obs::CvarValue::U64(value as u64));
+            obs.cvar_register("universe", name, description, read, None);
+        }
         let (r, wr) = (w.clone(), w.clone());
         obs.cvar_register(
             "universe",
             "pmix.group_timeout_ms",
             "deadline (ms) the MPI layer pins on group-construct fan-ins — comm \
-             creation, shrink/repair, elastic rebuild \
-             (legacy setter: PmixUniverse::set_group_timeout)",
-            move || {
-                r.upgrade().map(|u| {
-                    obs::CvarValue::U64(
-                        u.group_timeout_ms.load(std::sync::atomic::Ordering::Relaxed),
-                    )
-                })
-            },
+             creation, shrink/repair, elastic rebuild",
+            move || r.upgrade().map(|u| obs::CvarValue::U64(u.group_timeout().as_millis() as u64)),
             obs::u64_writer(move |v| {
                 if let Some(u) = wr.upgrade() {
-                    u.group_timeout_ms.store(v.max(1), std::sync::atomic::Ordering::Relaxed);
+                    u.group_timeout_ms.store(v.max(1), Ordering::Relaxed);
                 }
             }),
         );
@@ -275,26 +254,19 @@ impl PmixUniverse {
              lazy (fence-free, peers resolved on first send); the per-session \
              init_mode info key overrides",
             move || {
-                r.upgrade().map(|u| {
-                    obs::CvarValue::Str(
-                        if u.lazy_init_default() { "lazy" } else { "eager" }.into(),
-                    )
-                })
+                let mode = |u: Arc<Self>| if u.lazy_init_default() { "lazy" } else { "eager" };
+                r.upgrade().map(|u| obs::CvarValue::Str(mode(u).into()))
             },
-            obs::writer(move |v| match v.as_str() {
-                Some("lazy") => {
-                    if let Some(u) = wr.upgrade() {
-                        u.set_lazy_init_default(true);
-                    }
-                    Ok(())
+            obs::writer(move |v| {
+                let lazy = match v.as_str() {
+                    Some("lazy") => true,
+                    Some("eager") => false,
+                    _ => return Err(format!("expected \"eager\" or \"lazy\", got {v}")),
+                };
+                if let Some(u) = wr.upgrade() {
+                    u.lazy_init_default.store(lazy, Ordering::Relaxed);
                 }
-                Some("eager") => {
-                    if let Some(u) = wr.upgrade() {
-                        u.set_lazy_init_default(false);
-                    }
-                    Ok(())
-                }
-                _ => Err(format!("expected \"eager\" or \"lazy\", got {v}")),
+                Ok(())
             }),
         );
     }
@@ -304,13 +276,7 @@ impl PmixUniverse {
     /// the `pmix.init_mode` cvar; the per-session `init_mode` info key has
     /// the final say.
     pub fn lazy_init_default(&self) -> bool {
-        self.lazy_init_default.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Set the default session-init mode (see
-    /// [`PmixUniverse::lazy_init_default`]).
-    pub fn set_lazy_init_default(&self, lazy: bool) {
-        self.lazy_init_default.store(lazy, std::sync::atomic::Ordering::Relaxed);
+        self.lazy_init_default.load(Ordering::Relaxed)
     }
 
     /// The deadline the MPI layer pins on every group-construct fan-in
@@ -318,15 +284,7 @@ impl PmixUniverse {
     /// through the `pmix.group_timeout_ms` cvar, so fault drills can trade
     /// the forgiving default for a fast typed `Timeout`.
     pub fn group_timeout(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(
-            self.group_timeout_ms.load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    /// Set the group-construct deadline (see [`PmixUniverse::group_timeout`]).
-    pub fn set_group_timeout(&self, timeout: std::time::Duration) {
-        self.group_timeout_ms
-            .store((timeout.as_millis() as u64).max(1), std::sync::atomic::Ordering::Relaxed);
+        std::time::Duration::from_millis(self.group_timeout_ms.load(Ordering::Relaxed))
     }
 
     /// Purge a gracefully-retired process's business cards from every
@@ -374,15 +332,6 @@ impl PmixUniverse {
             .find(|s| s.node() == node)
             .cloned()
             .ok_or_else(|| PmixError::NotFound(format!("server for {node}")))
-    }
-
-    /// Set the PGCID block size every server requests from the resource
-    /// manager on a pool miss (ablation/bench knob; `1` restores the
-    /// unbatched one-request-per-construct behavior).
-    pub fn set_pgcid_block(&self, block: u64) {
-        for s in &self.servers {
-            s.set_pgcid_block(block);
-        }
     }
 
     /// Register a process endpoint for a namespace and return its entry.
@@ -786,7 +735,7 @@ mod tests {
         let uni = PmixUniverse::new(SimTestbed::tiny(2, 1));
         // Paper-prototype mode: one id per RM grant, so every construct
         // that cannot coalesce pays its own round trip.
-        uni.set_pgcid_block(1);
+        uni.fabric().obs().cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).unwrap();
         let procs = spawn_procs(&uni, "job", 2);
         let members: Vec<ProcId> = procs.iter().map(|(p, _)| p.clone()).collect();
         let m2 = members.clone();

@@ -56,18 +56,22 @@ impl std::fmt::Display for OpId {
 /// Stable hash of a sorted membership list (FNV-1a over the display forms;
 /// must be identical across all participants, which sorting guarantees).
 pub fn membership_hash(sorted_members: &[ProcId]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    for m in sorted_members {
-        for b in m.nspace().as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h ^= m.rank() as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    sorted_members
+        .iter()
+        .fold(FNV_OFFSET, |h, m| fnv_u64(fnv_bytes(h, m.nspace().as_bytes()), m.rank() as u64))
+}
+
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// One FNV-1a step per byte.
+pub(crate) fn fnv_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, b| fnv_u64(h, *b as u64))
+}
+
+/// One FNV-1a step over a whole word.
+pub(crate) fn fnv_u64(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
 }
 
 /// One server's contribution to a collective instance.

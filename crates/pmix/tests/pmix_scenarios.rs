@@ -493,3 +493,180 @@ fn retired_peer_card_is_purged_and_resolution_fails_typed() {
         Ok(_) => panic!("resolution of a retired peer must not begin"),
     }
 }
+
+#[test]
+fn fetch_park_rechecks_readiness_under_the_shard_lock() {
+    // Regression: `fetch_park` used to lock the shard and wait without
+    // looking at the ticket, so a commit landing between the caller's
+    // `fetch_poll` and its `fetch_park` was a lost wake-up bounded only by
+    // `limit`. Pre-fix the park below sleeps the full five seconds.
+    let uni = PmixUniverse::new(SimTestbed::tiny(1, 2));
+    let procs = spawn_procs(&uni, "job", 2);
+    let c0 = uni.client_for(&procs[0]).unwrap();
+    let c1 = uni.client_for(&procs[1]).unwrap();
+    let server = c0.server();
+    let mut ticket = server.fetch_begin(&procs[1], "late").unwrap();
+    assert!(server.fetch_poll(&mut ticket).is_none(), "owner has not committed yet");
+    // The wake-up the parker is not yet there to hear.
+    c1.put("late", 7u64);
+    c1.commit();
+    let t0 = std::time::Instant::now();
+    server.fetch_park(&ticket, Duration::from_secs(5));
+    assert!(t0.elapsed() < Duration::from_secs(1), "park slept through a ready ticket");
+    assert_eq!(server.fetch_poll(&mut ticket).unwrap().unwrap().as_u64(), Some(7));
+}
+
+#[test]
+fn blocking_get_and_hand_driven_ticket_reach_the_same_verdict() {
+    // `get_timeout` is begin + poll/park over the same tickets the lazy
+    // resolver drives by hand; every way a fetch can end must end the same
+    // way through both.
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        Value(u64),
+        Timeout,
+        NotFound,
+        ProcTerminated,
+    }
+    fn verdict(res: Result<pmix::PmixValue, PmixError>) -> Verdict {
+        match res {
+            Ok(v) => Verdict::Value(v.as_u64().expect("u64 test values")),
+            Err(PmixError::Timeout) => Verdict::Timeout,
+            Err(PmixError::NotFound(_)) => Verdict::NotFound,
+            Err(PmixError::ProcTerminated(_)) => Verdict::ProcTerminated,
+            Err(other) => panic!("unexpected error {other:?}"),
+        }
+    }
+    const BUDGET: Duration = Duration::from_millis(300);
+    // (case, owner rank: 1 shares the getter's node, 2 is remote, expected)
+    let cases = [
+        ("local committed", 1, Verdict::Value(11)),
+        ("local late commit", 1, Verdict::Value(12)),
+        ("remote dmodex hit", 2, Verdict::Value(13)),
+        // The owner's server parks a live client's uncommitted key.
+        ("remote absent key", 2, Verdict::Timeout),
+        ("dead owner", 2, Verdict::ProcTerminated),
+        ("retired owner", 2, Verdict::NotFound),
+    ];
+    for (case, owner, expected) in cases {
+        for by_hand in [false, true] {
+            let uni = PmixUniverse::new(SimTestbed::tiny(2, 2));
+            // Slots fill node 0 first: ranks 0,1 on node 0, rank 2 on node 1.
+            let procs = spawn_procs(&uni, "job", 3);
+            let getter = uni.client_for(&procs[0]).unwrap();
+            let owner_proc = procs[owner].clone();
+            let owner_client = uni.client_for(&owner_proc).unwrap();
+            let mut late_commit = None;
+            match case {
+                "local committed" => {
+                    owner_client.put("k", 11u64);
+                    owner_client.commit();
+                }
+                "local late commit" => {
+                    late_commit = Some(std::thread::spawn(move || {
+                        std::thread::sleep(Duration::from_millis(30));
+                        owner_client.put("k", 12u64);
+                        owner_client.commit();
+                    }));
+                }
+                "remote dmodex hit" => {
+                    owner_client.put("k", 13u64);
+                    owner_client.commit();
+                }
+                "remote absent key" => {
+                    owner_client.put("other", 1u64);
+                    owner_client.commit();
+                }
+                "dead owner" => {
+                    uni.kill_proc(&owner_proc).unwrap();
+                    let t0 = std::time::Instant::now();
+                    while !uni.proc_is_dead(&owner_proc) {
+                        assert!(t0.elapsed() < Duration::from_secs(5), "death never observed");
+                        std::thread::yield_now();
+                    }
+                }
+                "retired owner" => {
+                    uni.registry().deregister_proc(&owner_proc);
+                    uni.purge_retired(&owner_proc);
+                }
+                other => unreachable!("{other}"),
+            }
+            let got = if by_hand {
+                let server = getter.server();
+                let deadline = std::time::Instant::now() + BUDGET;
+                match server.fetch_begin(&owner_proc, "k") {
+                    Err(e) => verdict(Err(e)),
+                    Ok(mut ticket) => loop {
+                        if let Some(res) = server.fetch_poll(&mut ticket) {
+                            break verdict(res);
+                        }
+                        let left = deadline.saturating_duration_since(std::time::Instant::now());
+                        if left.is_zero() {
+                            break Verdict::Timeout;
+                        }
+                        server.fetch_park(&ticket, left);
+                    },
+                }
+            } else {
+                verdict(getter.get_timeout(&owner_proc, "k", BUDGET))
+            };
+            assert_eq!(got, expected, "{case} (by_hand = {by_hand})");
+            if let Some(h) = late_commit {
+                h.join().unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn invite_finalize_rides_the_collective_pgcid_route() {
+    // Two invite/join constructs at the default block of 8: the first pays
+    // the one RM round trip (a `pgcid.request` span, like a collective's),
+    // the second is a pool hit. Pre-fix the invite path had a private RM
+    // route with no span at all.
+    let uni = PmixUniverse::new(SimTestbed::tiny(2, 1));
+    let procs = spawn_procs(&uni, "job", 2);
+    let c0 = uni.client_for(&procs[0]).unwrap();
+    let c1 = uni.client_for(&procs[1]).unwrap();
+    let mut pgcids = Vec::new();
+    for name in ["ij0", "ij1"] {
+        c0.group_invite(name, &procs[1..], &GroupDirectives::for_mpi()).unwrap();
+        c1.group_join(name, &procs[0], true).unwrap();
+        let g = c0.group_invite_wait(name, Duration::from_secs(10)).unwrap();
+        assert_eq!(g.size(), 2);
+        pgcids.push(g.pgcid().unwrap());
+    }
+    assert_ne!(pgcids[0], pgcids[1]);
+    let obs = uni.fabric().obs();
+    let requests = obs.spans_snapshot().iter().filter(|s| s.name == "pgcid.request").count();
+    assert_eq!(requests, 1, "one block request serves both constructs");
+    assert_eq!(obs.sum_counters("pmix", "pgcid_pool_hits"), 1);
+    assert_eq!(obs.sum_counters("pmix", "pgcid_allocated"), 8);
+}
+
+#[test]
+fn late_pgcid_grant_for_a_timed_out_invite_is_repooled() {
+    // Every RPC costs 150 ms of server time, so the RM's grant lands long
+    // after the 20 ms invite wait gave up (the fabric is quiet while the RM
+    // works, so the logical deadline does expire). The whole block must end
+    // up in the pool — surplus *and* lead id. Pre-fix the lead id of a late
+    // grant was neither pooled nor delivered.
+    let mut tb = SimTestbed::tiny(1, 2);
+    tb.cost.rpc_processing = Duration::from_millis(150);
+    let uni = PmixUniverse::new(tb);
+    let procs = spawn_procs(&uni, "job", 2);
+    let c0 = uni.client_for(&procs[0]).unwrap();
+    let c1 = uni.client_for(&procs[1]).unwrap();
+    // Both procs share node 0: invite and accept are node-local calls.
+    c0.group_invite("late-grant", &procs[1..], &GroupDirectives::for_mpi()).unwrap();
+    c1.group_join("late-grant", &procs[0], true).unwrap();
+    let err = c0.group_invite_wait("late-grant", Duration::from_millis(20)).unwrap_err();
+    assert_eq!(err, PmixError::Timeout);
+    let server = c0.server();
+    let t0 = std::time::Instant::now();
+    while server.pgcid_pool_len() < 8 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.pgcid_pool_len(), 8, "the late grant's lead id was lost");
+    assert_eq!(uni.fabric().obs().sum_counters("pmix", "pgcid_allocated"), 8);
+}

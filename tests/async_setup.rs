@@ -260,7 +260,8 @@ fn concurrent_icomms_coalesce_pgcid_round_trips() {
 
     let run = |nonblocking: bool| -> (usize, Vec<Vec<ExCid>>) {
         let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-        launcher.universe().set_pgcid_block(1);
+        let obs = launcher.universe().fabric().obs();
+        obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).unwrap();
         let excids = launcher
             .spawn(JobSpec::new(2), move |ctx| {
                 let (s, g) = world_base(&ctx);
