@@ -58,6 +58,23 @@ echo "== async-setup interleaving layer (harness + 8-case proptest) =="
 cargo test -q --offline --test async_setup
 cargo test -q --offline --test properties prop_async_setup_any_completion_order_agrees
 
+# Recycled-exCID gate: traffic on a recycled derived exCID crossing between
+# incarnations (ROADMAP 1b) is a race between one rank's local free and its
+# peer's, so one green run in the workspace pass above proves little. Run
+# both regressions (free-running and with the skew pinned) twenty times and
+# stop at the first red. A few seconds; deliberately not part of the chaos
+# sweep below.
+echo "== recycled exCID regression x20 (p2p recycled) =="
+recycled_tmp="$(mktemp -t recycled_ci.XXXXXX.txt)"
+for run in $(seq 20); do
+  if ! cargo test -q --offline -p mpi-sessions --test p2p recycled >"$recycled_tmp" 2>&1; then
+    cat "$recycled_tmp" >&2
+    echo "recycled exCID regression failed on run $run of 20" >&2
+    exit 1
+  fi
+done
+rm -f "$recycled_tmp"
+
 # Chaos gate: the pinned-seed fault-injection sweeps (tests/chaos_suite.rs)
 # already ran as part of the workspace test pass above. The elastic churn
 # scenario (grow/kill/retire/delete under delayed inter-server traffic),

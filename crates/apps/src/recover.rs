@@ -296,7 +296,7 @@ mod tests {
     use super::*;
     use prrte::{JobSpec, Launcher, ProcCtx};
     use simnet::SimTestbed;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc, Condvar, Mutex};
 
     #[test]
     fn quiet_run_completes_every_step_at_full_width() {
@@ -329,13 +329,22 @@ mod tests {
             repair_budget: Duration::from_secs(30),
         };
         let (ack_tx, ack_rx) = mpsc::channel::<(u32, u32)>();
+        // Ranks hold after step 2 until the kill has been issued, so it
+        // can never land after the last step however the threads are
+        // scheduled.
+        let killed = Arc::new((Mutex::new(false), Condvar::new()));
         let run = {
             let cfg = cfg.clone();
+            let killed = killed.clone();
             move |ctx: ProcCtx| {
                 let tx = ack_tx.clone();
                 let rank = ctx.rank();
                 run_rank_with_progress(&ctx, &cfg, |step| {
                     let _ = tx.send((rank, step));
+                    if step == 2 {
+                        let (flag, cv) = &*killed;
+                        drop(cv.wait_while(flag.lock().unwrap(), |k| !*k).unwrap());
+                    }
                 })
             }
         };
@@ -352,6 +361,8 @@ mod tests {
             }
         }
         universe.kill_proc(&victim).expect("kill");
+        *killed.0.lock().unwrap() = true;
+        killed.1.notify_all();
         let out = handle.join().unwrap();
         for (rank, outcome) in out.iter().enumerate() {
             if rank == 3 {

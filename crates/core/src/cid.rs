@@ -163,12 +163,6 @@ pub fn try_derive_excid(
     Ok((child, child_state))
 }
 
-/// [`try_derive_excid`] for callers that only care whether derivation is
-/// possible, not why it stopped.
-pub fn derive_excid(parent: &ExCid, state: &mut DeriveState) -> Option<(ExCid, DeriveState)> {
-    try_derive_excid(parent, state).ok()
-}
-
 /// The per-process local-CID table allocator: lowest-free-index policy,
 /// exactly like Open MPI's communicator array.
 #[derive(Debug, Default)]
@@ -274,14 +268,14 @@ mod tests {
         let mut root_state = DeriveState::fresh();
         assert_eq!(root_state.active, 7);
 
-        let (c1, mut c1_state) = derive_excid(&root, &mut root_state).unwrap();
+        let (c1, mut c1_state) = try_derive_excid(&root, &mut root_state).unwrap();
         assert_eq!(c1.subfield(7), 1);
         assert_eq!(c1_state.active, 6);
 
-        let (c2, _) = derive_excid(&root, &mut root_state).unwrap();
+        let (c2, _) = try_derive_excid(&root, &mut root_state).unwrap();
         assert_eq!(c2.subfield(7), 2);
 
-        let (g1, g1_state) = derive_excid(&c1, &mut c1_state).unwrap();
+        let (g1, g1_state) = try_derive_excid(&c1, &mut c1_state).unwrap();
         assert_eq!(g1.subfield(7), 1);
         assert_eq!(g1.subfield(6), 1);
         assert_eq!(g1_state.active, 5);
@@ -296,7 +290,7 @@ mod tests {
         let mut seen = HashSet::new();
         seen.insert(root);
         for _ in 0..255 {
-            let (c, _) = derive_excid(&root, &mut state).expect("within budget");
+            let (c, _) = try_derive_excid(&root, &mut state).expect("within budget");
             assert!(seen.insert(c), "collision in dup chain");
         }
         assert_eq!(
@@ -315,8 +309,8 @@ mod tests {
         let mut cur = ExCid::from_pgcid(9);
         let mut state = DeriveState::fresh();
         for depth in 0..7 {
-            let (c, s) = derive_excid(&cur, &mut state)
-                .unwrap_or_else(|| panic!("depth {depth} should derive"));
+            let (c, s) = try_derive_excid(&cur, &mut state)
+                .unwrap_or_else(|_| panic!("depth {depth} should derive"));
             cur = c;
             state = s;
         }
@@ -353,7 +347,7 @@ mod tests {
             for pick in ops {
                 let idx = pick % nodes.len();
                 let (parent, mut state) = nodes[idx];
-                if let Some((child, cs)) = derive_excid(&parent, &mut state) {
+                if let Ok((child, cs)) = try_derive_excid(&parent, &mut state) {
                     nodes[idx].1 = state;
                     prop_assert!(seen.insert(child), "derived exCID collided: {child}");
                     nodes.push((child, cs));

@@ -16,7 +16,7 @@
 //!   no agreement traffic at all, at the price of the first-message
 //!   handshake in the PML.
 
-use crate::cid::{derive_excid, try_derive_excid, DeriveState, ExCid};
+use crate::cid::{try_derive_excid, DeriveExhausted, DeriveState, ExCid};
 use crate::coll;
 use crate::datatype::{self, MpiScalar};
 use crate::errhandler::ErrHandler;
@@ -29,7 +29,6 @@ use crate::status::Status;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use pmix::GroupDirectives;
-use simnet::EndpointId;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -73,12 +72,37 @@ pub(crate) struct DerivePool {
     /// still be live. LIFO and fed only by the collective [`Comm::free`],
     /// which keeps the list identical on every rank (derivation must stay
     /// rank-symmetric).
-    pub freed: Vec<(ExCid, Arc<Mutex<DerivePool>>)>,
+    pub freed: Vec<FreedSlot>,
+}
+
+/// One recyclable subfield on a [`DerivePool`]'s freed list.
+pub(crate) struct FreedSlot {
+    pub excid: ExCid,
+    pub pool: Arc<Mutex<DerivePool>>,
+    /// Incarnation of the communicator that returned the slot. The list is
+    /// identical on every rank, so the count is too: the next communicator
+    /// to take the slot is incarnation + 1 everywhere, which is what lets
+    /// the PML tell its traffic from its predecessor's.
+    pub incarnation: u16,
+}
+
+/// A subfield handed out by [`Comm::take_subfield`].
+struct Subfield {
+    excid: ExCid,
+    incarnation: u16,
+    /// The child's own derivation pool (resumed when recycled).
+    pool: Arc<Mutex<DerivePool>>,
+    /// The pool the subfield came from; `free` returns it there.
+    parent: Arc<Mutex<DerivePool>>,
+    recycled: bool,
 }
 
 pub(crate) struct CommInner {
     pub local_cid: u16,
     pub excid: Option<ExCid>,
+    /// Which registration of `excid` this communicator is (0 unless the
+    /// exCID is a recycled derived subfield).
+    pub incarnation: u16,
     pub derive: Mutex<Option<Arc<Mutex<DerivePool>>>>,
     /// Serializes exhaustion-triggered refills: the first dup through the
     /// exhausted pool pays the PMIx group-construct trip, concurrent dups
@@ -114,41 +138,33 @@ impl Comm {
         group: MpiGroup,
         local_cid: u16,
         excid: Option<ExCid>,
+        incarnation: u16,
         origin: CidOrigin,
-        fixed_cid: Option<u16>,
         pmix_group: Option<pmix::PmixGroup>,
     ) -> Result<Comm> {
         let my_rank = group
             .rank_of(process.proc())
             .ok_or_else(|| MpiError::new(ErrClass::Group, "calling process not in group"))?
             as u32;
-        if origin == CidOrigin::Lazy {
-            // Lazy route table: our own slot is known (it is this process),
-            // every other member starts Unresolved and is resolved on first
-            // send (active KVS fetch) or first receive (passive, from the
-            // ext header handshake).
-            let me = process.proc().clone();
-            let own = process.pml().endpoint_id();
-            let addrs: Vec<PeerAddr> = group
-                .iter()
-                .map(|m| {
-                    if m.proc == me {
-                        PeerAddr::Known(own)
-                    } else {
-                        PeerAddr::Unresolved(m.proc)
-                    }
-                })
-                .collect();
-            let excid = excid.expect("lazy communicators always carry an exCID");
-            process
-                .pml()
-                .register_comm_lazy(local_cid, my_rank, addrs, excid);
-        } else {
-            let endpoints: Vec<EndpointId> = group.iter().map(|m| m.endpoint).collect();
-            process
-                .pml()
-                .register_comm(local_cid, my_rank, endpoints, excid, fixed_cid);
-        }
+        // Route table: group members carry their fabric endpoint — except
+        // on a lazy communicator, where only our own slot is known and
+        // every other member starts Unresolved, to be resolved on first
+        // send (active KVS fetch) or first receive (passive, from the ext
+        // header handshake).
+        let me = process.proc();
+        let addrs: Vec<PeerAddr> = group
+            .iter()
+            .map(|m| {
+                if origin == CidOrigin::Lazy && &m.proc != me {
+                    PeerAddr::Unresolved(m.proc)
+                } else {
+                    PeerAddr::Known(m.endpoint)
+                }
+            })
+            .collect();
+        process
+            .pml()
+            .register_comm(local_cid, my_rank, addrs, excid.map(|e| (e, incarnation)));
         // A PGCID-fresh communicator roots a new derivation block: itself
         // plus up to 255 locally-derived children. Acquiring such a block
         // is what the `cid.refills` counter tallies — one per trip through
@@ -166,10 +182,7 @@ impl Comm {
             _ => None,
         };
         if origin == CidOrigin::Pgcid {
-            process
-                .obs()
-                .counter(&process.proc().to_string(), "cid", "refills")
-                .inc();
+            count_cid(&process, "refills");
         }
         // Every exCID communicator holds a reference on its PGCID family;
         // the PMIx group handle (if we own one) parks there so the *last*
@@ -184,6 +197,7 @@ impl Comm {
             inner: Arc::new(CommInner {
                 local_cid,
                 excid,
+                incarnation,
                 derive: Mutex::new(derive),
                 refill_lock: Mutex::new(()),
                 group,
@@ -231,74 +245,34 @@ impl Comm {
         let span = process
             .obs()
             .span(&process.proc().to_string(), "comm.create_from_group", stringtag);
-        let members: Vec<pmix::ProcId> = group.iter().map(|m| m.proc).collect();
-        let name = format!("mpi-comm:{stringtag}");
         let dense = group.to_dense();
-        if group.is_lazy() {
+        let first = if group.is_lazy() {
             // Lazy sessions path (DESIGN.md §14): no PMIx group construct,
             // no fan-in, no PGCID round trip. Every member hashes the same
             // exCID from (stringtag, membership) — rank-symmetric by
             // construction — and registers unresolved routes. The whole
             // creation is one local stage.
+            let members: Vec<pmix::ProcId> = group.iter().map(|m| m.proc).collect();
             let pgcid = lazy_pgcid(stringtag, &members);
-            let first = stage("lazy_cid", {
-                let mut armed = Some((process.clone(), dense));
-                move || {
-                    let (process, dense) = armed.take().expect("lazy_cid runs once");
-                    let local_cid = process.claim_lowest_cid(FIRST_DYNAMIC_CID)?;
-                    let comm = Comm::build(
-                        process.clone(),
-                        dense,
-                        local_cid,
-                        Some(ExCid::from_pgcid(pgcid)),
-                        CidOrigin::Lazy,
-                        None,
-                        None,
-                    )?;
-                    process
-                        .obs()
-                        .counter(&process.proc().to_string(), "cid", "lazy_hashed")
-                        .inc();
-                    Ok(SetupStep::Done(comm))
-                }
-            });
-            return Ok(SetupRequest::issue(
-                process,
-                "comm_create_from_group",
-                Some(span),
-                quiet,
-                first,
-                Some(Box::new(|c: Comm| {
-                    let _ = c.free();
-                })),
-            ));
-        }
-        let first = stage("begin", {
-            let mut armed = Some((process.clone(), name, members, dense));
-            move || {
-                let (process, name, members, dense) = armed.take().expect("begin runs once");
-                let pending = process.pmix().group_construct_nb(
-                    &name,
-                    &members,
-                    &mpi_directives(&process),
+            let process = process.clone();
+            stage("lazy_cid", move || {
+                let local_cid = process.claim_lowest_cid(FIRST_DYNAMIC_CID)?;
+                let comm = Comm::build(
+                    process.clone(),
+                    dense,
+                    local_cid,
+                    Some(ExCid::from_pgcid(pgcid)),
+                    0,
+                    CidOrigin::Lazy,
+                    None,
                 )?;
-                let commit = commit_stage(process, dense, None);
-                Ok(SetupStep::Next(Box::new(GroupStage {
-                    pending: Some(pending),
-                    next: Some(commit),
-                })))
-            }
-        });
-        Ok(SetupRequest::issue(
-            process,
-            "comm_create_from_group",
-            Some(span),
-            quiet,
-            first,
-            Some(Box::new(|c: Comm| {
-                let _ = c.free();
-            })),
-        ))
+                count_cid(&process, "lazy_hashed");
+                Ok(SetupStep::Done(comm))
+            })
+        } else {
+            begin_stage(process.clone(), format!("mpi-comm:{stringtag}"), dense)
+        };
+        Ok(issue_comm(process, "comm_create_from_group", Some(span), quiet, first))
     }
 
     // ------------------------------------------------------------------
@@ -482,110 +456,71 @@ impl Comm {
     ///   PGCID when the subfield space is exhausted.
     pub fn dup(&self) -> Result<Comm> {
         self.check_live()?;
-        match self.inner.excid {
-            Some(_) if self.inner.origin != CidOrigin::Builtin => {
-                match self.derive_once() {
-                    Some(res) => res,
-                    None => {
-                        // Block exhausted: every participant hits this at
-                        // the same dup index (derivation is deterministic),
-                        // so the group collectively acquires a fresh PGCID.
-                        // The parent's pool is then *refilled in place* with
-                        // the child's block — shared, so subsequent dups of
-                        // either communicator derive locally from it rather
-                        // than paying PMIx again.
-                        //
-                        // Refills are serialized per communicator: exactly
-                        // one concurrent dup pays the PMIx trip, the rest
-                        // wait here, observe the refilled pool on their
-                        // second-chance derivation, and derive locally.
-                        let _refill = self.inner.refill_lock.lock();
-                        let pool = self.inner.derive.lock().clone();
-                        let second = pool.as_ref().and_then(|p| {
-                            let mut pl = p.lock();
-                            if let Some((excid, child_pool)) = pl.freed.pop() {
-                                return Some((excid, child_pool, true));
-                            }
-                            let base = pl.base;
-                            derive_excid(&base, &mut pl.state).map(|(e, s)| {
-                                let child = Arc::new(Mutex::new(DerivePool {
-                                    base: e,
-                                    state: s,
-                                    freed: Vec::new(),
-                                }));
-                                (e, child, false)
-                            })
-                        });
-                        if let Some((child_excid, child_pool, recycled)) = second {
-                            // Someone refilled (or freed a sibling) while we
-                            // waited: coalesce.
-                            self.process
-                                .obs()
-                                .counter(
-                                    &self.process.proc().to_string(),
-                                    "cid",
-                                    "refill_coalesced",
-                                )
-                                .inc();
-                            let parent = pool.expect("second chance implies a pool");
-                            return self.build_derived(
-                                child_excid,
-                                child_pool,
-                                parent,
-                                recycled,
-                            );
-                        }
-                        let child = self.dup_via_group()?;
-                        let refilled = child.inner.derive.lock().clone();
-                        *self.inner.derive.lock() = refilled;
-                        self.count_derivation();
-                        let obs = self.process.obs();
-                        obs.event(
-                            &self.process.proc().to_string(),
-                            "cid",
-                            "cid.refill",
-                            vec![(
-                                "pgcid".into(),
-                                child.excid().map(|e| e.pgcid).unwrap_or(0).into(),
-                            )],
-                        );
-                        Ok(child)
-                    }
-                }
-            }
-            _ => self.dup_consensus(),
+        if self.inner.excid.is_none() || self.inner.origin == CidOrigin::Builtin {
+            return self.dup_consensus();
         }
+        if let Some(res) = self.derive_once() {
+            return res;
+        }
+        // Block exhausted: every participant hits this at the same dup
+        // index (derivation is deterministic), so the group collectively
+        // acquires a fresh PGCID. The parent's pool is then *refilled in
+        // place* with the child's block — shared, so subsequent dups of
+        // either communicator derive locally from it rather than paying
+        // PMIx again.
+        //
+        // Refills are serialized per communicator: exactly one concurrent
+        // dup pays the PMIx trip, the rest wait here, observe the refilled
+        // pool on their second-chance derivation, and derive locally.
+        let _refill = self.inner.refill_lock.lock();
+        if let Some(Ok(sub)) = self.take_subfield() {
+            // Someone refilled (or freed a sibling) while we waited:
+            // coalesce.
+            count_cid(&self.process, "refill_coalesced");
+            return self.build_derived(sub);
+        }
+        let child = self.dup_via_group()?;
+        self.adopt_refill(&child);
+        Ok(child)
     }
 
-    /// One attempt at the local-derivation fast path: recycled subfields
-    /// first (slots returned by freed children), then fresh derivation —
-    /// initially rooted at this communicator's own exCID, and after an
-    /// exhaustion-triggered refill rooted at the fresh block. `None` when
-    /// the subfield space is exhausted (or the comm never seeded a pool),
-    /// with the exhaustion mode recorded: silently wrapping here would
-    /// alias two children onto one exCID.
+    /// Take one exCID subfield from this communicator's pool: recycled
+    /// slots first (returned by freed children, one incarnation later than
+    /// their previous holder), then fresh derivation — initially rooted at
+    /// this communicator's own exCID, and after an exhaustion-triggered
+    /// refill rooted at the fresh block. `None` when the communicator never
+    /// seeded a pool, `Some(Err(why))` when the subfield space is exhausted.
+    fn take_subfield(&self) -> Option<std::result::Result<Subfield, DeriveExhausted>> {
+        let parent = self.inner.derive.lock().clone()?;
+        let mut pl = parent.lock();
+        if let Some(slot) = pl.freed.pop() {
+            drop(pl);
+            return Some(Ok(Subfield {
+                excid: slot.excid,
+                incarnation: slot.incarnation.wrapping_add(1),
+                pool: slot.pool,
+                parent,
+                recycled: true,
+            }));
+        }
+        let base = pl.base;
+        let derived = try_derive_excid(&base, &mut pl.state);
+        drop(pl);
+        Some(derived.map(|(excid, state)| Subfield {
+            excid,
+            incarnation: 0,
+            pool: Arc::new(Mutex::new(DerivePool { base: excid, state, freed: Vec::new() })),
+            parent,
+            recycled: false,
+        }))
+    }
+
+    /// One attempt at the local-derivation fast path. `None` when no
+    /// subfield is to be had, with the exhaustion mode recorded: silently
+    /// wrapping here would alias two children onto one exCID.
     fn derive_once(&self) -> Option<Result<Comm>> {
-        let pool = self.inner.derive.lock().clone();
-        let derived = pool.as_ref().map(|p| {
-            let mut pl = p.lock();
-            if let Some((excid, child_pool)) = pl.freed.pop() {
-                return Ok((excid, child_pool, true));
-            }
-            let base = pl.base;
-            try_derive_excid(&base, &mut pl.state).map(|(e, s)| {
-                let child = Arc::new(Mutex::new(DerivePool {
-                    base: e,
-                    state: s,
-                    freed: Vec::new(),
-                }));
-                (e, child, false)
-            })
-        });
-        match derived {
-            Some(Ok((child_excid, child_pool, recycled))) => {
-                let parent = pool.expect("derivation implies a pool");
-                Some(self.build_derived(child_excid, child_pool, parent, recycled))
-            }
+        match self.take_subfield() {
+            Some(Ok(sub)) => Some(self.build_derived(sub)),
             other => {
                 let obs = self.process.obs();
                 let p = self.process.proc().to_string();
@@ -610,17 +545,11 @@ impl Comm {
     /// child's derivation pool (fresh, or resumed when the exCID was
     /// recycled from a freed sibling), and records the parent pool so a
     /// later free can return the subfield.
-    fn build_derived(
-        &self,
-        child_excid: ExCid,
-        child_pool: Arc<Mutex<DerivePool>>,
-        parent_pool: Arc<Mutex<DerivePool>>,
-        recycled: bool,
-    ) -> Result<Comm> {
+    fn build_derived(&self, sub: Subfield) -> Result<Comm> {
         let mut span = self.process.obs().span(
             &self.process.proc().to_string(),
             "comm.dup_derived",
-            &format!("{child_excid}"),
+            &format!("{}", sub.excid),
         );
         span.add_work(1);
         let local_cid = self.process.claim_lowest_cid(FIRST_DYNAMIC_CID)?;
@@ -628,31 +557,43 @@ impl Comm {
             self.process.clone(),
             self.inner.group.clone(),
             local_cid,
-            Some(child_excid),
+            Some(sub.excid),
+            sub.incarnation,
             CidOrigin::Derived,
             None,
-            None,
         )?;
-        *comm.inner.derive.lock() = Some(child_pool);
-        *comm.inner.parent_pool.lock() = Some(parent_pool);
-        self.count_derivation();
-        if recycled {
-            self.process
-                .obs()
-                .counter(&self.process.proc().to_string(), "cid", "subfields_recycled")
-                .inc();
+        *comm.inner.derive.lock() = Some(sub.pool);
+        *comm.inner.parent_pool.lock() = Some(sub.parent);
+        count_cid(&self.process, "derivations");
+        if sub.recycled {
+            count_cid(&self.process, "subfields_recycled");
         }
         Ok(comm)
     }
 
-    /// One exCID handed out by dup-derivation (including the dup that
-    /// triggered a refill) — the "zero agreement traffic" currency of the
-    /// sessions design, tallied per process under `cid.derivations`.
-    fn count_derivation(&self) {
-        self.process
-            .obs()
-            .counter(&self.process.proc().to_string(), "cid", "derivations")
-            .inc();
+    /// Install a fresh-PGCID child's derivation block as this
+    /// communicator's pool (the exhaustion refill: shared, so dups of
+    /// either derive locally from it from now on).
+    fn adopt_refill(&self, child: &Comm) {
+        let refilled = child.inner.derive.lock().clone();
+        *self.inner.derive.lock() = refilled;
+        count_cid(&self.process, "derivations");
+        self.process.obs().event(
+            &self.process.proc().to_string(),
+            "cid",
+            "cid.refill",
+            vec![("pgcid".into(), child.excid().map(|e| e.pgcid).unwrap_or(0).into())],
+        );
+    }
+
+    /// Name of the next PMIx group a fresh-PGCID dup of this communicator
+    /// constructs (every member counts `dup_seq` in step).
+    fn dup_group_name(&self) -> String {
+        let n = self.inner.dup_seq.fetch_add(1, Ordering::Relaxed);
+        match self.inner.excid {
+            Some(e) => format!("mpi-dup:{e}:{n}"),
+            None => format!("mpi-dup:cid{}:{n}", self.inner.local_cid),
+        }
     }
 
     /// `MPI_Comm_dup` acquiring a *fresh PGCID* through PMIx — the behavior
@@ -676,51 +617,13 @@ impl Comm {
 
     fn idup_via_group_inner(&self, quiet: bool) -> Result<SetupRequest<Comm>> {
         self.check_live()?;
-        let n = self.inner.dup_seq.fetch_add(1, Ordering::Relaxed);
-        let name = format!(
-            "mpi-dup:{}:{}",
-            self.inner
-                .excid
-                .map(|e| format!("{e}"))
-                .unwrap_or_else(|| format!("cid{}", self.inner.local_cid)),
-            n
-        );
-        let members: Vec<pmix::ProcId> = self.inner.group.iter().map(|m| m.proc).collect();
+        let name = self.dup_group_name();
         let span = self
             .process
             .obs()
             .span(&self.process.proc().to_string(), "comm.dup_group", &name);
-        let first = stage("begin", {
-            let mut armed = Some((
-                self.process.clone(),
-                self.inner.group.clone(),
-                name,
-                members,
-            ));
-            move || {
-                let (process, group, name, members) = armed.take().expect("begin runs once");
-                let pending = process.pmix().group_construct_nb(
-                    &name,
-                    &members,
-                    &mpi_directives(&process),
-                )?;
-                let commit = commit_stage(process, group, None);
-                Ok(SetupStep::Next(Box::new(GroupStage {
-                    pending: Some(pending),
-                    next: Some(commit),
-                })))
-            }
-        });
-        Ok(SetupRequest::issue(
-            self.process.clone(),
-            "comm_dup_via_group",
-            Some(span),
-            quiet,
-            first,
-            Some(Box::new(|c: Comm| {
-                let _ = c.free();
-            })),
-        ))
+        let first = begin_stage(self.process.clone(), name, self.inner.group.clone());
+        Ok(issue_comm(self.process.clone(), "comm_dup_via_group", Some(span), quiet, first))
     }
 
     /// Nonblocking `MPI_Comm_dup`. Mirrors [`Comm::dup`]'s regimes:
@@ -742,41 +645,20 @@ impl Comm {
         let excid_path = self.inner.excid.is_some() && self.inner.origin != CidOrigin::Builtin;
         let parent = self.clone();
         let first = if excid_path {
-            stage("derive", {
-                let mut armed = Some(parent);
-                move || {
-                    let parent = armed.take().expect("derive runs once");
-                    if let Some(res) = parent.derive_once() {
-                        return res.map(SetupStep::Done);
-                    }
-                    parent.begin_refill()
-                }
+            stage("derive", move || match parent.derive_once() {
+                Some(res) => res.map(SetupStep::Done),
+                None => parent.begin_refill(),
             })
         } else {
             // A cheap first stage so `issue` never blocks: the consensus
             // exchange runs on the first *poll*, not in the issuing call.
-            stage("resolve", {
-                let mut armed = Some(parent);
-                move || {
-                    let parent = armed.take().expect("resolve runs once");
-                    let mut armed = Some(parent);
-                    Ok(SetupStep::Next(stage("consensus", move || {
-                        let parent = armed.take().expect("consensus runs once");
-                        parent.dup_consensus().map(SetupStep::Done)
-                    })))
-                }
+            stage("resolve", move || {
+                Ok(SetupStep::Next(stage("consensus", move || {
+                    parent.dup_consensus().map(SetupStep::Done)
+                })))
             })
         };
-        Ok(SetupRequest::issue(
-            self.process.clone(),
-            "comm_idup",
-            None,
-            false,
-            first,
-            Some(Box::new(|c: Comm| {
-                let _ = c.free();
-            })),
-        ))
+        Ok(issue_comm(self.process.clone(), "comm_idup", None, false, first))
     }
 
     /// Begin the exhaustion refill for [`Comm::idup`]: a nonblocking PMIx
@@ -784,61 +666,27 @@ impl Comm {
     /// as this communicator's pool (same in-place refill as the blocking
     /// `dup`, minus the refill-lock coalescing).
     fn begin_refill(&self) -> Result<SetupStep<Comm>> {
-        let n = self.inner.dup_seq.fetch_add(1, Ordering::Relaxed);
-        let name = format!(
-            "mpi-dup:{}:{}",
-            self.inner
-                .excid
-                .map(|e| format!("{e}"))
-                .unwrap_or_else(|| format!("cid{}", self.inner.local_cid)),
-            n
-        );
-        let members: Vec<pmix::ProcId> = self.inner.group.iter().map(|m| m.proc).collect();
-        let pending = self.process.pmix().group_construct_nb(
-            &name,
-            &members,
-            &mpi_directives(&self.process),
-        )?;
         let parent = self.clone();
-        let commit = commit_stage(
+        construct_stage(
             self.process.clone(),
+            &self.dup_group_name(),
             self.inner.group.clone(),
-            Some(Box::new(move |child: &Comm| {
-                let refilled = child.inner.derive.lock().clone();
-                *parent.inner.derive.lock() = refilled;
-                parent.count_derivation();
-                parent.process.obs().event(
-                    &parent.process.proc().to_string(),
-                    "cid",
-                    "cid.refill",
-                    vec![(
-                        "pgcid".into(),
-                        child.excid().map(|e| e.pgcid).unwrap_or(0).into(),
-                    )],
-                );
-                Ok(())
-            })),
-        );
-        Ok(SetupStep::Next(Box::new(GroupStage {
-            pending: Some(pending),
-            next: Some(commit),
-        })))
+            Some(Box::new(move |child: &Comm| parent.adopt_refill(child))),
+        )
     }
 
     /// `MPI_Comm_dup` via the legacy consensus algorithm (baseline path).
     pub fn dup_consensus(&self) -> Result<Comm> {
         self.check_live()?;
         let all: Vec<u32> = (0..self.size()).collect();
-        let cid = self.consensus_cid(&all)?;
-        Comm::build(
-            self.process.clone(),
-            self.inner.group.clone(),
-            cid,
-            None,
-            CidOrigin::Consensus,
-            Some(cid),
-            None,
-        )
+        self.build_consensus(self.inner.group.clone(), &all)
+    }
+
+    /// Agree on a CID among `participants` (ranks of this communicator)
+    /// and build the consensus communicator over `group` under it.
+    fn build_consensus(&self, group: MpiGroup, participants: &[u32]) -> Result<Comm> {
+        let cid = self.consensus_cid(participants)?;
+        Comm::build(self.process.clone(), group, cid, None, 0, CidOrigin::Consensus, None)
     }
 
     /// The legacy consensus algorithm (paper §III-B2): propose the lowest
@@ -864,33 +712,31 @@ impl Comm {
         let _entered = span.enter();
         let mut candidate = FIRST_DYNAMIC_CID;
         for round in 1..=4096u64 {
-            let proposed = self.process.peek_lowest_cid(candidate)?;
-            let max = coll::subgroup_allreduce_u32(
-                self,
-                participants,
-                proposed as u32,
-                coll::SubgroupOp::Max,
-            )?;
-            let agree = u32::from(proposed as u32 == max);
-            let unanimous = coll::subgroup_allreduce_u32(
-                self,
-                participants,
-                agree,
-                coll::SubgroupOp::Min,
-            )?;
-            if unanimous == 1 {
-                // Claim may race with a local interleaved creation; retry
-                // the consensus if the slot vanished.
-                if self.process.claim_cid(max as u16).is_ok() {
-                    rounds_ctr.add(round);
-                    obs.counter(&p, "cid", "consensus_agreements").inc();
-                    span.add_work(round);
-                    return Ok(max as u16);
-                }
+            let (max, unanimous) = self.consensus_round(participants, candidate)?;
+            // Claim may race with a local interleaved creation; retry
+            // the consensus if the slot vanished.
+            if unanimous && self.process.claim_cid(max).is_ok() {
+                rounds_ctr.add(round);
+                obs.counter(&p, "cid", "consensus_agreements").inc();
+                span.add_work(round);
+                return Ok(max);
             }
-            candidate = max as u16;
+            candidate = max;
         }
         Err(MpiError::intern("CID consensus did not converge in 4096 rounds"))
+    }
+
+    /// One round of the consensus algorithm: everyone proposes its lowest
+    /// free index at or above `candidate`; returns the maximum proposed and
+    /// whether every participant proposed exactly that.
+    fn consensus_round(&self, participants: &[u32], candidate: u16) -> Result<(u16, bool)> {
+        let proposed = self.process.peek_lowest_cid(candidate)? as u32;
+        let max =
+            coll::subgroup_allreduce_u32(self, participants, proposed, coll::SubgroupOp::Max)?;
+        let agree = u32::from(proposed == max);
+        let unanimous =
+            coll::subgroup_allreduce_u32(self, participants, agree, coll::SubgroupOp::Min)?;
+        Ok((max as u16, unanimous == 1))
     }
 
     /// Number of consensus rounds a hypothetical allocation would need
@@ -899,20 +745,11 @@ impl Comm {
         let all: Vec<u32> = (0..self.size()).collect();
         let mut candidate = FIRST_DYNAMIC_CID;
         for round in 1..=4096 {
-            let proposed = self.process.peek_lowest_cid(candidate)?;
-            let max = coll::subgroup_allreduce_u32(
-                self,
-                &all,
-                proposed as u32,
-                coll::SubgroupOp::Max,
-            )?;
-            let agree = u32::from(proposed as u32 == max);
-            let unanimous =
-                coll::subgroup_allreduce_u32(self, &all, agree, coll::SubgroupOp::Min)?;
-            if unanimous == 1 {
+            let (max, unanimous) = self.consensus_round(&all, candidate)?;
+            if unanimous {
                 return Ok(round);
             }
-            candidate = max as u16;
+            candidate = max;
         }
         Ok(4096)
     }
@@ -965,8 +802,8 @@ impl Comm {
                 subgroup,
                 local_cid,
                 Some(ExCid::from_pgcid(pgcid)),
+                0,
                 CidOrigin::Pgcid,
-                None,
                 Some(pgroup),
             )
         } else {
@@ -985,16 +822,7 @@ impl Comm {
                 })
                 .collect::<Result<_>>()?;
             debug_assert!(participants.contains(&my_parent_rank));
-            let cid = self.consensus_cid(&participants)?;
-            Comm::build(
-                self.process.clone(),
-                subgroup,
-                cid,
-                None,
-                CidOrigin::Consensus,
-                Some(cid),
-                None,
-            )
+            self.build_consensus(subgroup, &participants)
         }
     }
 
@@ -1092,33 +920,25 @@ impl Comm {
     /// different ranks may have observed faults asymmetrically (one rank
     /// freeing while another abandons would strand the collective).
     pub fn abandon(self) {
-        self.abandon_local();
-    }
-
-    /// Locally retire this communicator without the collective free: the
-    /// elastic rebuild path replaces a communicator whose membership has
-    /// already diverged, so a collective `group_destruct` could never
-    /// complete. The PMIx group is deliberately left behind; only the
-    /// local CID and PML route are reclaimed.
-    pub(crate) fn abandon_local(&self) {
         if self.inner.freed.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.process.pml().unregister_comm(self.inner.local_cid);
-        self.process.release_cid(self.inner.local_cid);
-        self.process
-            .obs()
-            .counter(&self.process.proc().to_string(), "cid", "released")
-            .inc();
         // Drop the PGCID-family reference WITHOUT destructing (membership
         // diverged, the collective could never complete) and without
         // recycling the subfield (abandonment is rank-asymmetric; the
         // freed-list must stay identical on every rank).
-        if let Some(e) = self.inner.excid {
-            if e.pgcid != 0 {
-                drop(self.process.pgcid_release(e.pgcid));
-            }
-        }
+        drop(self.retire_local());
+    }
+
+    /// The local half of retiring a communicator: release the PML route and
+    /// the local CID, drop the PGCID-family reference. Returns the family's
+    /// PMIx group when this was its last member.
+    fn retire_local(&self) -> Option<pmix::PmixGroup> {
+        self.process.pml().unregister_comm(self.inner.local_cid);
+        self.process.release_cid(self.inner.local_cid);
+        count_cid(&self.process, "released");
+        let pgcid = self.inner.excid.map(|e| e.pgcid).filter(|p| *p != 0)?;
+        self.process.pgcid_release(pgcid)
     }
 
     /// `MPI_Comm_free`: collective. Releases the local CID and route,
@@ -1129,29 +949,25 @@ impl Comm {
     pub fn free(self) -> Result<()> {
         self.check_live()?;
         self.inner.freed.store(true, Ordering::Release);
-        self.process.pml().unregister_comm(self.inner.local_cid);
-        self.process.release_cid(self.inner.local_cid);
-        let obs = self.process.obs();
-        let p = self.process.proc().to_string();
-        obs.counter(&p, "cid", "released").inc();
+        let last_of_family = self.retire_local();
         if self.inner.origin == CidOrigin::Derived {
             if let (Some(excid), Some(parent)) =
                 (self.inner.excid, self.inner.parent_pool.lock().clone())
             {
                 if let Some(own) = self.inner.derive.lock().clone() {
                     if !Arc::ptr_eq(&own, &parent) {
-                        parent.lock().freed.push((excid, own));
-                        obs.counter(&p, "cid", "subfields_returned").inc();
+                        parent.lock().freed.push(FreedSlot {
+                            excid,
+                            pool: own,
+                            incarnation: self.inner.incarnation,
+                        });
+                        count_cid(&self.process, "subfields_returned");
                     }
                 }
             }
         }
-        if let Some(e) = self.inner.excid {
-            if e.pgcid != 0 {
-                if let Some(g) = self.process.pgcid_release(e.pgcid) {
-                    self.process.pmix().group_destruct(&g, None)?;
-                }
-            }
+        if let Some(g) = last_of_family {
+            self.process.pmix().group_destruct(&g, None)?;
         }
         Ok(())
     }
@@ -1194,6 +1010,14 @@ pub(crate) fn lazy_pgcid(stringtag: &str, members: &[pmix::ProcId]) -> u64 {
     h | (1 << 63)
 }
 
+/// Bump one of the process's `cid/*` counters. `derivations` — one per
+/// exCID handed out by dup-derivation, including the dup that triggered a
+/// refill — is the "zero agreement traffic" currency of the sessions
+/// design.
+fn count_cid(process: &MpiProcess, name: &str) {
+    process.obs().counter(&process.proc().to_string(), "cid", name).inc();
+}
+
 /// The MPI-profile group directives, with the construct deadline read from
 /// the universe's `pmix.group_timeout_ms` cvar instead of the compile-time
 /// default — fault drills lower it to get fast typed `Timeout` verdicts.
@@ -1209,10 +1033,49 @@ fn group_process(group: &MpiGroup) -> Result<Arc<MpiProcess>> {
         .ok_or_else(|| MpiError::new(ErrClass::Group, "group is not bound to an MPI process"))
 }
 
+/// Issue a communicator construction whose cancellation (a drop before the
+/// result is claimed) collectively frees the just-built communicator.
+fn issue_comm(
+    process: Arc<MpiProcess>,
+    op: &'static str,
+    span: Option<obs::Span>,
+    quiet: bool,
+    first: Box<dyn SetupStage<Comm>>,
+) -> SetupRequest<Comm> {
+    let cancel = Box::new(|c: Comm| {
+        let _ = c.free();
+    });
+    SetupRequest::issue(process, op, span, quiet, first, Some(cancel))
+}
+
+/// Put the PMIx group construct named `name` over `group` on the wire and
+/// hand over to the `group` → `commit` stages that build the communicator
+/// from the PGCID it delivers.
+fn construct_stage(
+    process: Arc<MpiProcess>,
+    name: &str,
+    group: MpiGroup,
+    after: Option<CommitHook>,
+) -> Result<SetupStep<Comm>> {
+    let members: Vec<pmix::ProcId> = group.iter().map(|m| m.proc).collect();
+    let pending = process.pmix().group_construct_nb(name, &members, &mpi_directives(&process))?;
+    let commit = commit_stage(process, group, after);
+    Ok(SetupStep::Next(Box::new(GroupStage { pending: Some(pending), next: Some(commit) })))
+}
+
+/// [`construct_stage`] as the `begin` stage of a request.
+fn begin_stage(
+    process: Arc<MpiProcess>,
+    name: String,
+    group: MpiGroup,
+) -> Box<dyn SetupStage<Comm>> {
+    stage("begin", move || construct_stage(process, &name, group, None))
+}
+
 /// Continuation a [`GroupStage`] hands the delivered PMIx group to.
 type GroupCont = Box<dyn FnOnce(pmix::PmixGroup) -> Result<SetupStep<Comm>> + Send>;
 /// Post-build hook run by the `commit` stage on the constructed comm.
-type CommitHook = Box<dyn FnOnce(&Comm) -> Result<()> + Send>;
+type CommitHook = Box<dyn FnOnce(&Comm) + Send>;
 
 /// The `group` stage of a communicator [`SetupRequest`]: an in-flight
 /// nonblocking PMIx group construct. Parks on the server condvar (not a
@@ -1260,9 +1123,7 @@ impl SetupStage<Comm> for GroupStage {
 /// block there).
 fn commit_stage(process: Arc<MpiProcess>, group: MpiGroup, after: Option<CommitHook>) -> GroupCont {
     Box::new(move |pgroup| {
-        let mut armed = Some((process, group, pgroup, after));
         Ok(SetupStep::Next(stage("commit", move || {
-            let (process, group, pgroup, after) = armed.take().expect("commit runs once");
             let pgcid = pgroup
                 .pgcid()
                 .ok_or_else(|| MpiError::intern("PMIx group construct returned no PGCID"))?;
@@ -1272,12 +1133,12 @@ fn commit_stage(process: Arc<MpiProcess>, group: MpiGroup, after: Option<CommitH
                 group,
                 local_cid,
                 Some(ExCid::from_pgcid(pgcid)),
+                0,
                 CidOrigin::Pgcid,
-                None,
                 Some(pgroup),
             )?;
             if let Some(f) = after {
-                f(&comm)?;
+                f(&comm);
             }
             Ok(SetupStep::Done(comm))
         })))

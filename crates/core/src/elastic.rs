@@ -29,6 +29,7 @@
 
 use crate::comm::Comm;
 use crate::error::{ErrClass, MpiError, Result};
+use crate::ft::Watcher;
 use crate::group::{MpiGroup, ProcRef};
 use crate::session::Session;
 use pmix::value::keys;
@@ -63,10 +64,9 @@ pub enum PsetUpdateKind {
     Deleted,
 }
 
-/// A subscription to pset-change events, scoped to a session.
-pub struct PsetWatcher {
-    stream: pmix::event::EventStream,
-}
+/// A subscription to pset-change events, scoped to a session
+/// ([`Session::watch_psets`]).
+pub type PsetWatcher = Watcher<PsetUpdate>;
 
 fn decode(ev: Event) -> Option<PsetUpdate> {
     let kind = match ev.code {
@@ -88,35 +88,6 @@ fn decode(ev: Event) -> Option<PsetUpdate> {
     })
 }
 
-impl PsetWatcher {
-    /// Poll for the next pset change, if any is queued.
-    pub fn try_next(&self) -> Option<PsetUpdate> {
-        while let Some(ev) = self.stream.try_next() {
-            if let Some(u) = decode(ev) {
-                return Some(u);
-            }
-        }
-        None
-    }
-
-    /// Wait up to `timeout` for the next pset change.
-    pub fn next_timeout(&self, timeout: Duration) -> Option<PsetUpdate> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            let ev = self.stream.next_timeout(left)?;
-            if let Some(u) = decode(ev) {
-                return Some(u);
-            }
-        }
-    }
-
-    /// Number of queued (undecoded) events.
-    pub fn pending(&self) -> usize {
-        self.stream.pending()
-    }
-}
-
 impl Session {
     /// Subscribe this session to pset-change events. The subscription
     /// replays the registry's current state (one synthesized `Defined` per
@@ -124,7 +95,8 @@ impl Session {
     /// starts from a consistent snapshot.
     pub fn watch_psets(&self) -> Result<PsetWatcher> {
         self.check_live()?;
-        Ok(PsetWatcher { stream: self.process().pmix().watch_psets() })
+        let stream = self.process().pmix().watch_psets();
+        Ok(Watcher::new(move |wait| stream.next_timeout(wait), decode))
     }
 
     /// `MPI_Group_from_session_pset` pinned at `epoch`: resolves the pset
@@ -403,7 +375,7 @@ impl ElasticComm {
                 departed += 1;
             }
         }
-        old.abandon_local();
+        old.abandon();
         obs.event(
             p,
             "session",
@@ -422,7 +394,7 @@ impl ElasticComm {
 impl Drop for ElasticComm {
     fn drop(&mut self) {
         if let Some(comm) = self.comm.take() {
-            comm.abandon_local();
+            comm.abandon();
         }
     }
 }

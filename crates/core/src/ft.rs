@@ -20,97 +20,86 @@ use pmix::{Event, EventCode, PmixUniverse, ProcId};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A subscription to peer-failure notifications, scoped to a session.
-pub struct FailureNotifier {
-    stream: pmix::event::EventStream,
+/// A subscription that pulls raw events from one source, decodes each into
+/// a `T` and skips those that decode to nothing (other namespaces, other
+/// event codes). What the source replays on attach is the constructor's
+/// contract — see [`Session::failure_notifier`], [`Session::watch_faults`]
+/// and [`Session::watch_psets`].
+pub struct Watcher<T> {
+    /// Wait up to the given time for one raw event and decode it: `None` =
+    /// the source stayed empty, `Some(None)` = an event was filtered out.
+    pull: Box<dyn FnMut(Duration) -> Option<Option<T>> + Send>,
 }
 
-impl FailureNotifier {
-    /// Poll for the next failure, if any.
-    pub fn try_next(&self) -> Option<ProcId> {
-        self.stream.try_next().and_then(|e| e.source)
+impl<T> Watcher<T> {
+    pub(crate) fn new<R>(
+        mut recv: impl FnMut(Duration) -> Option<R> + Send + 'static,
+        mut decode: impl FnMut(R) -> Option<T> + Send + 'static,
+    ) -> Self {
+        Self { pull: Box::new(move |wait| recv(wait).map(&mut decode)) }
     }
 
-    /// Wait up to `timeout` for a failure notification.
-    pub fn next_timeout(&self, timeout: Duration) -> Option<ProcId> {
-        self.stream.next_timeout(timeout).and_then(|e: Event| e.source)
+    /// Poll for the next update, if any is queued.
+    pub fn try_next(&mut self) -> Option<T> {
+        self.next_timeout(Duration::ZERO)
     }
 
-    /// Number of queued notifications.
-    pub fn pending(&self) -> usize {
-        self.stream.pending()
-    }
-}
-
-/// A fault subscription rooted at the fabric's dead set, scoped to the
-/// session's namespace.
-///
-/// Unlike [`FailureNotifier`] (PMIx event forwarding: live events only, a
-/// subscriber attaching after a death never hears about it), a
-/// `FaultWatcher` has the same **exactly-once replay** contract as
-/// [`Session::watch_psets`]: deaths that happened before the subscription
-/// are replayed on attach (in endpoint-id order), deaths after it arrive
-/// live, and no death is ever reported twice. A subscriber attaching at
-/// any point — before the kill, after the kill but before the first lazy
-/// resolution, long after — converges on the same fault knowledge.
-pub struct FaultWatcher {
-    watcher: simnet::FailureWatcher,
-    universe: Arc<PmixUniverse>,
-    nspace: String,
-}
-
-impl FaultWatcher {
-    /// Map a fabric death onto a process of this watcher's namespace.
-    /// Server endpoints are not registered as processes and deaths from
-    /// other jobs carry a different nspace; both filter to `None`.
-    fn decode(&self, ev: simnet::FailureEvent) -> Option<ProcId> {
-        let proc = self.universe.registry().find_by_endpoint(ev.endpoint)?;
-        (proc.nspace() == self.nspace).then_some(proc)
-    }
-
-    /// Poll for the next fault, if any (replayed or live).
-    pub fn try_next(&mut self) -> Option<ProcId> {
-        while let Some(ev) = self.watcher.try_recv() {
-            if let Some(p) = self.decode(ev) {
-                return Some(p);
-            }
-        }
-        None
-    }
-
-    /// Wait up to `timeout` for the next fault of this namespace.
-    pub fn next_timeout(&mut self, timeout: Duration) -> Option<ProcId> {
+    /// Wait up to `timeout` for the next update.
+    pub fn next_timeout(&mut self, timeout: Duration) -> Option<T> {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
-            let ev = self.watcher.recv_timeout(left)?;
-            if let Some(p) = self.decode(ev) {
-                return Some(p);
+            if let Some(update) = (self.pull)(left)? {
+                return Some(update);
             }
         }
     }
 }
 
+/// Peer-failure notifications forwarded by PMIx
+/// ([`Session::failure_notifier`]): live events only.
+pub type FailureNotifier = Watcher<ProcId>;
+
+/// Faults of the session's job, rooted at the fabric's dead set
+/// ([`Session::watch_faults`]): exactly-once, with replay.
+pub type FaultWatcher = Watcher<ProcId>;
+
 impl Session {
-    /// Subscribe this session to process-failure events.
+    /// Subscribe this session to process-failure events (PMIx event
+    /// forwarding). **Live only**: a subscriber attaching after a death
+    /// never hears about it.
     pub fn failure_notifier(&self) -> Result<FailureNotifier> {
         let stream = self
             .process()
             .pmix()
             .register_events(Some(vec![EventCode::ProcTerminated, EventCode::GroupMemberFailed]));
-        Ok(FailureNotifier { stream })
+        Ok(Watcher::new(move |wait| stream.next_timeout(wait), |e: Event| e.source))
     }
 
-    /// Subscribe to faults of this session's job with exactly-once replay
-    /// of deaths that predate the subscription (see [`FaultWatcher`]).
+    /// Subscribe to faults of this session's job, rooted at the fabric's
+    /// dead set. Unlike [`Session::failure_notifier`] this has the same
+    /// **exactly-once replay** contract as [`Session::watch_psets`]: deaths
+    /// that happened before the subscription are replayed on attach (in
+    /// endpoint-id order), deaths after it arrive live, and no death is
+    /// ever reported twice. A subscriber attaching at any point — before
+    /// the kill, after the kill but before the first lazy resolution, long
+    /// after — converges on the same fault knowledge.
     pub fn watch_faults(&self) -> Result<FaultWatcher> {
         self.check_live()?;
         let process = self.process();
-        Ok(FaultWatcher {
-            watcher: process.universe().fabric().watch_failures(),
-            universe: process.universe().clone(),
-            nspace: process.proc().nspace().to_owned(),
-        })
+        let mut failures = process.universe().fabric().watch_failures();
+        let universe: Arc<PmixUniverse> = process.universe().clone();
+        let nspace = process.proc().nspace().to_owned();
+        // Map a fabric death onto a process of this namespace. Server
+        // endpoints are not registered as processes and deaths from other
+        // jobs carry a different nspace; both filter out.
+        Ok(Watcher::new(
+            move |wait| failures.recv_timeout(wait),
+            move |ev: simnet::FailureEvent| {
+                let proc = universe.registry().find_by_endpoint(ev.endpoint)?;
+                (proc.nspace() == nspace).then_some(proc)
+            },
+        ))
     }
 
     /// Opt this session's job into the queryable faults pset: defines (or

@@ -181,6 +181,7 @@ mod tests {
     use crate::{coll, Comm, ReduceOp};
     use prrte::{JobSpec, Launcher};
     use simnet::SimTestbed;
+    use std::sync::{Arc, Barrier};
 
     fn held_cids(v: &Value) -> usize {
         v.as_object().unwrap()["processes"]
@@ -195,8 +196,9 @@ mod tests {
     fn snapshot_sees_held_state_then_drains() {
         let launcher = Launcher::new(SimTestbed::tiny(2, 2));
         let uni = launcher.universe().clone();
+        let held = Arc::new(Barrier::new(4));
         let procs = launcher
-            .spawn(JobSpec::new(4), |ctx| {
+            .spawn(JobSpec::new(4), move |ctx| {
                 let me = crate::instance::MpiProcess::obtain(&ctx);
                 let s =
                     Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null())
@@ -204,14 +206,19 @@ mod tests {
                 let g = s.group_from_pset("mpi://world").unwrap();
                 let c = Comm::create_from_group(&g, "introspect").unwrap();
                 coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap();
-                // All ranks hold their communicator here: rank 0 snapshots
-                // while the others cannot pass the next collective without
-                // it. Back-to-back snapshots over the same held state must
+                // All ranks hold their communicator here, parked on a plain
+                // barrier that does not poll the PML (a rank waiting inside
+                // the next collective would keep absorbing the first one's
+                // handshake ACKs and move its own state under the snapshot).
+                // Back-to-back snapshots over the same held state must
                 // serialize identically.
-                if ctx.proc().rank() == 0 {
+                held.wait();
+                let pair = (ctx.proc().rank() == 0).then(|| {
                     let uni = ctx.universe();
-                    let a = snapshot_string(uni);
-                    let b = snapshot_string(uni);
+                    (snapshot_string(uni), snapshot_string(uni))
+                });
+                held.wait();
+                if let Some((a, b)) = pair {
                     assert_eq!(a, b, "snapshot must be deterministic");
                     let v = serde_json::parse_value(&a).unwrap();
                     let obj = v.as_object().unwrap();

@@ -11,6 +11,7 @@
 //! sender's local CID) is prepended to the match header (§III-B4).
 
 use crate::cid::ExCid;
+use bytes::Bytes;
 
 /// Message kinds on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +76,11 @@ pub struct MatchHeader {
     pub kind: MsgKind,
     /// Flags (reserved; kept for header-size fidelity).
     pub flags: u8,
-    /// Communicator context id — the *receiver's* local CID once known,
-    /// or the sender's local CID inside extended-header messages.
+    /// Communicator context id — the *receiver's* local CID once known.
+    /// Extended-header messages are addressed by exCID instead (and carry
+    /// the sender's local CID in [`ExtHeader::sender_cid`]), so there this
+    /// field holds the exCID's incarnation: which registration of a
+    /// recycled exCID the message belongs to.
     pub ctx: u16,
     /// Sender's rank within the communicator.
     pub src: i32,
@@ -142,74 +146,111 @@ impl ExtHeader {
     }
 }
 
-/// Payload of a [`MsgKind::CidAck`] message.
+/// Body of the two control frames that tell a peer "for this exCID my
+/// local CID is X": [`MsgKind::CidAck`] answers an extended header,
+/// [`MsgKind::CidAdvert`] is pushed proactively from the handshake cache.
+/// One wire shape, two kinds — the kind byte is the only difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CidAck {
+pub struct CidInfo {
     /// Which communicator (by exCID).
     pub excid: ExCid,
-    /// The acker's (receiver's) local CID for it.
-    pub receiver_cid: u16,
-    /// The acker's rank within the communicator.
-    pub acker_rank: u32,
+    /// The sender's local CID for it.
+    pub cid: u16,
+    /// The sender's rank within the communicator.
+    pub rank: u32,
+    /// Which registration of the (recyclable) exCID the sender speaks for.
+    pub incarnation: u16,
 }
 
-impl CidAck {
-    /// Serialize (kind byte + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 16 + 2 + 4);
-        out.push(MsgKind::CidAck as u8);
+impl CidInfo {
+    /// Packed body length (after the kind byte).
+    pub const BODY_LEN: usize = 16 + 2 + 4 + 2;
+
+    /// Serialize (kind byte + body) as a `CidAck` or `CidAdvert`.
+    pub fn encode(&self, kind: MsgKind) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 + Self::BODY_LEN);
+        out.push(kind as u8);
         out.extend_from_slice(&self.excid.encode());
-        out.extend_from_slice(&self.receiver_cid.to_le_bytes());
-        out.extend_from_slice(&self.acker_rank.to_le_bytes());
+        out.extend_from_slice(&self.cid.to_le_bytes());
+        out.extend_from_slice(&self.rank.to_le_bytes());
+        out.extend_from_slice(&self.incarnation.to_le_bytes());
         out
     }
 
     /// Deserialize the body (after the kind byte).
-    pub fn decode_body(b: &[u8]) -> Option<CidAck> {
-        if b.len() < 22 {
+    pub fn decode_body(b: &[u8]) -> Option<CidInfo> {
+        if b.len() < Self::BODY_LEN {
             return None;
         }
-        Some(CidAck {
+        Some(CidInfo {
             excid: ExCid::decode(&b[..16]),
-            receiver_cid: u16::from_le_bytes([b[16], b[17]]),
-            acker_rank: u32::from_le_bytes([b[18], b[19], b[20], b[21]]),
+            cid: u16::from_le_bytes([b[16], b[17]]),
+            rank: u32::from_le_bytes([b[18], b[19], b[20], b[21]]),
+            incarnation: u16::from_le_bytes([b[22], b[23]]),
         })
     }
 }
 
-/// Payload of a [`MsgKind::CidAdvert`] message (same wire shape as
-/// [`CidAck`], different direction: pushed proactively from the handshake
-/// cache rather than answering an extended header).
+/// Clear-to-send: the receiver matched an RTS and names both request ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CidAdvert {
-    /// Which communicator (by exCID).
-    pub excid: ExCid,
-    /// The advertiser's local CID for it.
-    pub advertiser_cid: u16,
-    /// The advertiser's rank within the communicator.
-    pub advertiser_rank: u32,
+pub struct Cts {
+    /// Sender-side request id, echoed from the RTS.
+    pub send_req: u64,
+    /// Receiver-side request id the payload must be addressed to.
+    pub recv_req: u64,
 }
 
-impl CidAdvert {
+impl Cts {
     /// Serialize (kind byte + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 16 + 2 + 4);
-        out.push(MsgKind::CidAdvert as u8);
-        out.extend_from_slice(&self.excid.encode());
-        out.extend_from_slice(&self.advertiser_cid.to_le_bytes());
-        out.extend_from_slice(&self.advertiser_rank.to_le_bytes());
+        let mut out = Vec::with_capacity(1 + 16);
+        out.push(MsgKind::Cts as u8);
+        out.extend_from_slice(&self.send_req.to_le_bytes());
+        out.extend_from_slice(&self.recv_req.to_le_bytes());
         out
     }
 
     /// Deserialize the body (after the kind byte).
-    pub fn decode_body(b: &[u8]) -> Option<CidAdvert> {
-        if b.len() < 22 {
+    pub fn decode_body(b: &[u8]) -> Option<Cts> {
+        if b.len() < 16 {
             return None;
         }
-        Some(CidAdvert {
-            excid: ExCid::decode(&b[..16]),
-            advertiser_cid: u16::from_le_bytes([b[16], b[17]]),
-            advertiser_rank: u32::from_le_bytes([b[18], b[19], b[20], b[21]]),
+        Some(Cts {
+            send_req: u64::from_le_bytes(b[..8].try_into().ok()?),
+            recv_req: u64::from_le_bytes(b[8..16].try_into().ok()?),
+        })
+    }
+}
+
+/// Rendezvous payload frame: the receiver-side request id it answers,
+/// followed by the data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RdvData {
+    /// Receiver-side request id from the CTS.
+    pub recv_req: u64,
+    /// The transferred payload.
+    pub data: Bytes,
+}
+
+impl RdvData {
+    /// Serialize (kind byte + request id + payload).
+    pub fn encode(recv_req: u64, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 + 8 + data.len());
+        out.push(MsgKind::RdvData as u8);
+        out.extend_from_slice(&recv_req.to_le_bytes());
+        out.extend_from_slice(data);
+        out
+    }
+
+    /// Deserialize the body (after the kind byte); the payload is a
+    /// zero-copy slice of `b`.
+    pub fn decode_body(b: &Bytes) -> Option<RdvData> {
+        if b.len() < 8 {
+            return None;
+        }
+        Some(RdvData {
+            recv_req: u64::from_le_bytes(b[..8].try_into().ok()?),
+            data: b.slice(8..),
         })
     }
 }
@@ -279,19 +320,31 @@ mod tests {
     }
 
     #[test]
-    fn cid_ack_roundtrip() {
-        let ack = CidAck { excid: ExCid::from_pgcid(5), receiver_cid: 12, acker_rank: 3 };
-        let bytes = ack.encode();
-        assert_eq!(bytes[0], MsgKind::CidAck as u8);
-        assert_eq!(CidAck::decode_body(&bytes[1..]).unwrap(), ack);
+    fn cid_info_roundtrips_under_both_kinds() {
+        let info = CidInfo { excid: ExCid::from_pgcid(5), cid: 12, rank: 3, incarnation: 9 };
+        for kind in [MsgKind::CidAck, MsgKind::CidAdvert] {
+            let bytes = info.encode(kind);
+            assert_eq!(bytes[0], kind as u8);
+            assert_eq!(CidInfo::decode_body(&bytes[1..]).unwrap(), info);
+        }
     }
 
     #[test]
-    fn cid_advert_roundtrip() {
-        let ad = CidAdvert { excid: ExCid::from_pgcid(8), advertiser_cid: 44, advertiser_rank: 2 };
-        let bytes = ad.encode();
-        assert_eq!(bytes[0], MsgKind::CidAdvert as u8);
-        assert_eq!(CidAdvert::decode_body(&bytes[1..]).unwrap(), ad);
+    fn cts_and_rdv_data_roundtrip_and_reject_truncation() {
+        let cts = Cts { send_req: 1 << 40, recv_req: 7 };
+        let bytes = cts.encode();
+        assert_eq!(bytes.len(), 17);
+        assert_eq!(bytes[0], MsgKind::Cts as u8);
+        assert_eq!(Cts::decode_body(&bytes[1..]).unwrap(), cts);
+        assert!(Cts::decode_body(&bytes[1..16]).is_none(), "15-byte body");
+
+        let frame = Bytes::from(RdvData::encode(9, b"payload"));
+        assert_eq!(frame[0], MsgKind::RdvData as u8);
+        let back = RdvData::decode_body(&frame.slice(1..)).unwrap();
+        assert_eq!(back, RdvData { recv_req: 9, data: Bytes::from_static(b"payload") });
+        let empty = RdvData::decode_body(&Bytes::from(RdvData::encode(9, b"")).slice(1..)).unwrap();
+        assert!(empty.data.is_empty(), "a zero-length payload is a valid frame");
+        assert!(RdvData::decode_body(&frame.slice(1..8)).is_none(), "7-byte body");
     }
 
     #[test]
@@ -316,7 +369,7 @@ mod tests {
     fn truncated_headers_rejected() {
         assert!(MatchHeader::decode(&[1u8; 13]).is_none());
         assert!(ExtHeader::decode(&[0u8; 17]).is_none());
-        assert!(CidAck::decode_body(&[0u8; 21]).is_none());
+        assert!(CidInfo::decode_body(&[0u8; CidInfo::BODY_LEN - 1]).is_none());
         assert!(RtsInfo::decode(&[0u8; 15]).is_none());
     }
 }

@@ -219,8 +219,21 @@ impl ReqInner {
         }
     }
 
-    fn take_data(&self) -> Option<Bytes> {
-        self.state.lock().data.take()
+    /// [`ReqInner::poll`], claiming the status of a completed request.
+    fn poll_status(&self) -> Result<Option<Status>> {
+        if !self.poll()? {
+            return Ok(None);
+        }
+        self.status_snapshot()
+            .map(Some)
+            .ok_or_else(|| MpiError::intern("completed request without status"))
+    }
+
+    /// Claim a completed receive's payload.
+    fn take_data(&self) -> Result<Bytes> {
+        self.state.lock().data.take().ok_or_else(|| {
+            MpiError::new(ErrClass::Arg, "payload wait on a request with no payload (send?)")
+        })
     }
 
     /// Whether the request has completed (engine-side check).
@@ -250,11 +263,8 @@ impl Request {
     /// `MPI_Wait`: progress until complete. Returns the status.
     pub fn wait(self) -> Result<Status> {
         loop {
-            if self.inner.poll()? {
-                return self
-                    .inner
-                    .status_snapshot()
-                    .ok_or_else(|| MpiError::intern("completed request without status"));
+            if let Some(status) = self.inner.poll_status()? {
+                return Ok(status);
             }
             self.pml.progress(Some(Duration::from_millis(1)));
         }
@@ -273,11 +283,8 @@ impl Request {
     pub fn wait_timeout(&mut self, budget: Duration) -> Result<Status> {
         let mut deadline = pmix::LogicalDeadline::new(self.pml.fabric(), budget);
         loop {
-            if self.inner.poll()? {
-                return self
-                    .inner
-                    .status_snapshot()
-                    .ok_or_else(|| MpiError::intern("completed request without status"));
+            if let Some(status) = self.inner.poll_status()? {
+                return Ok(status);
             }
             if let Some(ep) = self.inner.waiting_on() {
                 let fabric = self.pml.fabric();
@@ -286,11 +293,8 @@ impl Request {
                     // before dying may already sit in our mailbox, and a
                     // delivered message must always beat the verdict.
                     self.pml.progress(None);
-                    if self.inner.poll()? {
-                        return self
-                            .inner
-                            .status_snapshot()
-                            .ok_or_else(|| MpiError::intern("completed request without status"));
+                    if let Some(status) = self.inner.poll_status()? {
+                        return Ok(status);
                     }
                     let err = MpiError::new(
                         ErrClass::ProcTerminated,
@@ -324,30 +328,14 @@ impl Request {
     /// park on a message that can never arrive.
     pub fn wait_data_timeout(&mut self, budget: Duration) -> Result<(Bytes, Status)> {
         let status = self.wait_timeout(budget)?;
-        let data = self.inner.take_data().ok_or_else(|| {
-            MpiError::new(
-                ErrClass::Arg,
-                "wait_data_timeout on a request with no payload (send?)",
-            )
-        })?;
-        Ok((data, status))
+        Ok((self.inner.take_data()?, status))
     }
 
     /// `MPI_Wait` for receives, returning the payload bytes and status.
     pub fn wait_data(self) -> Result<(Bytes, Status)> {
-        loop {
-            if self.inner.poll()? {
-                let status = self
-                    .inner
-                    .status_snapshot()
-                    .ok_or_else(|| MpiError::intern("completed request without status"))?;
-                let data = self.inner.take_data().ok_or_else(|| {
-                    MpiError::new(ErrClass::Arg, "wait_data on a request with no payload (send?)")
-                })?;
-                return Ok((data, status));
-            }
-            self.pml.progress(Some(Duration::from_millis(1)));
-        }
+        let inner = self.inner.clone();
+        let status = self.wait()?;
+        Ok((inner.take_data()?, status))
     }
 
     /// Wait for all requests (`MPI_Waitall`).
@@ -360,8 +348,7 @@ impl Request {
     /// observe. Completions arriving in any order now unblock the set.
     pub fn wait_all(reqs: Vec<Request>) -> Result<Vec<Status>> {
         let n = reqs.len();
-        let mut out: Vec<Option<Status>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
+        let mut out: Vec<Option<Status>> = vec![None; n];
         // First failure by *issue index* (deterministic regardless of the
         // completion interleaving); the remaining requests are still
         // drained to terminal so none is left un-progressed.
@@ -373,14 +360,12 @@ impl Request {
             while i < pending.len() {
                 let (idx, req) = &pending[i];
                 let idx = *idx;
-                match req.inner.poll() {
-                    Ok(false) => {
+                match req.inner.poll_status() {
+                    Ok(None) => {
                         i += 1;
                         continue;
                     }
-                    Ok(true) => {
-                        out[idx] = req.inner.status_snapshot();
-                    }
+                    Ok(done) => out[idx] = done,
                     Err(e) => {
                         if first_err.as_ref().map(|(j, _)| idx < *j).unwrap_or(true) {
                             first_err = Some((idx, e));
@@ -397,9 +382,7 @@ impl Request {
         if let Some((_, e)) = first_err {
             return Err(e);
         }
-        out.into_iter()
-            .map(|s| s.ok_or_else(|| MpiError::intern("completed request without status")))
-            .collect()
+        Ok(out.into_iter().map(|s| s.expect("every request drained")).collect())
     }
 
     /// Whether the request has already completed (no progress attempt).
@@ -504,7 +487,7 @@ impl SetupStage<()> for LazyResolveStage {
 
 struct FnStage<T> {
     name: &'static str,
-    f: Box<dyn FnMut() -> Result<SetupStep<T>> + Send>,
+    f: Option<Box<dyn FnOnce() -> Result<SetupStep<T>> + Send>>,
 }
 
 impl<T> SetupStage<T> for FnStage<T> {
@@ -512,17 +495,19 @@ impl<T> SetupStage<T> for FnStage<T> {
         self.name
     }
     fn poll(&mut self) -> Result<SetupStep<T>> {
-        (self.f)()
+        let f = self.f.take().ok_or_else(|| MpiError::intern("one-shot stage polled twice"))?;
+        f()
     }
 }
 
-/// Build a stage from a closure (the common case for local stages).
+/// Build a stage from a closure that runs once: a local stage finishes,
+/// hands over or fails in its first poll, it never reports `Pending`.
 pub fn stage<T, F>(name: &'static str, f: F) -> Box<dyn SetupStage<T>>
 where
-    F: FnMut() -> Result<SetupStep<T>> + Send + 'static,
+    F: FnOnce() -> Result<SetupStep<T>> + Send + 'static,
     T: 'static,
 {
-    Box::new(FnStage { name, f: Box::new(f) })
+    Box::new(FnStage { name, f: Some(Box::new(f)) })
 }
 
 enum SetupPhase<T> {
@@ -590,6 +575,17 @@ impl<T> SetupCore<T> {
         obs.event(&p, "req", name, attrs);
     }
 
+    /// [`SetupCore::emit`] for the lifecycle events that are also tallied:
+    /// `req.{what}` plus the `req/{what}` counter.
+    fn emit_counted(&self, what: &str, extra: Vec<(String, obs::AttrValue)>) {
+        if self.quiet {
+            return;
+        }
+        self.emit(&format!("req.{what}"), extra);
+        let p = self.process.proc().to_string();
+        self.process.obs().counter(&p, "req", what).inc();
+    }
+
     /// Run at most one stage poll (and so at most one stage transition).
     /// Returns whether the request advanced (stage transition or terminal)
     /// — the signal the stall watchdog keys on.
@@ -624,30 +620,11 @@ impl<T> SetupCore<T> {
                 if let Some(span) = self.span.take() {
                     span.end();
                 }
-                self.emit("req.completed", vec![("stage".into(), from.into())]);
-                if !self.quiet {
-                    let p = self.process.proc().to_string();
-                    self.process.obs().counter(&p, "req", "completed").inc();
-                }
+                self.emit_counted("completed", vec![("stage".into(), from.into())]);
                 true
             }
             Err(e) => {
-                self.note_progress(from);
-                self.emit(
-                    "req.failed",
-                    vec![
-                        ("stage".into(), from.into()),
-                        ("error".into(), e.to_string().into()),
-                    ],
-                );
-                if !self.quiet {
-                    let p = self.process.proc().to_string();
-                    self.process.obs().counter(&p, "req", "failed").inc();
-                }
-                self.phase = SetupPhase::Failed(e);
-                if let Some(span) = self.span.take() {
-                    span.end();
-                }
+                self.fail(e);
                 true
             }
         }
@@ -699,24 +676,17 @@ impl<T> SetupCore<T> {
         }
     }
 
-    /// Terminally fail the request from outside a stage poll (the
-    /// fault-aware wait's dead-peer verdict). Emits the same telemetry as
-    /// a stage failure so the request-terminal invariant still pairs
-    /// issuance with termination.
+    /// Terminally fail the request in its current stage: a stage poll's
+    /// error, or a verdict from outside one (the fault-aware wait's dead
+    /// peer). One telemetry shape for both, so the request-terminal
+    /// invariant pairs every issuance with a termination.
     fn fail(&mut self, e: MpiError) {
         let from = self.stage_name();
         self.note_progress(from);
-        self.emit(
-            "req.failed",
-            vec![
-                ("stage".into(), from.into()),
-                ("error".into(), e.to_string().into()),
-            ],
+        self.emit_counted(
+            "failed",
+            vec![("stage".into(), from.into()), ("error".into(), e.to_string().into())],
         );
-        if !self.quiet {
-            let p = self.process.proc().to_string();
-            self.process.obs().counter(&p, "req", "failed").inc();
-        }
         self.phase = SetupPhase::Failed(e);
         if let Some(span) = self.span.take() {
             span.end();
@@ -961,10 +931,8 @@ impl<T: Send + 'static> SetupRequest<T> {
         }));
         {
             let mut c = core.lock();
-            c.emit("req.issued", vec![("stage".into(), c.stage_name().into())]);
+            c.emit_counted("issued", vec![("stage".into(), c.stage_name().into())]);
             if !quiet {
-                let p = c.process.proc().to_string();
-                c.process.obs().counter(&p, "req", "issued").inc();
                 let weak: Weak<Mutex<SetupCore<T>>> = Arc::downgrade(&core);
                 c.process.progress_engine().register(weak);
             }
@@ -1112,11 +1080,7 @@ impl<T: Send + 'static> Drop for SetupRequest<T> {
                 SetupPhase::Done(v) => {
                     if let Some(v) = v.take() {
                         let cancel = core.cancel.take();
-                        core.emit("req.cancelled", Vec::new());
-                        if !core.quiet {
-                            let p = core.process.proc().to_string();
-                            core.process.obs().counter(&p, "req", "cancelled").inc();
-                        }
+                        core.emit_counted("cancelled", Vec::new());
                         drop(core);
                         if let Some(c) = cancel {
                             c(v);

@@ -125,10 +125,8 @@ impl Session {
             None => process.universe().lazy_init_default(),
         };
         let first = stage("resources", {
-            let mut armed = Some((process.clone(), requested, errh, info));
+            let process = process.clone();
             move || {
-                let (process, requested, errh, info) =
-                    armed.take().expect("resources stage runs once");
                 let obs = process.obs();
                 let p = process.proc().to_string();
                 let t_resources = std::time::Instant::now();
@@ -143,10 +141,7 @@ impl Session {
                     // this rank's business card (put + commit, NO fence) and
                     // installs the on-demand peer resolver. Still zero
                     // synchronization with any peer.
-                    let mut armed = Some((process, requested, errh, info, id));
                     Ok(SetupStep::Next(stage("publish", move || {
-                        let (process, requested, errh, info, id) =
-                            armed.take().expect("publish stage runs once");
                         let obs = process.obs();
                         let p = process.proc().to_string();
                         let mut pub_span = obs.span(&p, "session.publish", "");
@@ -193,10 +188,7 @@ impl Session {
         id: u64,
         lazy: bool,
     ) -> Box<dyn crate::request::SetupStage<Session>> {
-        let mut armed = Some((process, requested, errh, info, id));
         stage("handle", move || {
-            let (process, requested, errh, info, id) =
-                armed.take().expect("handle stage runs once");
             let obs = process.obs();
             let p = process.proc().to_string();
             let t_handle = std::time::Instant::now();

@@ -95,8 +95,8 @@ pub fn init_thread(ctx: &ProcCtx, requested: ThreadLevel) -> Result<World> {
         world_group,
         0,
         None,
+        0,
         CidOrigin::Builtin,
-        Some(0),
         None,
     )?;
     let comm_self = Comm::build(
@@ -104,8 +104,8 @@ pub fn init_thread(ctx: &ProcCtx, requested: ThreadLevel) -> Result<World> {
         self_group,
         1,
         None,
+        0,
         CidOrigin::Builtin,
-        Some(1),
         None,
     )?;
     Ok(World {

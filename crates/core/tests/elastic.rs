@@ -124,7 +124,7 @@ fn group_from_pset_at_detects_stale_epoch() {
     let spec = JobSpec::new(2).with_pset(PSET, vec![0, 1]);
     let handle = launcher.spawn_named("stalejob", spec, move |ctx| {
         let session = new_session(&ctx);
-        let watcher = session.watch_psets().unwrap();
+        let mut watcher = session.watch_psets().unwrap();
         let first = watcher.next_timeout(STEP).expect("replayed definition");
         assert_eq!(first.pset, PSET);
         // Pinned resolution succeeds at the current epoch...

@@ -19,7 +19,7 @@ fn reinit_after_failure_with_survivors() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let handle = launcher.spawn(JobSpec::new(4), |ctx| {
         let session = new_session(&ctx);
-        let notifier = session.failure_notifier().unwrap();
+        let mut notifier = session.failure_notifier().unwrap();
         // Phase 1: all four ranks communicate.
         let g = session.group_from_pset("mpi://world").unwrap();
         let comm = Comm::create_from_group(&g, "phase1").unwrap();
@@ -89,7 +89,7 @@ fn failure_scope_isolated_to_affected_session() {
             return 0u32;
         }
         let session = new_session(&ctx);
-        let notifier = session.failure_notifier().unwrap();
+        let mut notifier = session.failure_notifier().unwrap();
         if ctx.rank() >= 2 {
             // Surviving client: nothing else to do.
             let _ = notifier.next_timeout(Duration::from_secs(10));
@@ -170,7 +170,7 @@ fn sender_errors_when_receiver_dies_mid_handshake() {
             std::thread::sleep(Duration::from_secs(5));
             return None;
         }
-        let notifier = session.failure_notifier().unwrap();
+        let mut notifier = session.failure_notifier().unwrap();
         // Initiate the handshake. Buffered-eager semantics: the send itself
         // completes locally even though the ACK will never arrive.
         comm.send(1, 1, b"ext-opener").unwrap();
@@ -210,7 +210,7 @@ fn surviving_group_shrinks_only_after_failure() {
         }
         let session = new_session(&ctx);
         let before = session.surviving_group("mpi://world").unwrap().size();
-        let notifier = session.failure_notifier().unwrap();
+        let mut notifier = session.failure_notifier().unwrap();
         let _ = notifier.next_timeout(Duration::from_secs(10)).expect("event");
         let after = session.surviving_group("mpi://world").unwrap().size();
         session.finalize().unwrap();

@@ -290,7 +290,7 @@ fn send_to_dead_peer_fails_with_proc_failed() {
         let (s, c) = world_comm(&ctx, "dead");
         if ctx.rank() == 0 {
             // Wait until the runtime killed rank 1.
-            let notifier = s.failure_notifier().unwrap();
+            let mut notifier = s.failure_notifier().unwrap();
             let victim = notifier
                 .next_timeout(std::time::Duration::from_secs(10))
                 .expect("failure event");
@@ -309,4 +309,64 @@ fn send_to_dead_peer_fails_with_proc_failed() {
     std::thread::sleep(std::time::Duration::from_millis(400));
     handle.kill_rank(1);
     handle.join().unwrap();
+}
+
+/// `dup` → 100 two-way messages → `free`, fifty times over on the same
+/// recycled derived exCID. `free` is local, so one rank can already be one
+/// incarnation of the exCID ahead of its peer; every payload names its
+/// (incarnation, index), so traffic crossing between incarnations fails
+/// the equality — or, when a frame is swallowed by the wrong route, a
+/// bounded wait fails typed `Timeout`. Never a hang.
+///
+/// Free-running, that skew is a race. With `pin_skew` it is forced: rank 1
+/// holds each incarnation until a token on the parent communicator — sent
+/// by rank 0 *behind* its first frame of the next incarnation, so handled
+/// after it (per-pair FIFO) — proves that frame already reached rank 1
+/// while the old route was still registered.
+fn recycled_excid_loop(pin_skew: bool) {
+    const TOKEN: i32 = 9;
+    run(1, 2, 2, move |ctx| {
+        let (s, parent) = world_comm(&ctx, "recycled");
+        let budget = std::time::Duration::from_secs(2);
+        let peer = 1 - ctx.rank();
+        for incarnation in 0..50u32 {
+            let c = parent.dup().unwrap();
+            for i in 0..100u32 {
+                let mut rreq = c.irecv(peer as i32, 0).unwrap();
+                let mut sreq = c
+                    .isend(peer, 0, &mpi_sessions::datatype::to_bytes(&[incarnation, i]))
+                    .unwrap();
+                if pin_skew && ctx.rank() == 0 && i == 0 && incarnation > 0 {
+                    parent.send(1, TOKEN, b"").unwrap();
+                }
+                let (data, _) = rreq.wait_data_timeout(budget).unwrap();
+                let got: Vec<u32> = mpi_sessions::datatype::from_bytes(&data).unwrap();
+                assert_eq!(got, [incarnation, i], "payload crossed between incarnations");
+                sreq.wait_timeout(budget).unwrap();
+            }
+            if pin_skew && ctx.rank() == 1 && incarnation < 49 {
+                parent.irecv(0, TOKEN).unwrap().wait_data_timeout(budget).unwrap();
+            }
+            c.free().unwrap();
+        }
+        // Every dup after the first really did ride the recycled subfield.
+        let recycled = ctx.universe().fabric().obs().counter_value(
+            &ctx.proc().to_string(),
+            "cid",
+            "subfields_recycled",
+        );
+        assert_eq!(recycled, 49);
+        parent.free().unwrap();
+        s.finalize().unwrap();
+    });
+}
+
+#[test]
+fn recycled_derived_excid_never_crosses_incarnations() {
+    recycled_excid_loop(false);
+}
+
+#[test]
+fn recycled_derived_excid_with_one_rank_pinned_an_incarnation_ahead() {
+    recycled_excid_loop(true);
 }

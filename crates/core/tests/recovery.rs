@@ -220,7 +220,7 @@ fn graceful_retire_prunes_faults_pset_without_fault_events() {
         let pset = session.track_faults().unwrap();
         if ctx.rank() == 2 {
             // The retiree: drain on the app pset's membership event.
-            let w = session.watch_psets().unwrap();
+            let mut w = session.watch_psets().unwrap();
             loop {
                 let u = w.next_timeout(Duration::from_secs(10)).expect("pset event");
                 if u.pset == "app://ring" && !u.members.contains(ctx.proc()) {

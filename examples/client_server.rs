@@ -20,7 +20,7 @@ const CLIENTS: u32 = 3; // ranks SERVERS..SERVERS+CLIENTS; the last one dies
 fn server_body(ctx: &prrte::ProcCtx) -> u64 {
     let session = Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null())
         .expect("server session");
-    let notifier = session.failure_notifier().expect("notifier");
+    let mut notifier = session.failure_notifier().expect("notifier");
 
     // Internal coordination: servers-only communicator, isolated from any
     // client-facing resources.

@@ -19,6 +19,7 @@ use mpi_sessions_repro::mpi::{coll, Comm, ErrHandler, Info, ReduceOp, Session, T
 use mpi_sessions_repro::pmix::ProcId;
 use mpi_sessions_repro::prrte::{JobSpec, ProcCtx};
 use mpi_sessions_repro::simnet::SimTestbed;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn new_session(ctx: &ProcCtx) -> Session {
@@ -34,6 +35,30 @@ fn all_procs(ctx: &ProcCtx) -> Vec<ProcId> {
 fn rank_processes(world: &ChaosWorld, ranks: std::ops::Range<u32>) -> Vec<String> {
     let base = world.universe().fabric().base_endpoint_id();
     ranks.map(|r| (base + world.rank_rel(r)).to_string()).collect()
+}
+
+/// The ROADMAP 1b loop (`crates/core/tests/p2p.rs` runs it undisturbed):
+/// every rank dups and frees `parent` twenty times — each dup after the
+/// first recycling the same derived exCID — and exchanges ten two-way
+/// messages with its partner rank on every incarnation. `free` is local,
+/// so partners drift an incarnation apart; each payload names its
+/// (incarnation, index), so a frame crossing between incarnations fails
+/// the equality and a swallowed one fails a bounded wait, typed.
+fn recycle_derived_excid(ctx: &ProcCtx, parent: &Comm) {
+    use mpi_sessions_repro::mpi::datatype::{from_bytes, to_bytes};
+    let budget = Duration::from_secs(5);
+    let partner = ctx.rank() ^ 1;
+    for incarnation in 0..20u32 {
+        let c = parent.dup().unwrap();
+        for i in 0..10u32 {
+            let mut rreq = c.irecv(partner as i32, 0).unwrap();
+            let mut sreq = c.isend(partner, 0, &to_bytes(&[incarnation, i])).unwrap();
+            let (data, _) = rreq.wait_data_timeout(budget).unwrap();
+            assert_eq!(from_bytes::<u32>(&data).unwrap(), [incarnation, i]);
+            sreq.wait_timeout(budget).unwrap();
+        }
+        c.free().unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -89,27 +114,52 @@ fn run_drop(seed: u64) -> RunReport {
 /// late. Nothing fails — the protocol absorbs the latency; the invariant
 /// checker confirms the handshake/PGCID bookkeeping is unchanged.
 fn run_delay(seed: u64) -> RunReport {
-    let plan = FaultPlan::new(
-        seed,
-        vec![FaultRule::new(
-            FaultClass::Delay,
-            RuleScope::pair_within(1, 3),
-            SeqWindow::first(2),
-        )
-        .with_delay_ms(25)
-        .with_per_mille(700)],
-    );
+    run_delay_case(seed, false)
+}
+
+/// The delay scenario, optionally with its ROADMAP 1b case: a second rule
+/// delays a seeded subset of rank 0's first messages to rank 1 — one
+/// direction only — while all ranks churn through a recycled derived exCID
+/// (see [`recycle_derived_excid`]). Which frame rides which sequence number
+/// on a rank pair is a race (extended or compact header, ACK or none), so
+/// that case's trace is seed-stable in its decisions but not in its `len`
+/// column; it stays out of the byte-identical reproduction check.
+fn run_delay_case(seed: u64, recycle: bool) -> RunReport {
+    let mut rules = vec![FaultRule::new(
+        FaultClass::Delay,
+        RuleScope::pair_within(1, 3),
+        SeqWindow::first(2),
+    )
+    .with_delay_ms(25)
+    .with_per_mille(700)];
+    if recycle {
+        // Rel ids: RM + two node servers, then the ranks from 3 up. The
+        // loop alone sends 200 messages each way, so the window always
+        // fills.
+        let mut rank0_to_rank1 = RuleScope::pair_within(3, 5);
+        rank0_to_rank1.dst_in = Some((4, 5));
+        rules.push(
+            FaultRule::new(FaultClass::Delay, rank0_to_rank1, SeqWindow::first(150))
+                .with_delay_ms(1)
+                .with_per_mille(500),
+        );
+    }
+    let plan = FaultPlan::new(seed, rules);
     let world = ChaosWorld::new(SimTestbed::tiny(2, 2), plan);
+    assert_eq!((world.rank_rel(0), world.rank_rel(1)), (3, 4));
     let nspace = format!("chaos-delay-{seed}");
     let out = world
         .launcher()
-        .spawn_named(&nspace, JobSpec::new(4), |ctx| {
+        .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
             let all = all_procs(&ctx);
             ctx.pmix().fence(&all, false).unwrap();
             let s = new_session(&ctx);
             let g = s.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "delayed").unwrap();
             let sum = coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap()[0];
+            if recycle {
+                recycle_derived_excid(&ctx, &c);
+            }
             c.free().unwrap();
             s.finalize().unwrap();
             sum
@@ -120,8 +170,16 @@ fn run_delay(seed: u64) -> RunReport {
     let cid = rank_processes(&world, 0..4);
     let report = world.finish(None, cid);
     assert!(
-        report.trace.iter().all(|r| r.class == FaultClass::Delay && r.detail == 25),
+        report.trace.iter().all(|r| {
+            let ms = if (r.rel_src, r.rel_dst) == (3, 4) { 1 } else { 25 };
+            r.class == FaultClass::Delay && r.detail == ms
+        }),
         "only delays were planned"
+    );
+    assert_eq!(
+        report.trace.iter().any(|r| (r.rel_src, r.rel_dst) == (3, 4)),
+        recycle,
+        "the rank-pair rule bites exactly when it is armed"
     );
     report.assert_clean();
     report
@@ -182,11 +240,15 @@ fn run_kill(seed: u64) -> RunReport {
     );
     let world = ChaosWorld::new(SimTestbed::tiny(2, 2), plan);
     let nspace = format!("chaos-kill-{seed}");
+    // The notifier is live-only: nobody may pull the trigger before every
+    // rank has subscribed, or a late starter never hears of the kill.
+    let subscribed = Arc::new(Barrier::new(4));
     let out = world
         .launcher()
-        .spawn_named(&nspace, JobSpec::new(4), |ctx| {
+        .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
             let session = new_session(&ctx);
-            let notifier = session.failure_notifier().unwrap();
+            let mut notifier = session.failure_notifier().unwrap();
+            subscribed.wait();
             let all = all_procs(&ctx);
             // The fence's inter-server exchange pulls the trigger. The
             // failure may race the fence's own completion, so either
@@ -1172,6 +1234,7 @@ fn delay_seeds_are_absorbed_without_errors() {
     for seed in [21, 22, 23, 24, 25] {
         run_delay(seed);
     }
+    run_delay_case(26, true);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! was live when the fault fired.
 //!
 //! These are the end-to-end counterparts of the per-crate span unit tests
-//! (`core/src/pml/mod.rs`, `pmix/tests/group_stages.rs`): everything here
+//! (`core/src/pml/tests.rs`, `pmix/tests/group_stages.rs`): everything here
 //! goes through `Launcher::spawn`, so launch fan-out, PMIx, CID management
 //! and the PML all contribute to the same registry.
 
