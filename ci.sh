@@ -14,6 +14,26 @@ cargo test -q --offline --workspace
 echo "== cargo clippy -D warnings =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+# Park-contract gate: a blocking setup call never sleeps after it made
+# progress. Structurally that is two greps over the file that owns the
+# setup engine — no timed nap anywhere in it (a stage that can answer
+# `Pending` names a real wake source; `SetupStage::park` has no default),
+# and exactly one place that parks a stage: the `SetupRequest::drive` loop
+# behind `wait`, `wait_timeout` and the drop drain. The count-based
+# regression tests in the same file check the behaviour; this keeps a
+# second loop or a sleeping default from coming back unnoticed.
+echo "== park-contract gate (request.rs: no thread::sleep, one stage-park call site) =="
+if grep -n 'thread::sleep' crates/core/src/request.rs; then
+  echo "crates/core/src/request.rs sleeps: park on the stage's wake source instead" >&2
+  exit 1
+fi
+parks="$(grep -c '\.park(' crates/core/src/request.rs || true)"
+if [ "$parks" -ne 1 ]; then
+  grep -n '\.park(' crates/core/src/request.rs >&2 || true
+  echo "expected exactly one stage-park call site in request.rs, found $parks" >&2
+  exit 1
+fi
+
 # Doc gate: the public APIs of the PMIx substrate, the MPI core and the
 # observability/tooling layer must document cleanly (broken intra-doc
 # links, missing docs on public items, and invalid doctests all fail the

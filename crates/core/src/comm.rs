@@ -1080,7 +1080,9 @@ type CommitHook = Box<dyn FnOnce(&Comm) + Send>;
 /// The `group` stage of a communicator [`SetupRequest`]: an in-flight
 /// nonblocking PMIx group construct. Parks on the server condvar (not a
 /// sleep), so a blocking wrapper of an `i`-variant keeps condvar-grade
-/// wakeup latency.
+/// wakeup latency: this is the one stage of a communicator construction
+/// that answers `Pending`, hence the only one a blocking driver parks —
+/// the one-shot `commit` it hands over to runs at once, with no nap.
 struct GroupStage {
     pending: Option<pmix::PendingGroup>,
     next: Option<GroupCont>,

@@ -19,8 +19,10 @@
 //!
 //! Progress is driven three ways, all equivalent:
 //! * `test()` — one step, the caller's thread;
-//! * `wait()` — steps until terminal, parking on the stage's own wake
-//!   source between polls (a blocking variant is exactly
+//! * `wait()` — steps until terminal and never sleeps after a step that
+//!   made progress: `park` is called only after a poll answered
+//!   `Pending`, only on the stage that answered it, and blocks on that
+//!   stage's own wake source (a blocking variant is exactly
 //!   `i`-variant + `wait`);
 //! * [`ProgressEngine::progress`] — the per-process engine sweeps every
 //!   registered in-flight request once (explicit `MPI_Progress` analog,
@@ -423,17 +425,18 @@ pub enum SetupStep<T> {
 /// synchronous work in `poll` (stages wrapping an inherently collective
 /// exchange, like CID consensus, run it to completion in one poll — see
 /// DESIGN.md §12); a stage waiting on an asynchronous completion returns
-/// [`SetupStep::Pending`] and should override `park` with its real wake
-/// source so blocking waiters do not spin.
+/// [`SetupStep::Pending`] and names its real wake source in `park`. The
+/// contract the blocking drivers enforce: `park` is called only after
+/// `poll` answered `Pending`, and only on the stage that answered it — a
+/// stage that hands over or finishes is never slept on.
 pub trait SetupStage<T>: Send {
     /// Stage name (harness introspection and `req.progressed` telemetry).
     fn name(&self) -> &'static str;
     /// Attempt to advance the construction.
     fn poll(&mut self) -> Result<SetupStep<T>>;
-    /// Block until `poll` may make progress, at most `limit`.
-    fn park(&mut self, limit: Duration) {
-        std::thread::sleep(limit.min(Duration::from_micros(200)));
-    }
+    /// Block on whatever makes the next `poll` succeed, at most `limit`.
+    /// There is no default: a timed nap is not a wake source.
+    fn park(&mut self, limit: Duration);
     /// What the stage is currently parked on (the stall watchdog's
     /// diagnosis: a peer, an endpoint, a PMIx op). `None` means the stage
     /// has nothing more specific to say than its name.
@@ -498,6 +501,8 @@ impl<T> SetupStage<T> for FnStage<T> {
         let f = self.f.take().ok_or_else(|| MpiError::intern("one-shot stage polled twice"))?;
         f()
     }
+    /// Never reached: a one-shot stage never answers `Pending`.
+    fn park(&mut self, _limit: Duration) {}
 }
 
 /// Build a stage from a closure that runs once: a local stage finishes,
@@ -668,14 +673,6 @@ impl<T> SetupCore<T> {
         );
     }
 
-    /// The peer the current stage says it depends on, if any.
-    fn waiting_on_proc(&self) -> Option<pmix::ProcId> {
-        match &self.phase {
-            SetupPhase::Running(s) => s.waiting_on_proc(),
-            _ => None,
-        }
-    }
-
     /// Terminally fail the request in its current stage: a stage poll's
     /// error, or a verdict from outside one (the fault-aware wait's dead
     /// peer). One telemetry shape for both, so the request-terminal
@@ -731,12 +728,6 @@ impl<T> SetupCore<T> {
                 SetupPhase::Running(s) => s.waiting_on(),
                 _ => None,
             },
-        }
-    }
-
-    fn park(&mut self, limit: Duration) {
-        if let SetupPhase::Running(stage) = &mut self.phase {
-            stage.park(limit);
         }
     }
 }
@@ -956,19 +947,7 @@ impl<T: Send + 'static> SetupRequest<T> {
 
     /// Drive to completion and claim the constructed object.
     pub fn wait(self) -> Result<T> {
-        loop {
-            let mut core = self.core.lock();
-            core.step();
-            match &mut core.phase {
-                SetupPhase::Running(_) => core.park(Duration::from_millis(1)),
-                SetupPhase::Done(v) => {
-                    return v
-                        .take()
-                        .ok_or_else(|| MpiError::intern("setup result already claimed"));
-                }
-                SetupPhase::Failed(e) => return Err(e.clone()),
-            }
-        }
+        Self::claimed(self.drive(Duration::MAX)?)
     }
 
     /// Drive to completion, giving up once `budget` expires in *logical*
@@ -980,44 +959,53 @@ impl<T: Send + 'static> SetupRequest<T> {
     /// guess why a wait hung. The request stays in flight: the caller can
     /// keep waiting, test, or drop it (collective cancellation as usual).
     pub fn wait_timeout(&mut self, budget: Duration) -> Result<T> {
+        Self::claimed(self.drive(budget)?)
+    }
+
+    fn claimed(v: Option<T>) -> Result<T> {
+        v.ok_or_else(|| MpiError::intern("setup result already claimed"))
+    }
+
+    /// The one blocking loop behind `wait` (an unbounded budget),
+    /// `wait_timeout` and the drop drain: keep stepping while steps make
+    /// progress — a stage that is ready to run is run, never slept on —
+    /// and only when the current stage's poll answered `Pending` judge the
+    /// verdicts and park on that stage's wake source. Yields the unclaimed
+    /// result (`None` once claimed).
+    fn drive(&self, budget: Duration) -> Result<Option<T>> {
         let fabric = self.core.lock().process.universe().fabric().clone();
         let mut deadline = pmix::LogicalDeadline::new(fabric, budget);
         loop {
             let mut core = self.core.lock();
-            core.step();
-            match &mut core.phase {
-                SetupPhase::Running(_) => {
-                    // Fail fast on a stage parked on a peer that is
-                    // already dead: the stage can never complete, so the
-                    // request turns terminal (typed) rather than timing
-                    // out — and rather than hanging the collective drop.
-                    if let Some(peer) = core.waiting_on_proc() {
-                        if core.process.universe().proc_is_dead(&peer) {
-                            let err = MpiError::new(
-                                ErrClass::ProcTerminated,
-                                format!(
-                                    "setup request waits on dead peer {peer}: {}",
-                                    core.diagnosis()
-                                ),
-                            );
-                            core.fail(err.clone());
-                            return Err(err);
-                        }
-                    }
-                    if deadline.expired() {
-                        return Err(MpiError::new(
-                            ErrClass::Timeout,
-                            format!("setup request timed out: {}", core.diagnosis()),
-                        ));
-                    }
-                    core.park(Duration::from_millis(1));
-                }
-                SetupPhase::Done(v) => {
-                    return v
-                        .take()
-                        .ok_or_else(|| MpiError::intern("setup result already claimed"));
-                }
+            if core.step() {
+                continue;
+            }
+            // No progress: the poll above ran (a delivered result beats
+            // every verdict below) and the stage, if any, is `Pending`.
+            let peer = match &mut core.phase {
+                SetupPhase::Running(stage) => stage.waiting_on_proc(),
+                SetupPhase::Done(v) => return Ok(v.take()),
                 SetupPhase::Failed(e) => return Err(e.clone()),
+            };
+            // Fail fast on a stage parked on a peer that is already dead:
+            // it can never complete, so the request turns terminal (typed)
+            // rather than timing out — or hanging the collective drop.
+            if let Some(peer) = peer.filter(|p| core.process.universe().proc_is_dead(p)) {
+                let err = MpiError::new(
+                    ErrClass::ProcTerminated,
+                    format!("setup request waits on dead peer {peer}: {}", core.diagnosis()),
+                );
+                core.fail(err.clone());
+                return Err(err);
+            }
+            if deadline.expired() {
+                return Err(MpiError::new(
+                    ErrClass::Timeout,
+                    format!("setup request timed out: {}", core.diagnosis()),
+                ));
+            }
+            if let SetupPhase::Running(stage) = &mut core.phase {
+                stage.park(Duration::from_millis(1));
             }
         }
     }
@@ -1068,27 +1056,13 @@ impl<T: Send + 'static> Drop for SetupRequest<T> {
         // unclaimed result via the op's cancel action. A request whose
         // value was claimed by `wait` carries `Done(None)` and is a no-op
         // here; a failed request has nothing to release.
-        loop {
+        if let Ok(Some(v)) = self.drive(Duration::MAX) {
             let mut core = self.core.lock();
-            match &mut core.phase {
-                SetupPhase::Running(_) => {
-                    core.step();
-                    if !core.is_terminal() {
-                        core.park(Duration::from_millis(1));
-                    }
-                }
-                SetupPhase::Done(v) => {
-                    if let Some(v) = v.take() {
-                        let cancel = core.cancel.take();
-                        core.emit_counted("cancelled", Vec::new());
-                        drop(core);
-                        if let Some(c) = cancel {
-                            c(v);
-                        }
-                    }
-                    return;
-                }
-                SetupPhase::Failed(_) => return,
+            let cancel = core.cancel.take();
+            core.emit_counted("cancelled", Vec::new());
+            drop(core);
+            if let Some(c) = cancel {
+                c(v);
             }
         }
     }
@@ -1145,5 +1119,118 @@ mod tests {
         let r = ReqInner::with_hook(Box::new(|| Err(MpiError::intern("boom"))));
         assert!(r.poll().is_err());
         assert!(r.poll().is_err());
+    }
+
+    // The park contract of the blocking drivers, by count — no wall clock.
+
+    /// Every `park` the drivers made, by the name of the stage parked.
+    type Parks = Arc<Mutex<Vec<&'static str>>>;
+
+    /// A stage that answers `Pending` `pending` times, then hands over to
+    /// `next` (or finishes with 7). Its `park` only logs.
+    struct Probe {
+        name: &'static str,
+        pending: usize,
+        next: Option<Box<dyn SetupStage<u32>>>,
+        parks: Parks,
+        on: Option<pmix::ProcId>,
+    }
+
+    impl SetupStage<u32> for Probe {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn poll(&mut self) -> Result<SetupStep<u32>> {
+            if self.pending > 0 {
+                self.pending -= 1;
+                return Ok(SetupStep::Pending);
+            }
+            Ok(self.next.take().map_or(SetupStep::Done(7), SetupStep::Next))
+        }
+        fn park(&mut self, _limit: Duration) {
+            self.parks.lock().push(self.name);
+            std::thread::yield_now();
+        }
+        fn waiting_on_proc(&self) -> Option<pmix::ProcId> {
+            self.on.clone()
+        }
+    }
+
+    /// Drive the chain `stages` (name, `Pending` answers) to the end once
+    /// under each blocking driver — `wait`, `wait_timeout`, the drop drain
+    /// — and return the parks made. Checks all three reached `Done`.
+    fn parks_under_every_driver(stages: &'static [(&'static str, usize)]) -> Vec<&'static str> {
+        let launcher = prrte::Launcher::new(simnet::SimTestbed::tiny(1, 1));
+        let job = launcher.spawn(prrte::JobSpec::new(1), move |ctx| {
+            let parks = Parks::default();
+            let released = Arc::new(AtomicU64::new(0));
+            let issue = || {
+                let first = stages.iter().rev().fold(None, |next, &(name, pending)| {
+                    let parks = parks.clone();
+                    Some(Box::new(Probe { name, pending, next, parks, on: None })
+                        as Box<dyn SetupStage<u32>>)
+                });
+                let released = released.clone();
+                let cancel = Box::new(move |v: u32| {
+                    released.fetch_add(v.into(), Ordering::SeqCst);
+                });
+                let process = MpiProcess::obtain(&ctx);
+                SetupRequest::issue(process, "probe", None, true, first.unwrap(), Some(cancel))
+            };
+            assert_eq!(issue().wait().unwrap(), 7);
+            assert_eq!(issue().wait_timeout(Duration::from_secs(30)).unwrap(), 7);
+            drop(issue());
+            assert_eq!(released.load(Ordering::SeqCst), 7, "only the dropped result is released");
+            let parks = parks.lock().clone();
+            parks
+        });
+        job.join().unwrap().remove(0)
+    }
+
+    /// A transition that leaves the request `Running` must not park the
+    /// stage it handed over to.
+    #[test]
+    fn a_stage_that_progressed_is_never_parked() {
+        let parks = parks_under_every_driver(&[("a", 0), ("b", 0), ("c", 0)]);
+        assert_eq!(parks, Vec::<&str>::new());
+    }
+
+    #[test]
+    fn a_pending_stage_is_parked_once_while_it_is_current() {
+        let parks = parks_under_every_driver(&[("a", 0), ("b", 1), ("c", 0)]);
+        assert_eq!(parks, ["b"; 3], "one park per driver, on the stage that answered Pending");
+    }
+
+    /// The dead-peer exit of the drive loop: a stage that can only be
+    /// completed by a dead process fails typed and terminal, long before
+    /// the budget.
+    #[test]
+    fn a_stage_waiting_on_a_dead_peer_fails_proc_terminated() {
+        let launcher = prrte::Launcher::new(simnet::SimTestbed::tiny(1, 2));
+        let job = launcher.spawn(prrte::JobSpec::new(2), |ctx| {
+            let victim = pmix::ProcId::new(ctx.proc().nspace(), 1);
+            if ctx.rank() == 1 {
+                while !ctx.universe().proc_is_dead(&victim) {
+                    std::thread::yield_now();
+                }
+                return None;
+            }
+            let stage = Box::new(Probe {
+                name: "probe",
+                pending: usize::MAX,
+                next: None,
+                parks: Parks::default(),
+                on: Some(victim),
+            });
+            let mut req =
+                SetupRequest::issue(MpiProcess::obtain(&ctx), "probe", None, true, stage, None);
+            let err = req.wait_timeout(Duration::from_secs(3600)).unwrap_err();
+            assert!(req.is_complete(), "the verdict is terminal, not a timeout");
+            Some(err)
+        });
+        job.kill_rank(1);
+        let err = job.join().unwrap().remove(0).expect("rank 0 reports");
+        assert_eq!(err.class, ErrClass::ProcTerminated, "{err}");
+        assert!(err.message.contains("stage=probe"), "verdict carries the diagnosis: {err}");
     }
 }

@@ -95,7 +95,10 @@ impl Session {
     /// stages split the two costs the blocking call times — bringing up
     /// the library's *resources* (`resources` stage: subsystems,
     /// refcounted) and constructing the session *handle* itself
-    /// (`handle` stage: local, cheap). Dropping the request before
+    /// (`handle` stage: local, cheap); lazy init puts a local `publish`
+    /// stage between them. All are one-shot stages — none answers
+    /// `Pending` — so no driver ever parks on them and the blocking
+    /// `init` costs exactly their work. Dropping the request before
     /// claiming the session finalizes it.
     pub fn init_i(
         ctx: &ProcCtx,

@@ -403,6 +403,10 @@ fn dropping_inflight_requests_releases_cids_and_pgcids() {
         "cancelled constructs leaked CID table entries"
     );
     assert_eq!(obs.sum_counters("req", "cancelled"), (DROP.len() * 2) as u64);
+    // The drop drain's exit of the one blocking loop: the cancelled comms
+    // were freed collectively, so every level is back to zero.
+    assert_eq!(obs.sum_gauges("cid", "table_used"), 0, "leaked local CIDs");
+    assert_eq!(obs.sum_gauges("pml", "cache_entries"), 0, "leaked handshake-cache entries");
 
     // request-terminal: every issued request id reached exactly one
     // terminal event (completed, failed, or cancelled claims the value of

@@ -152,7 +152,14 @@ fn wait_timeout_surfaces_diagnosis_and_leaves_request_live() {
                 // fabric quiesced) expires despite the injected delays.
                 let err = req.wait_timeout(Duration::from_millis(40)).unwrap_err();
                 assert_eq!(err.class, ErrClass::Timeout);
-                for needle in ["op=comm_create_from_group", "stage=", "parked_on="] {
+                // The diagnosis names the stage that answered `Pending` —
+                // the only kind the blocking loop parks on — and its wake
+                // source.
+                for needle in [
+                    "op=comm_create_from_group",
+                    "stage=group",
+                    "parked_on=pmix group construct 'mpi-comm:wd-timeout'",
+                ] {
                     assert!(
                         err.message.contains(needle),
                         "timeout must embed the stall diagnosis ({needle}): {}",
