@@ -34,6 +34,33 @@ if [ "$parks" -ne 1 ]; then
   exit 1
 fi
 
+# Copy-contract gate: a payload is copied once, at the `&[u8]` API boundary
+# in `Comm::isend`, and never between `Pml::isend` and `Request::wait_data`
+# — it travels as the body segment of a gather envelope, by handle.
+# Structurally: nothing on the PML's send path appends a payload to a frame,
+# no codec in `header.rs` takes one, and the fabric has exactly one place
+# that builds an `Envelope` (so exactly one that sets `body`; every send
+# spelling funnels into it). The pointer-identity tests in `pml/tests.rs`
+# and the `bytes`-shim tests below check the behaviour; this keeps a
+# serializing side path from coming back unnoticed.
+echo "== copy-contract gate (pml: no payload serialization; one Envelope constructor) =="
+if grep -nE 'extend_from_slice\(&?(payload|data)' crates/core/src/pml/{route,rdv,header}.rs; then
+  echo "the PML copies a payload into a frame: hand it through as the envelope body" >&2
+  exit 1
+fi
+if grep -nE 'fn encode\([^)]*&\[u8\]' crates/core/src/pml/header.rs; then
+  echo "a pml::header encoder takes a byte slice: heads carry no payload" >&2
+  exit 1
+fi
+sites="$(grep -rn 'Envelope {' --include='*.rs' crates src tests examples \
+  | grep -vcE '(struct|impl|for) Envelope \{' || true)"
+if [ "$sites" -ne 1 ] || grep -n 'Self {' crates/simnet/src/message.rs | grep -v -- '-> Self {'; then
+  echo "expected exactly one Envelope literal (in Envelope::gather), found $sites" >&2
+  exit 1
+fi
+echo "== vendored bytes shim (From<Vec> adopts, new() allocates nothing) =="
+cargo test -q --offline -p bytes
+
 # Doc gate: the public APIs of the PMIx substrate, the MPI core and the
 # observability/tooling layer must document cleanly (broken intra-doc
 # links, missing docs on public items, and invalid doctests all fail the

@@ -136,7 +136,9 @@ pub fn bcast_bytes(comm: &Comm, root: u32, data: Vec<u8>) -> Result<Vec<u8>> {
     // Rotate so the root is virtual rank 0.
     let me = comm.rank();
     let vrank = (me + n - root) % n;
-    let mut payload: Option<Vec<u8>> = if me == root { Some(data) } else { None };
+    // One buffer per rank: the root adopts `data`, everyone else keeps the
+    // `Bytes` it received; children get handle clones of it.
+    let mut payload: Option<Bytes> = if me == root { Some(Bytes::from(data)) } else { None };
     // Standard binomial tree: receive from the parent across the lowest
     // set bit of vrank, then forward to children across the bits below it.
     let mut mask = 1u32;
@@ -146,8 +148,7 @@ pub fn bcast_bytes(comm: &Comm, root: u32, data: Vec<u8>) -> Result<Vec<u8>> {
                 let parent_v = vrank - mask;
                 let parent = (parent_v + root) % n;
                 let req = comm.irecv_internal(Some(parent), Some(tag))?;
-                let (bytes, _) = req.wait_data()?;
-                payload = Some(bytes.to_vec());
+                payload = Some(req.wait_data()?.0);
                 break;
             }
             mask <<= 1;
@@ -163,12 +164,12 @@ pub fn bcast_bytes(comm: &Comm, root: u32, data: Vec<u8>) -> Result<Vec<u8>> {
         let child_v = vrank + m;
         if child_v < n {
             let child = (child_v + root) % n;
-            let req = comm.isend_internal(child, tag, Bytes::from(have.clone()))?;
+            let req = comm.isend_internal(child, tag, have.clone())?;
             req.wait()?;
         }
         m >>= 1;
     }
-    Ok(have)
+    Ok(have.to_vec())
 }
 
 /// `MPI_Reduce`: binomial fold toward `root`. Returns `Some(result)` at the

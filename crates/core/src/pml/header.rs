@@ -8,16 +8,21 @@
 //!
 //! When a communicator has an exCID and the sender has not yet learned the
 //! receiver's local CID, an 18-byte **extended header** (16-byte exCID +
-//! sender's local CID) is prepended to the match header (§III-B4).
+//! sender's local CID) follows the match header (§III-B4).
+//!
+//! Everything here is a **head**, the first of the two segments a fabric
+//! message gathers (`simnet::Envelope`), exactly as long as its kind says
+//! (shorter, or with bytes left over, and the frame is dropped). A payload
+//! is never serialized: it is the envelope's body, the sender's `Bytes` by
+//! handle, on eager and `RdvData` frames (DESIGN.md §16).
 
 use crate::cid::ExCid;
-use bytes::Bytes;
 
 /// Message kinds on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum MsgKind {
-    /// Eager send: header + payload.
+    /// Eager send: header; the body is the payload.
     Eager = 1,
     /// Eager send with extended (exCID) header.
     EagerExt = 2,
@@ -27,7 +32,7 @@ pub enum MsgKind {
     RtsExt = 4,
     /// Clear-to-send: send-request id + recv-request id.
     Cts = 5,
-    /// Rendezvous payload: recv-request id + payload.
+    /// Rendezvous payload: recv-request id; the body is the payload.
     RdvData = 6,
     /// Receiver → sender: "for this exCID my local CID is X" (the ACK of
     /// the first-message handshake).
@@ -179,7 +184,7 @@ impl CidInfo {
 
     /// Deserialize the body (after the kind byte).
     pub fn decode_body(b: &[u8]) -> Option<CidInfo> {
-        if b.len() < Self::BODY_LEN {
+        if b.len() != Self::BODY_LEN {
             return None;
         }
         Some(CidInfo {
@@ -212,7 +217,7 @@ impl Cts {
 
     /// Deserialize the body (after the kind byte).
     pub fn decode_body(b: &[u8]) -> Option<Cts> {
-        if b.len() < 16 {
+        if b.len() != 16 {
             return None;
         }
         Some(Cts {
@@ -222,36 +227,22 @@ impl Cts {
     }
 }
 
-/// Rendezvous payload frame: the receiver-side request id it answers,
-/// followed by the data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RdvData {
-    /// Receiver-side request id from the CTS.
-    pub recv_req: u64,
-    /// The transferred payload.
-    pub data: Bytes,
-}
+/// Rendezvous payload head: the receiver-side request id (from the CTS).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RdvData(pub u64);
 
 impl RdvData {
-    /// Serialize (kind byte + request id + payload).
-    pub fn encode(recv_req: u64, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 8 + data.len());
+    /// Serialize (kind byte + request id).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 + 8);
         out.push(MsgKind::RdvData as u8);
-        out.extend_from_slice(&recv_req.to_le_bytes());
-        out.extend_from_slice(data);
+        out.extend_from_slice(&self.0.to_le_bytes());
         out
     }
 
-    /// Deserialize the body (after the kind byte); the payload is a
-    /// zero-copy slice of `b`.
-    pub fn decode_body(b: &Bytes) -> Option<RdvData> {
-        if b.len() < 8 {
-            return None;
-        }
-        Some(RdvData {
-            recv_req: u64::from_le_bytes(b[..8].try_into().ok()?),
-            data: b.slice(8..),
-        })
+    /// Deserialize the body (after the kind byte).
+    pub fn decode_body(b: &[u8]) -> Option<RdvData> {
+        Some(RdvData(u64::from_le_bytes(b.try_into().ok()?)))
     }
 }
 
@@ -338,13 +329,15 @@ mod tests {
         assert_eq!(Cts::decode_body(&bytes[1..]).unwrap(), cts);
         assert!(Cts::decode_body(&bytes[1..16]).is_none(), "15-byte body");
 
-        let frame = Bytes::from(RdvData::encode(9, b"payload"));
-        assert_eq!(frame[0], MsgKind::RdvData as u8);
-        let back = RdvData::decode_body(&frame.slice(1..)).unwrap();
-        assert_eq!(back, RdvData { recv_req: 9, data: Bytes::from_static(b"payload") });
-        let empty = RdvData::decode_body(&Bytes::from(RdvData::encode(9, b"")).slice(1..)).unwrap();
-        assert!(empty.data.is_empty(), "a zero-length payload is a valid frame");
-        assert!(RdvData::decode_body(&frame.slice(1..8)).is_none(), "7-byte body");
+        assert!(Cts::decode_body(&[&bytes[1..], &[0]].concat()).is_none(), "17-byte body");
+
+        let rdv = RdvData(9);
+        let head = rdv.encode();
+        assert_eq!(head.len(), 9);
+        assert_eq!(head[0], MsgKind::RdvData as u8);
+        assert_eq!(RdvData::decode_body(&head[1..]).unwrap(), rdv);
+        assert!(RdvData::decode_body(&head[1..8]).is_none(), "7-byte body");
+        assert!(RdvData::decode_body(&[&head[1..], &[0]].concat()).is_none(), "9-byte body");
     }
 
     #[test]
@@ -370,6 +363,7 @@ mod tests {
         assert!(MatchHeader::decode(&[1u8; 13]).is_none());
         assert!(ExtHeader::decode(&[0u8; 17]).is_none());
         assert!(CidInfo::decode_body(&[0u8; CidInfo::BODY_LEN - 1]).is_none());
+        assert!(CidInfo::decode_body(&[0u8; CidInfo::BODY_LEN + 1]).is_none());
         assert!(RtsInfo::decode(&[0u8; 15]).is_none());
     }
 }

@@ -56,7 +56,11 @@
 //! the frame → route lookup, the send path), `matching` (posted receives
 //! against arrived messages), `handshake` (the one "learn the peer's CID"
 //! transition and the handshake cache), `rdv` (CTS → payload), `lazy`
-//! (on-demand endpoint resolution) and [`header`] (every wire codec).
+//! (on-demand endpoint resolution) and [`header`] (every wire codec — of
+//! heads only: a payload is the fabric envelope's body, the caller's
+//! `Bytes` by handle, copied once at the `&[u8]` boundary in `Comm::isend`
+//! and never between `Pml::isend` and `Request::wait_data`; `tests.rs`
+//! pins the pointer identity on every path).
 
 pub mod header;
 mod handshake;
@@ -446,7 +450,7 @@ impl Pml {
     /// Send a control frame whose loss needs no handling: the peer it
     /// answers is dead, and whatever waited on the answer fails on its own.
     fn send_control(&self, ep: EndpointId, frame: Vec<u8>) {
-        let _ = self.sender.send(ep, Bytes::from(frame));
+        let _ = self.sender.send(ep, Bytes::copy_from_slice(&frame));
     }
 }
 
@@ -469,37 +473,43 @@ impl Pml {
                 }
                 Err(_) => break, // drained, or endpoint killed
             };
-            self.handle_bytes(env.src, env.payload, env.ctx);
+            self.handle_bytes(env.src, env.payload, env.body, env.ctx);
             did = true;
         }
         did | self.progress_lazy()
     }
 
-    /// Decode one frame and act on it. A frame that fails its codec's
-    /// length check is dropped, never indexed.
-    fn handle_bytes(&self, src_ep: EndpointId, payload: Bytes, ctx: Option<obs::TraceContext>) {
+    /// Decode one frame's head and act on it; the body is passed on as is.
+    /// A head that fails its codec's length check is dropped, never indexed.
+    fn handle_bytes(
+        &self,
+        src_ep: EndpointId,
+        head: Bytes,
+        body: Bytes,
+        ctx: Option<obs::TraceContext>,
+    ) {
         self.metrics.handled.inc();
-        let Some(&kind_byte) = payload.first() else { return };
+        let Some(&kind_byte) = head.first() else { return };
         let Some(kind) = MsgKind::from_u8(kind_byte) else { return };
         match kind {
             MsgKind::CidAck | MsgKind::CidAdvert => {
-                if let Some(info) = CidInfo::decode_body(&payload[1..]) {
+                if let Some(info) = CidInfo::decode_body(&head[1..]) {
                     let via = if kind == MsgKind::CidAck { Via::Ack } else { Via::Advert };
                     self.route_frame(Frame::Cid { via, info, src_ep });
                 }
             }
             MsgKind::Cts => {
-                if let Some(cts) = Cts::decode_body(&payload[1..]) {
+                if let Some(cts) = Cts::decode_body(&head[1..]) {
                     self.on_cts(cts);
                 }
             }
             MsgKind::RdvData => {
-                if let Some(rdv) = RdvData::decode_body(&payload.slice(1..)) {
-                    self.on_rdv_data(rdv);
+                if let Some(rdv) = RdvData::decode_body(&head[1..]) {
+                    self.on_rdv_data(rdv, body);
                 }
             }
             MsgKind::Eager | MsgKind::EagerExt | MsgKind::Rts | MsgKind::RtsExt => {
-                let Some((hdr, mut rest)) = MatchHeader::decode(&payload) else { return };
+                let Some((hdr, mut rest)) = MatchHeader::decode(&head) else { return };
                 let mut ext = None;
                 if kind.has_ext() {
                     let Some((e, r)) = ExtHeader::decode(rest) else { return };
@@ -512,7 +522,9 @@ impl Pml {
                     rts = Some(r);
                     rest = after;
                 }
-                let body = payload.slice(payload.len() - rest.len()..);
+                if !rest.is_empty() {
+                    return;
+                }
                 let msg = PendingMsg { hdr, ext, rts, payload: body, src_ep, ctx };
                 self.route_frame(Frame::Msg(msg));
             }

@@ -72,9 +72,9 @@ impl Pml {
         }
         if let Some((excid, incarnation)) = excid {
             let ad = CidInfo { excid, cid: local_cid, rank: my_rank, incarnation };
-            let bytes = ad.encode(MsgKind::CidAdvert);
+            let bytes = Bytes::copy_from_slice(&ad.encode(MsgKind::CidAdvert));
             for ep in adverts {
-                match self.sender.send(ep, Bytes::from(bytes.clone())) {
+                match self.sender.send(ep, bytes.clone()) {
                     Ok(()) => self.metrics.adverts_sent.inc(),
                     // The peer died since the handshake: forget it.
                     Err(_) => {
@@ -183,7 +183,7 @@ impl Pml {
     pub(super) fn send(&self, qs: QueuedSend) -> Result<()> {
         let QueuedSend { local_cid, dst_rank, tag, ref payload, ref req } = qs;
         let eager = payload.len() <= self.eager_limit();
-        let (dst_ep, bytes, trace_ctx) = {
+        let (dst_ep, head, trace_ctx) = {
             let mut st = self.state.lock();
             let route = st
                 .routes
@@ -260,21 +260,15 @@ impl Pml {
                 (false, true) => MsgKind::RtsExt,
             };
             let hdr = MatchHeader { kind, flags: 0, ctx, src: my_rank as i32, tag, seq };
-            let mut bytes = Vec::with_capacity(
-                header::MATCH_HEADER_LEN
-                    + if ext.is_some() { header::EXT_HEADER_LEN } else { 0 }
-                    + if eager { payload.len() } else { 16 },
-            );
-            hdr.encode(&mut bytes);
+            let mut head = Vec::with_capacity(header::MATCH_HEADER_LEN + header::EXT_HEADER_LEN + 16);
+            hdr.encode(&mut head);
             if let Some(e) = &ext {
-                e.encode(&mut bytes);
+                e.encode(&mut head);
             }
-            if eager {
-                bytes.extend_from_slice(payload);
-            } else {
+            if !eager {
                 self.metrics.rts_sent.inc();
                 let send_req = st.rdv.fresh_id();
-                RtsInfo { size: payload.len() as u64, send_req }.encode(&mut bytes);
+                RtsInfo { size: payload.len() as u64, send_req }.encode(&mut head);
                 let mut span = self.metrics.obs.span(
                     &self.metrics.process,
                     "pml.rdv",
@@ -295,9 +289,13 @@ impl Pml {
                 // waits can fail fast if the destination dies first.
                 req.set_waiting_on(dst_ep);
             }
-            (dst_ep, bytes, trace_ctx)
+            // Copied, not adopted: for a head of ≤ 48 bytes one allocation
+            // (count + bytes) that the receiving thread frees is cheaper
+            // than the two an adopted `Vec` would leave it.
+            (dst_ep, Bytes::copy_from_slice(&head), trace_ctx)
         };
-        let sent = self.sender.send_ctx(dst_ep, Bytes::from(bytes), trace_ctx);
+        let body = if eager { payload.clone() } else { Bytes::new() };
+        let sent = self.sender.send_parts(dst_ep, head, body, trace_ctx);
         match sent {
             Ok(()) => {
                 if eager {

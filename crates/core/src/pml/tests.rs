@@ -309,15 +309,33 @@ fn advert_racing_registration_parks_then_applies() {
     assert_eq!(b.state.lock().routes[&22].peers[0].mode, SendCid::Known(12));
 }
 
-/// An extended-header eager frame from rank 1, as `handle_bytes` sees it.
-fn ext_frame(excid: ExCid, incarnation: u16, sender_cid: u16) -> Bytes {
-    let mut bytes = Vec::new();
-    MatchHeader { kind: MsgKind::EagerExt, flags: 0, ctx: incarnation, src: 1, tag: 0, seq: 0 }
-        .encode(&mut bytes);
-    ExtHeader { excid, sender_cid }.encode(&mut bytes);
-    bytes.extend_from_slice(b"payload");
-    Bytes::from(bytes)
+/// The head of a match-protocol frame from rank 1 (tag 0, seq 0), as
+/// `handle_bytes` sees it; the payload goes in beside it as the body.
+fn match_head(
+    kind: MsgKind,
+    ctx: u16,
+    ext: Option<ExtHeader>,
+    rts: Option<RtsInfo>,
+) -> Vec<u8> {
+    let mut head = Vec::new();
+    MatchHeader { kind, flags: 0, ctx, src: 1, tag: 0, seq: 0 }.encode(&mut head);
+    if let Some(e) = ext {
+        e.encode(&mut head);
+    }
+    if let Some(r) = rts {
+        r.encode(&mut head);
+    }
+    head
 }
+
+/// The head of an extended-header eager frame from rank 1.
+fn ext_frame(excid: ExCid, incarnation: u16, sender_cid: u16) -> Bytes {
+    let ext = ExtHeader { excid, sender_cid };
+    Bytes::from(match_head(MsgKind::EagerExt, incarnation, Some(ext), None))
+}
+
+/// The body the hand-fed frames carry.
+const BODY: Bytes = Bytes::from_static(b"payload");
 
 #[test]
 fn every_way_of_learning_the_peer_cid_is_the_same_transition() {
@@ -352,7 +370,8 @@ fn every_way_of_learning_the_peer_cid_is_the_same_transition() {
         let counter = |name| obs.counter_value(&me, "pml", name);
         for delivery in 0..2 {
             // The second delivery finds the peer Known: a no-op.
-            a.handle_bytes(b.endpoint.id(), frame.clone(), None);
+            // (A body on an ACK or advert is not the codec's business.)
+            a.handle_bytes(b.endpoint.id(), frame.clone(), BODY, None);
             let st = a.state.lock();
             let peer = &st.routes[&2].peers[1];
             assert_eq!(peer.mode, SendCid::Known(7), "{} #{delivery}", case.via);
@@ -382,7 +401,7 @@ fn stale_incarnation_frames_are_dropped_and_counted_ahead_ones_parked() {
     let (a, b) = pair();
     let excid = ExCid::from_pgcid(42);
     a.register_comm(2, 0, addrs(&a, &b), Some((excid, 3)));
-    let from_b = |frame: Bytes| a.handle_bytes(b.endpoint.id(), frame, None);
+    let from_b = |frame: Bytes| a.handle_bytes(b.endpoint.id(), frame, BODY, None);
     let info = |incarnation| CidInfo { excid, cid: 7, rank: 1, incarnation };
     let stale = || {
         a.endpoint.obs().counter_value(&a.endpoint.id().to_string(), "pml", "stale_incarnation")
@@ -462,6 +481,158 @@ fn rendezvous_protocol_full_cycle() {
     assert!(sreq.is_done());
     assert!(rreq.is_done());
     assert_eq!(rreq.status_snapshot().unwrap().len, 1000);
+}
+
+/// Claim `req`'s payload the way a user does and check that it *is* the
+/// buffer given to `isend`: equal bytes at the same address.
+fn assert_same_buffer(pml: &Arc<Pml>, req: Arc<ReqInner>, sent: &Bytes, path: &str) {
+    assert!(req.is_done(), "{path}: receive not complete");
+    let (got, status) = crate::request::Request::new(req, pml.clone()).wait_data().unwrap();
+    assert_eq!(status.len, sent.len(), "{path}");
+    assert_eq!(got, *sent, "{path}");
+    assert_eq!(got.as_ptr(), sent.as_ptr(), "{path}: the payload was copied in flight");
+}
+
+fn big() -> Bytes {
+    Bytes::from((0..1000u32).map(|i| i as u8).collect::<Vec<u8>>())
+}
+
+#[test]
+fn eager_payload_reaches_a_posted_receive_by_handle() {
+    let (a, b) = pair();
+    wire(&a, &b, 5, 5, None);
+    let sent = big();
+    let req = b.irecv(5, Some(0), Some(9)).unwrap();
+    a.isend(5, 1, 9, sent.clone()).unwrap();
+    pump(&b);
+    assert_same_buffer(&b, req, &sent, "eager, receive posted first");
+}
+
+#[test]
+fn eager_payload_crosses_the_unexpected_queue_by_handle() {
+    let (a, b) = pair();
+    wire(&a, &b, 5, 5, None);
+    let sent = big();
+    a.isend(5, 1, 9, sent.clone()).unwrap();
+    pump(&b);
+    assert_eq!(b.unexpected_count(5), 1);
+    let req = b.irecv(5, None, None).unwrap();
+    assert_same_buffer(&b, req, &sent, "eager, message arrived first");
+}
+
+#[test]
+fn rendezvous_payload_crosses_rts_cts_by_handle() {
+    let (a, b) = pair();
+    wire(&a, &b, 4, 4, None);
+    a.set_eager_limit(64);
+    let sent = big();
+    let sreq = a.isend(4, 1, 2, sent.clone()).unwrap();
+    let rreq = b.irecv(4, Some(0), Some(2)).unwrap();
+    for _ in 0..20 {
+        a.progress(Some(Duration::from_millis(1)));
+        b.progress(Some(Duration::from_millis(1)));
+    }
+    assert!(sreq.is_done());
+    assert_eq!(a.stats().rts_sent, 1, "above the eager limit");
+    assert_same_buffer(&b, rreq, &sent, "rendezvous");
+}
+
+#[test]
+fn extended_header_first_message_is_parked_and_delivered_by_handle() {
+    let (a, b) = pair();
+    let excid = Some(ExCid::from_pgcid(777));
+    // Only A registers: the extended-header frame parks at B, is replayed
+    // into the unexpected queue on registration, then matched.
+    a.register_comm(3, 0, addrs(&a, &b), inc0(excid));
+    let sent = big();
+    a.isend(3, 1, 1, sent.clone()).unwrap();
+    assert_eq!(a.stats().ext_sent, 1);
+    pump(&b);
+    assert_eq!(parked(&b), 1);
+    b.register_comm(9, 1, addrs(&a, &b), inc0(excid));
+    let req = b.irecv(9, Some(0), Some(1)).unwrap();
+    assert_same_buffer(&b, req, &sent, "extended header via the parked table");
+}
+
+#[test]
+fn a_send_flushed_from_the_lazy_resolve_queue_keeps_its_buffer() {
+    let uni = pmix::PmixUniverse::new(simnet::SimTestbed::tiny(1, 2));
+    let procs: Vec<pmix::ProcId> = (0..2).map(|r| pmix::ProcId::new("job", r)).collect();
+    let pmls: Vec<Arc<Pml>> = procs
+        .iter()
+        .map(|p| {
+            let ep = uni.fabric().register(NodeId(0));
+            uni.register_proc(p.clone(), &ep);
+            Pml::new(Arc::new(ep))
+        })
+        .collect();
+    let (a, b) = (&pmls[0], &pmls[1]);
+    a.install_resolver(pmix::PeerResolver::new(&uni.client_for(&procs[0]).unwrap()));
+    // A knows B only by name; B's card is not published yet, so the send
+    // queues behind the resolution it starts.
+    let lazy = vec![PeerAddr::Known(a.endpoint.id()), PeerAddr::Unresolved(procs[1].clone())];
+    a.register_comm(5, 0, lazy, None);
+    b.register_comm(5, 1, addrs(a, b), None);
+    let sent = big();
+    let sreq = a.isend(5, 1, 0, sent.clone()).unwrap();
+    assert_eq!(a.resolving_count(), 1);
+    assert!(!sreq.is_done(), "parked behind the resolution");
+    let card = uni.client_for(&procs[1]).unwrap();
+    card.put(pmix::value::keys::ENDPOINT, pmix::PmixValue::U64(b.endpoint.id().0));
+    card.commit();
+    for _ in 0..200 {
+        if a.resolve_status(&procs[1]) == ResolveStatus::Resolved {
+            break;
+        }
+        a.progress(Some(Duration::from_millis(1)));
+    }
+    assert!(sreq.is_done(), "flushed once the endpoint resolved");
+    let req = b.irecv(5, Some(0), Some(0)).unwrap();
+    pump(b);
+    assert_same_buffer(b, req, &sent, "lazy-resolve queue");
+}
+
+#[test]
+fn a_head_of_the_wrong_length_is_dropped_whole() {
+    let (a, b) = pair();
+    let excid = ExCid::from_pgcid(42);
+    a.register_comm(2, 0, addrs(&a, &b), Some((excid, 0)));
+    a.register_comm(6, 0, addrs(&a, &b), None);
+    let from_b = |head: Vec<u8>| a.handle_bytes(b.endpoint.id(), Bytes::from(head), BODY, None);
+    let longer = |mut head: Vec<u8>| {
+        head.push(0);
+        head
+    };
+    let ext = Some(ExtHeader { excid, sender_cid: 7 });
+    let rts = Some(RtsInfo { size: 7, send_req: 0 });
+    // A match, ext or RTS head with one byte after its last field — what
+    // the old single-segment framing would have read as payload.
+    from_b(longer(match_head(MsgKind::Eager, 6, None, None)));
+    from_b(longer(match_head(MsgKind::EagerExt, 0, ext, None)));
+    from_b(longer(match_head(MsgKind::Rts, 6, None, rts)));
+    from_b(longer(match_head(MsgKind::RtsExt, 0, ext, rts)));
+    assert_eq!(a.stats().handled, 4, "each malformed frame is still counted");
+    assert_eq!((a.unexpected_count(2), a.unexpected_count(6), parked(&a)), (0, 0, 0));
+    assert!(!a.peer_switched(2, 1), "a dropped ext frame teaches no CID");
+    assert_eq!(a.stats().acks_sent, 0);
+    // The same heads at their exact length are delivered.
+    from_b(match_head(MsgKind::Eager, 6, None, None));
+    from_b(match_head(MsgKind::EagerExt, 0, ext, None));
+    from_b(match_head(MsgKind::Rts, 6, None, rts));
+    assert_eq!((a.unexpected_count(2), a.unexpected_count(6)), (1, 2));
+    // An RdvData head is kind + request id, 9 bytes: anything else leaves
+    // the receive it names pending and its table entry in place.
+    let eager = a.irecv(6, Some(1), Some(0)).unwrap();
+    assert!(eager.is_done());
+    let rdv = a.irecv(6, Some(1), Some(0)).unwrap(); // matches the RTS → recv_req 0
+    let head = RdvData(0).encode();
+    from_b(head[..8].to_vec());
+    from_b(longer(head.clone()));
+    assert!(!rdv.is_done(), "a malformed RdvData head must not complete the receive");
+    assert_eq!(a.state.lock().rdv.recvs.len(), 1);
+    from_b(head);
+    assert!(rdv.is_done());
+    assert_eq!(a.stats().handled, 10);
 }
 
 #[test]

@@ -112,7 +112,20 @@ impl Endpoint {
         payload: Bytes,
         ctx: Option<obs::TraceContext>,
     ) -> Result<(), SendError> {
-        self.fabric.send(Envelope::with_ctx(self.id, dst, payload, ctx))
+        self.send_parts(dst, payload, Bytes::new(), ctx)
+    }
+
+    /// Send a gather of two segments — `head` (the wire header) and `body`
+    /// (the data, handed through by reference count) — as one message; see
+    /// [`Envelope`]. `send` and `send_ctx` are the body-less spelling.
+    pub fn send_parts(
+        &self,
+        dst: EndpointId,
+        head: Bytes,
+        body: Bytes,
+        ctx: Option<obs::TraceContext>,
+    ) -> Result<(), SendError> {
+        self.fabric.send(Envelope::gather(self.id, dst, head, body, ctx))
     }
 
     /// Blocking receive. Returns `Disconnected` once this endpoint is killed
@@ -182,7 +195,19 @@ impl EndpointSender {
         payload: Bytes,
         ctx: Option<obs::TraceContext>,
     ) -> Result<(), SendError> {
-        self.fabric.send(Envelope::with_ctx(self.id, dst, payload, ctx))
+        self.send_parts(dst, payload, Bytes::new(), ctx)
+    }
+
+    /// Send a head + body gather as one message, as with
+    /// [`Endpoint::send_parts`].
+    pub fn send_parts(
+        &self,
+        dst: EndpointId,
+        head: Bytes,
+        body: Bytes,
+        ctx: Option<obs::TraceContext>,
+    ) -> Result<(), SendError> {
+        self.fabric.send(Envelope::gather(self.id, dst, head, body, ctx))
     }
 
     /// The observability registry of the fabric this sender sends on.

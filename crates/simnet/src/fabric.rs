@@ -29,7 +29,7 @@ pub struct FabricStats {
     /// Messages accepted by `send` (including ones later dropped because the
     /// destination died first).
     pub msgs_sent: u64,
-    /// Payload bytes accepted by `send`.
+    /// Bytes (head + body) accepted by `send`.
     pub bytes_sent: u64,
     /// Messages that took the delayed (pump) path rather than direct handoff.
     pub msgs_delayed: u64,
@@ -75,7 +75,10 @@ impl PartialOrd for Scheduled {
 }
 impl PartialEq for Envelope {
     fn eq(&self, other: &Self) -> bool {
-        self.src == other.src && self.dst == other.dst && self.payload == other.payload
+        self.src == other.src
+            && self.dst == other.dst
+            && self.payload == other.payload
+            && self.body == other.body
     }
 }
 impl Eq for Envelope {}
@@ -692,6 +695,29 @@ mod tests {
     }
 
     #[test]
+    fn gather_send_is_charged_and_counted_as_head_plus_body() {
+        // 1 MB/s: a 9 + 65 536 byte gather serializes in 65.545 ms, exactly
+        // what one 65 545-byte frame would — the body is not free.
+        let cost = CostModel { inter_node_bandwidth: Some(1_000_000), ..CostModel::zero() };
+        let fabric = Fabric::new(cost);
+        let a = fabric.register(NodeId(0));
+        let b = fabric.register(NodeId(1));
+        let body = payload(65_536);
+        a.send_parts(b.id(), payload(9), body.clone(), None).unwrap();
+        let obs = fabric.obs();
+        assert_eq!(obs.counter_value("fabric", "fabric", "bytes_inter_node"), 65_545);
+        assert_eq!(obs.counter_value("fabric", "fabric", "delay_ns_total"), 65_545_000);
+        assert_eq!(fabric.stats().bytes_sent, 65_545);
+        let env = b.recv().unwrap();
+        assert_eq!((env.payload.len(), env.body.len(), env.len()), (9, 65_536, 65_545));
+        assert_eq!(env.body.as_ptr(), body.as_ptr(), "the body crossed the pump by handle");
+        // The body-less spelling delivers an empty body.
+        a.sender().send(b.id(), payload(3)).unwrap();
+        let env = b.recv().unwrap();
+        assert_eq!((env.payload.len(), env.body.len()), (3, 0));
+    }
+
+    #[test]
     fn obs_accumulates_injected_delay() {
         let cost = CostModel {
             inter_node_latency: Duration::from_millis(2),
@@ -824,6 +850,25 @@ mod tests {
             assert_eq!(b.recv().unwrap().len(), 9);
             assert_eq!(b.recv().unwrap().len(), 9);
             assert_eq!(fabric.obs().counter_value("fabric", "fabric", "faults_duplicated"), 1);
+        }
+
+        #[test]
+        fn duplicate_verdict_aliases_one_body_and_hook_sees_the_gather_length() {
+            let fabric = Fabric::new(CostModel::zero());
+            let a = fabric.register(NodeId(0));
+            let b = fabric.register(NodeId(1));
+            let hook = FixedHook::new(FaultAction::Duplicate);
+            fabric.set_fault_hook(Some(hook.clone()));
+            let body = payload(65_536);
+            a.send_parts(b.id(), payload(9), body.clone(), None).unwrap();
+            assert_eq!(hook.seen.lock()[0].len, 65_545);
+            let (first, second) = (b.recv().unwrap(), b.recv().unwrap());
+            assert_eq!(first, second);
+            assert_eq!(first.body.as_ptr(), body.as_ptr());
+            assert_eq!(second.body.as_ptr(), body.as_ptr(), "a duplicate copies no payload");
+            // Accepted once: the duplicate is a fault, not traffic.
+            let bytes = fabric.obs().counter_value("fabric", "fabric", "bytes_inter_node");
+            assert_eq!(bytes, 65_545);
         }
 
         #[test]

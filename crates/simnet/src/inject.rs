@@ -77,7 +77,7 @@ pub struct MsgView {
     /// 0-based sequence number of this message on the (src, dst) pair.
     /// Counted only while a hook is installed.
     pub pair_seq: u64,
-    /// Payload length in bytes.
+    /// Wire length in bytes (head + body, [`crate::Envelope::len`]).
     pub len: usize,
 }
 
