@@ -61,6 +61,37 @@ fi
 echo "== vendored bytes shim (From<Vec> adopts, new() allocates nothing) =="
 cargo test -q --offline -p bytes
 
+# Wake-contract gate: a send wakes a parked receiver only when none has a
+# wake coming (once per burst, never with nobody parked), and the fabric's
+# zero-delay hand-off is one registry read and a move. Structurally: the
+# mailbox channel has exactly one `notify_one(` call site (the one in `send`
+# behind the `waiting > signaled` test; disconnect uses `notify_all`), the
+# fabric clones no destination `Sender`, sleeps only to charge the cost
+# model's send overhead, and the sleeping `quiesce` poll stays deleted. The
+# count-based tests in the crossbeam shim (notify counter, `waiting` /
+# `signaled` under the lock, an interleaving proptest) check the behaviour.
+echo "== wake-contract gate (one notify_one site; fabric: no tx.clone, one sleep, no quiesce) =="
+notifies="$(grep -c 'notify_one(' vendor/crossbeam/src/lib.rs || true)"
+if [ "$notifies" -ne 1 ]; then
+  grep -n 'notify_one(' vendor/crossbeam/src/lib.rs >&2 || true
+  echo "expected exactly one notify_one( call site in the crossbeam shim, found $notifies" >&2
+  exit 1
+fi
+if grep -n 'tx\.clone()' crates/simnet/src/fabric.rs; then
+  echo "the fabric clones a mailbox Sender: send into it under the registry read" >&2
+  exit 1
+fi
+if grep -n 'thread::sleep' crates/simnet/src/fabric.rs | grep -v 'thread::sleep(self\.cost\.send_overhead)'; then
+  echo "crates/simnet/src/fabric.rs sleeps outside the send_overhead cost-model line" >&2
+  exit 1
+fi
+if grep -n 'fn quiesce' crates/simnet/src/fabric.rs; then
+  echo "the sleeping Fabric::quiesce poll is back: use in_flight() / activity()" >&2
+  exit 1
+fi
+echo "== vendored crossbeam shim (wake once per burst, none without a waiter) =="
+cargo test -q --offline -p crossbeam
+
 # Doc gate: the public APIs of the PMIx substrate, the MPI core and the
 # observability/tooling layer must document cleanly (broken intra-doc
 # links, missing docs on public items, and invalid doctests all fail the

@@ -1,13 +1,14 @@
 //! The fabric: endpoint registry, cost-model application and the delayed
 //! delivery pump.
 //!
-//! Zero-delay messages (the on-node shared-memory path under the default
-//! cost model) are handed directly to the destination mailbox by the sending
-//! thread — this is the fast path that the latency microbenchmarks (paper
-//! Fig. 5) exercise. Delayed messages go through a single pump thread that
-//! sleeps until each message's delivery time. Per-(src,dst) FIFO order is
-//! enforced by never scheduling a delivery earlier than the pair's previous
-//! one, matching the ordered-delivery guarantee MPI point-to-point relies on.
+//! Zero-delay messages (all of them under the zero-cost model) are handed to
+//! the destination mailbox by the sending thread — one registry read, then a
+//! move into the mailbox; the pump is untouched unless something is
+//! scheduled on it. That is the path paper Fig. 5 exercises. Delayed messages
+//! go through a single pump thread that sleeps until each delivery time.
+//! Per-(src,dst) FIFO holds because no delivery is scheduled before the
+//! pair's previous one and a zero-delay message queues behind its pair's
+//! held traffic — the ordered delivery MPI point-to-point relies on.
 
 use crate::cost::CostModel;
 use crate::endpoint::{Endpoint, EndpointId, SendError};
@@ -18,7 +19,7 @@ use crate::topology::NodeId;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -96,6 +97,20 @@ struct PumpState {
 struct Pump {
     state: Mutex<PumpState>,
     cv: Condvar,
+    // Length of `state.queue`, moved under the lock and read without it.
+    // Relaxed: it publishes nothing (`holds` re-checks under the lock).
+    scheduled: AtomicUsize,
+}
+
+impl Pump {
+    /// True while the pump holds delayed traffic on `pair`; locks only when
+    /// anything is scheduled at all.
+    fn holds(&self, pair: &(EndpointId, EndpointId)) -> bool {
+        self.scheduled.load(Ordering::Relaxed) != 0 && {
+            let st = self.state.lock();
+            st.pair_last.contains_key(pair) && !st.queue.is_empty()
+        }
+    }
 }
 
 /// Hot-path counter handles resolved once at fabric construction; `send`
@@ -169,63 +184,18 @@ impl FabricCore {
             std::thread::sleep(self.cost.send_overhead);
         }
 
-        let (src_node, dst_node) = {
-            let map = self.registry.map.read();
-            (map.get(&env.src).map(|e| e.node), map.get(&env.dst).map(|e| e.node))
-        };
-
-        // Consult the fault hook with no registry lock held: verdict kills
-        // need the registry write lock.
         let hook = self.hook.read().clone();
-        let action = match hook {
-            None => FaultAction::Deliver,
-            Some(h) => {
-                let pair_seq = {
-                    let mut seqs = self.hook_seq.lock();
-                    let c = seqs.entry((env.src, env.dst)).or_insert(0);
-                    let s = *c;
-                    *c += 1;
-                    s
-                };
-                let base = self.base_endpoint.load(Ordering::Relaxed);
-                let view = MsgView {
-                    src: env.src,
-                    dst: env.dst,
-                    rel_src: env.src.0.saturating_sub(base),
-                    rel_dst: env.dst.0.saturating_sub(base),
-                    src_node,
-                    dst_node,
-                    pair_seq,
-                    len: env.len(),
-                };
-                let verdict = h.on_message(&view);
-                // The hook runs on the *sending* thread, so the thread's
-                // current span is exactly the operation this fault
-                // interrupts (e.g. the fence a kill rule fired inside) —
-                // annotate it before applying the verdict. Labels use
-                // normalized endpoint ids so traces stay run-stable.
-                match verdict.action {
-                    FaultAction::Drop => {
-                        obs::trace::fault_current("fault:drop");
-                    }
-                    FaultAction::Delay(_) => {
-                        obs::trace::fault_current("fault:delay");
-                    }
-                    FaultAction::Duplicate => {
-                        obs::trace::fault_current("fault:duplicate");
-                    }
-                    FaultAction::Deliver => {}
-                }
-                for id in verdict.kills {
-                    obs::trace::fault_current(&format!(
-                        "fault:kill(rel={})",
-                        id.0.saturating_sub(base)
-                    ));
-                    self.kill(id);
-                }
-                verdict.action
-            }
-        };
+        let verdict = hook.map(|h| self.consult(&*h, &env));
+
+        // Route: one registry read gives the nodes, the mailbox and the
+        // hand-off under its guard. With a hook it is re-read *after* the
+        // verdict's kills, so a verdict that kills the destination claims
+        // this very message as its first casualty.
+        let map = self.registry.map.read();
+        let dst = map.get(&env.dst);
+        let (action, src_node, dst_node) = verdict.unwrap_or_else(|| {
+            (FaultAction::Deliver, map.get(&env.src).map(|e| e.node), dst.map(|e| e.node))
+        });
 
         // A killed sender may still be draining its own logic; treat an
         // unknown src (or dead dst) as off-node for costing purposes.
@@ -246,65 +216,105 @@ impl FabricCore {
             return Ok(());
         }
 
-        // Route. The destination is re-checked *after* hook kills so a
-        // verdict that kills the destination claims this very message as its
-        // first casualty.
-        let dst_tx = match self.registry.map.read().get(&env.dst) {
-            Some(e) => e.tx.clone(),
-            None => return Err(SendError::PeerDead(env.dst)),
+        let Some(dst) = dst else {
+            return Err(SendError::PeerDead(env.dst));
         };
 
-        let (extra, copies) = match action {
+        let (extra, twin) = match action {
             FaultAction::Delay(d) => {
                 self.metrics.faults_delayed.inc();
-                (d, 1u32)
+                (d, None)
             }
             FaultAction::Duplicate => {
                 self.metrics.faults_duplicated.inc();
-                (Duration::ZERO, 2)
+                (Duration::ZERO, Some(env.clone()))
             }
-            _ => (Duration::ZERO, 1),
+            _ => (Duration::ZERO, None),
         };
         let delay = self.cost.delivery_delay(same_node, env.len()) + extra;
+        let pair = (env.src, env.dst);
+        let copies = std::iter::once(env).chain(twin);
 
-        if delay.is_zero() {
-            // Fast path: direct handoff, no pump involvement. Ordering per
-            // pair holds because channel sends from one thread are ordered
-            // and the pump path is never used for this pair under a
-            // zero-delay model. (Mixed-path pairs are handled below by
-            // forcing the pump when the pair has pending delayed traffic.)
-            let has_pending = {
-                let st = self.pump.state.lock();
-                st.pair_last.contains_key(&(env.src, env.dst)) && !st.queue.is_empty()
-            };
-            if !has_pending {
-                for _ in 0..copies {
-                    let _ = dst_tx.send(env.clone());
-                    self.activity.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(());
+        // Zero delay: hand off directly, unless the pump still holds this
+        // pair's delayed traffic — then queue behind it (per-pair FIFO).
+        if delay.is_zero() && !self.pump.holds(&pair) {
+            for env in copies {
+                let _ = dst.tx.send(env);
+                self.activity.fetch_add(1, Ordering::Relaxed);
             }
+            return Ok(());
         }
+        drop(map);
 
         self.metrics.msgs_delayed.inc();
         self.metrics.delay_ns_total.add(delay.as_nanos().min(u64::MAX as u128) as u64);
         let mut st = self.pump.state.lock();
-        let now = Instant::now();
-        let mut at = now + delay;
-        if let Some(prev) = st.pair_last.get(&(env.src, env.dst)) {
-            if at < *prev {
-                at = *prev;
-            }
+        let mut at = Instant::now() + delay;
+        if let Some(prev) = st.pair_last.get(&pair) {
+            at = at.max(*prev);
         }
-        st.pair_last.insert((env.src, env.dst), at);
-        for _ in 0..copies {
+        st.pair_last.insert(pair, at);
+        for env in copies {
             let seq = st.seq;
             st.seq += 1;
-            st.queue.push(Scheduled { deliver_at: at, seq, env: env.clone() });
+            st.queue.push(Scheduled { deliver_at: at, seq, env });
+            self.pump.scheduled.fetch_add(1, Ordering::Relaxed);
         }
         drop(st);
-        self.cv_notify();
+        self.pump.cv.notify_one();
         Ok(())
+    }
+
+    /// Run the hook and its verdict's kills (no registry lock held: kills
+    /// write it). Returns the action and the nodes seen *before* the kills,
+    /// which classify the message on-node or inter-node.
+    fn consult(
+        &self,
+        hook: &dyn FaultHook,
+        env: &Envelope,
+    ) -> (FaultAction, Option<NodeId>, Option<NodeId>) {
+        let (src_node, dst_node) = {
+            let map = self.registry.map.read();
+            (map.get(&env.src).map(|e| e.node), map.get(&env.dst).map(|e| e.node))
+        };
+        let pair_seq = {
+            let mut seqs = self.hook_seq.lock();
+            let c = seqs.entry((env.src, env.dst)).or_insert(0);
+            let s = *c;
+            *c += 1;
+            s
+        };
+        let base = self.base_endpoint.load(Ordering::Relaxed);
+        let view = MsgView {
+            src: env.src,
+            dst: env.dst,
+            rel_src: env.src.0.saturating_sub(base),
+            rel_dst: env.dst.0.saturating_sub(base),
+            src_node,
+            dst_node,
+            pair_seq,
+            len: env.len(),
+        };
+        let verdict = hook.on_message(&view);
+        // The hook runs on the *sending* thread, so the thread's current
+        // span is exactly the operation this fault interrupts (e.g. the
+        // fence a kill rule fired inside) — annotate it before applying the
+        // verdict. Labels use normalized endpoint ids so traces stay
+        // run-stable.
+        let label = match verdict.action {
+            FaultAction::Drop => Some("fault:drop"),
+            FaultAction::Delay(_) => Some("fault:delay"),
+            FaultAction::Duplicate => Some("fault:duplicate"),
+            FaultAction::Deliver => None,
+        };
+        if let Some(label) = label {
+            obs::trace::fault_current(label);
+        }
+        for id in verdict.kills {
+            obs::trace::fault_current(&format!("fault:kill(rel={})", id.0.saturating_sub(base)));
+            self.kill(id);
+        }
+        (verdict.action, src_node, dst_node)
     }
 
     pub(crate) fn kill(&self, id: EndpointId) {
@@ -318,10 +328,6 @@ impl FabricCore {
         let mut watchers = self.watchers.lock();
         self.registry.dead.write().insert(id, entry.node);
         watchers.retain(|w| w.send(event).is_ok());
-    }
-
-    fn cv_notify(&self) {
-        self.pump.cv.notify_one();
     }
 }
 
@@ -340,6 +346,7 @@ impl Fabric {
                 shutdown: false,
             }),
             cv: Condvar::new(),
+            scheduled: AtomicUsize::new(0),
         });
         let obs = Arc::new(obs::Registry::new());
         let metrics = FabricMetrics::new(&obs);
@@ -489,20 +496,7 @@ impl Fabric {
     /// Number of messages currently held by the delivery pump (scheduled,
     /// chaos-delayed or bandwidth-delayed, not yet handed to a mailbox).
     pub fn in_flight(&self) -> usize {
-        self.0.pump.state.lock().queue.len()
-    }
-
-    /// Block until the pump queue is empty (useful in tests).
-    pub fn quiesce(&self) {
-        loop {
-            {
-                let st = self.0.pump.state.lock();
-                if st.queue.is_empty() {
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        self.0.pump.scheduled.load(Ordering::Relaxed)
     }
 }
 
@@ -536,6 +530,7 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
                         let now = Instant::now();
                         if next.deliver_at <= now {
                             let sched = st.queue.pop().expect("peeked");
+                            pump.scheduled.fetch_sub(1, Ordering::Relaxed);
                             break sched.env;
                         }
                         let at = next.deliver_at;
@@ -568,6 +563,33 @@ mod tests {
 
     fn payload(n: usize) -> Bytes {
         Bytes::from(vec![0xabu8; n])
+    }
+
+    /// Make every delivery the pump holds due now, as if its delay had
+    /// elapsed: a test holds a message in flight with an hour's delay and
+    /// decides itself when it lands, with no wall clock involved.
+    fn release_pump(fabric: &Fabric) {
+        let pump = &fabric.0.pump;
+        let mut st = pump.state.lock();
+        let now = Instant::now();
+        let held = std::mem::take(&mut st.queue).into_iter();
+        st.queue = held.map(|s| Scheduled { deliver_at: now, ..s }).collect();
+        drop(st);
+        pump.cv.notify_one();
+    }
+
+    #[test]
+    fn in_flight_counts_what_the_pump_holds() {
+        let cost = CostModel { inter_node_latency: Duration::from_secs(3600), ..CostModel::zero() };
+        let fabric = Fabric::new(cost);
+        let a = fabric.register(NodeId(0));
+        let b = fabric.register(NodeId(1));
+        assert_eq!(fabric.in_flight(), 0);
+        a.send(b.id(), payload(1)).unwrap();
+        assert_eq!(fabric.in_flight(), 1);
+        release_pump(&fabric);
+        assert_eq!(b.recv_timeout(Duration::from_secs(10)).unwrap().len(), 1);
+        assert_eq!(fabric.in_flight(), 0);
     }
 
     #[test]
@@ -885,6 +907,51 @@ mod tests {
             assert_eq!(a.send(b.id(), payload(1)), Err(SendError::PeerDead(b.id())));
             assert!(!fabric.is_alive(b.id()));
             assert_eq!(w.recv_timeout(Duration::from_secs(1)).unwrap().endpoint, b.id());
+            // Classified by the nodes seen before the kill: the message was
+            // accepted as on-node traffic, not moved to inter-node.
+            let count = |name| fabric.obs().counter_value("fabric", "fabric", name);
+            assert_eq!((count("msgs_on_node"), count("bytes_on_node")), (1, 1));
+            assert_eq!((count("msgs_inter_node"), count("bytes_inter_node")), (0, 0));
+        }
+
+        /// Delays the first message to `dst` by `by`, delivers the rest.
+        struct DelayFirst {
+            dst: EndpointId,
+            by: Duration,
+        }
+
+        impl FaultHook for DelayFirst {
+            fn on_message(&self, msg: &MsgView) -> FaultVerdict {
+                let first = msg.dst == self.dst && msg.pair_seq == 0;
+                let action = if first { FaultAction::Delay(self.by) } else { FaultAction::Deliver };
+                FaultVerdict { action, kills: Vec::new() }
+            }
+        }
+
+        #[test]
+        fn zero_delay_messages_queue_behind_their_pairs_delayed_one() {
+            let fabric = Fabric::new(CostModel::zero());
+            let a = fabric.register(NodeId(0));
+            let b = fabric.register(NodeId(0));
+            let c = fabric.register(NodeId(0));
+            let hour = Duration::from_secs(3600);
+            fabric.set_fault_hook(Some(Arc::new(DelayFirst { dst: b.id(), by: hour })));
+            for tag in 0u8..4 {
+                a.send(b.id(), Bytes::from(vec![tag])).unwrap();
+            }
+            // Messages 1..3 have zero delay but follow the held message 0.
+            assert_eq!(b.try_recv(), Err(crate::endpoint::RecvError::Empty));
+            assert_eq!((fabric.in_flight(), fabric.stats().msgs_delayed), (4, 4));
+            // Another pair is not held back: handed off before send returns.
+            a.send(c.id(), payload(2)).unwrap();
+            assert_eq!(c.try_recv().unwrap().len(), 2);
+            assert_eq!(fabric.in_flight(), 4);
+            release_pump(&fabric);
+            for tag in 0u8..4 {
+                let env = b.recv_timeout(Duration::from_secs(10)).unwrap();
+                assert_eq!(env.payload[..], [tag], "a zero-delay message overtook");
+            }
+            assert_eq!(fabric.in_flight(), 0);
         }
 
         #[test]
