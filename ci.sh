@@ -14,23 +14,53 @@ cargo test -q --offline --workspace
 echo "== cargo clippy -D warnings =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
-# Park-contract gate: a blocking setup call never sleeps after it made
-# progress. Structurally that is two greps over the file that owns the
-# setup engine — no timed nap anywhere in it (a stage that can answer
-# `Pending` names a real wake source; `SetupStage::park` has no default),
-# and exactly one place that parks a stage: the `SetupRequest::drive` loop
-# behind `wait`, `wait_timeout` and the drop drain. The count-based
-# regression tests in the same file check the behaviour; this keeps a
-# second loop or a sleeping default from coming back unnoticed.
-echo "== park-contract gate (request.rs: no thread::sleep, one stage-park call site) =="
-if grep -n 'thread::sleep' crates/core/src/request.rs; then
-  echo "crates/core/src/request.rs sleeps: park on the stage's wake source instead" >&2
+# Wait-loop gate: every blocking wait on every request — p2p `wait`,
+# `wait_timeout`, `wait_data*` and `wait_all`, `SetupRequest::wait` /
+# `wait_timeout` and the setup drop drain — is the one private `drive` loop
+# in `crates/core/src/request/mod.rs`, which never sleeps after a poll that
+# made progress and blocks only on a request kind's own wake source.
+# Structurally, over the request module (its test modules excluded): no
+# timed nap; exactly one `.park(` call outside a `fn park` body — the
+# loop's (inside one, a kind only delegates to its wake source); no
+# `progress(Some(` outside a `fn park` body, so no wait loop pumps the PML
+# itself; one `LogicalDeadline::new` in the whole core crate; and the
+# deleted poll-hook mechanism stays deleted. The count-based tests in
+# `request/setup.rs` check the behaviour; this keeps a second loop from
+# coming back unnoticed.
+echo "== wait-loop gate (request/: no sleep, one park call site, PML pumped only in park) =="
+req=crates/core/src/request
+# Print "file:line:enclosing fn:text" for each code line containing $1.
+call_sites() {
+  awk -v pat="$1" '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests \{/ { in_tests = 1 }
+    in_tests || /^ *\/\// { next }
+    /^ *(pub(\([a-z]+\))? )?fn [a-z_]/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    index($0, pat) { print FILENAME ":" FNR ":" fn ":" $0 }
+  ' "$req"/*.rs
+}
+if grep -rn 'thread::sleep' "$req"; then
+  echo "$req sleeps: park on the request's wake source instead" >&2
   exit 1
 fi
-parks="$(grep -c '\.park(' crates/core/src/request.rs || true)"
-if [ "$parks" -ne 1 ]; then
-  grep -n '\.park(' crates/core/src/request.rs >&2 || true
-  echo "expected exactly one stage-park call site in request.rs, found $parks" >&2
+parks="$(call_sites '.park(' | awk -F: '$3 != "park"')"
+if [ "$(printf '%s\n' "$parks" | grep -c ':drive:')" -ne 1 ] || [ "$(printf '%s\n' "$parks" | grep -c .)" -ne 1 ]; then
+  printf '%s\n' "$parks" >&2
+  echo "expected exactly one .park( call outside fn park bodies, in drive" >&2
+  exit 1
+fi
+if call_sites 'progress(Some(' | awk -F: '$3 != "park"' | grep .; then
+  echo "a wait loop pumps the PML itself: only a fn park may call progress(Some(" >&2
+  exit 1
+fi
+deadlines="$(grep -rn 'LogicalDeadline::new' crates/core/src | grep -vc '^[^:]*:[0-9]*: *//' || true)"
+if [ "$deadlines" -ne 1 ]; then
+  grep -rn 'LogicalDeadline::new' crates/core/src >&2 || true
+  echo "expected exactly one LogicalDeadline::new in crates/core/src, found $deadlines" >&2
+  exit 1
+fi
+if grep -rnE 'PollHook|with_hook|ReqKind::Coll' crates src tests examples --include='*.rs'; then
+  echo "the poll-hook request mechanism is back: write a SetupStage machine instead" >&2
   exit 1
 fi
 

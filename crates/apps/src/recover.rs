@@ -61,8 +61,11 @@ pub struct RecoverReport {
     pub steps_done: u32,
     /// Successful communicator repairs (fault episodes survived).
     pub repairs: u32,
-    /// `Stale` verdicts retried (the registry epoch moved mid-repair).
+    /// `Stale` / `ProcFailed` verdicts retried: the registry epoch moved,
+    /// or a member died inside the rebuild and the epoch is about to move.
     pub stale_retries: u32,
+    /// Deaths delivered by the fault watcher while stepping.
+    pub faults_seen: u32,
     /// Ring timeouts / dead-peer verdicts that triggered a repair pass.
     pub step_faults: u32,
     /// Communicator size when the final step ran.
@@ -178,8 +181,10 @@ fn repair(
             }
             Err(e) => match e.class {
                 // The registry moved past our epoch (another fault or
-                // churn landed): observe the newer epoch and retry.
-                ErrClass::Stale => report.stale_retries += 1,
+                // churn landed), or a member died inside the rebuild's
+                // fan-in (one more fault to absorb): observe the newer
+                // epoch and retry.
+                ErrClass::Stale | ErrClass::ProcFailed => report.stale_retries += 1,
                 // A fault raced the pset shrink: wait for the prune.
                 ErrClass::ProcTerminated => std::thread::sleep(Duration::from_millis(2)),
                 // The rebuild fan-in timed out (epoch disagreement or a
@@ -222,6 +227,7 @@ pub fn run_rank_with_progress(
         steps_done: 0,
         repairs: 0,
         stale_retries: 0,
+        faults_seen: 0,
         step_faults: 0,
         final_size: 0,
         sums: Vec::new(),
@@ -232,6 +238,7 @@ pub fn run_rank_with_progress(
         // Exactly-once fault intake: any death observed since the last
         // check forces a repair pass before the next collective.
         while faults.try_next().is_some() {
+            report.faults_seen += 1;
             dirty = true;
         }
         if dirty {
@@ -314,6 +321,82 @@ mod tests {
             assert_eq!(r.final_size, 4);
             assert_eq!(r.sums, vec![4u32; cfg.steps as usize]);
         }
+    }
+
+    /// A member that dies inside a repair's own rebuild fails the fan-in
+    /// `ProcFailed`; the repair absorbs it as one more fault and rebuilds
+    /// at the newer epoch. The kill is ordered after the server opened the
+    /// repair's construct — a survivor has then passed every liveness
+    /// check and sits in the fan-in — so the interleaving is forced.
+    #[test]
+    fn a_death_inside_the_repair_fan_in_is_retried_at_the_newer_epoch() {
+        let launcher = Launcher::new(SimTestbed::tiny(1, 3));
+        let universe = launcher.universe().clone();
+        let obs = universe.fabric().obs();
+        obs.cvar_write("universe", "pmix.group_timeout_ms", obs::CvarValue::U64(2000)).unwrap();
+        let (ready_tx, ready_rx) = mpsc::channel::<u32>();
+        let killed = Arc::new((Mutex::new(false), Condvar::new()));
+        let run = {
+            let killed = killed.clone();
+            move |ctx: ProcCtx| {
+                let ready = ready_tx.clone();
+                let session =
+                    Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null())
+                        .unwrap();
+                let pset = session.track_faults().unwrap();
+                let world = session.group_from_pset(PSET_WORLD).unwrap();
+                let comm = Comm::create_from_group(&world, "fan-in").unwrap();
+                ready.send(ctx.rank()).unwrap();
+                if ctx.rank() == 2 {
+                    // The victim never repairs; it is killed inside the
+                    // survivors' rebuild.
+                    let (flag, cv) = &*killed;
+                    drop(cv.wait_while(flag.lock().unwrap(), |k| !*k).unwrap());
+                    return None;
+                }
+                let mut report = RecoverReport {
+                    steps_done: 0,
+                    repairs: 0,
+                    stale_retries: 0,
+                    faults_seen: 0,
+                    step_faults: 0,
+                    final_size: 0,
+                    sums: Vec::new(),
+                };
+                let process = MpiProcess::obtain(&ctx);
+                let budget = Duration::from_secs(10);
+                let next = repair(&session, &process, &pset, &comm, budget, &mut report)
+                    .expect("a survivor is never evicted");
+                let size = next.size();
+                next.abandon();
+                comm.abandon();
+                session.finalize().unwrap();
+                Some((size, report.stale_retries))
+            }
+        };
+        let handle = launcher.spawn(JobSpec::new(3), run);
+        for _ in 0..3 {
+            ready_rx.recv_timeout(Duration::from_secs(30)).expect("every rank built its comm");
+        }
+        // Every earlier collective was observed by all three ranks and
+        // reaped; the next op a server holds is the repair's construct.
+        let repairing = || {
+            let servers = universe.servers().iter();
+            servers.flat_map(|s| s.shard_occupancy().ops_live).any(|n| n > 0)
+        };
+        while !repairing() {
+            std::thread::yield_now();
+        }
+        universe.kill_proc(&pmix::ProcId::new(handle.nspace(), 2)).expect("kill");
+        *killed.0.lock().unwrap() = true;
+        killed.1.notify_all();
+        let out = handle.join().expect("a ProcFailed repair verdict is retried, not fatal");
+        let survivors: Vec<(u32, u32)> = out.into_iter().flatten().collect();
+        assert_eq!(survivors.iter().map(|s| s.0).collect::<Vec<_>>(), [2, 2]);
+        assert!(
+            survivors.iter().any(|s| s.1 >= 1),
+            "the survivor inside the fan-in retried its failed rebuild: {survivors:?}"
+        );
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! Algorithms are the textbook ones Open MPI's `coll/base` uses at these
 //! scales: dissemination barrier, binomial broadcast/reduce, gather+bcast
 //! allgather, pairwise-exchange alltoall, linear scan. `MPI_Ibarrier` is a
-//! state machine driven by `Request::test`/`wait` — exactly what the
+//! setup-request state machine driven by `test`/`wait` — exactly what the
 //! paper's 2MESH integration loops over (`MPI_Ibarrier` + `nanosleep`) to
 //! emulate low-perturbation quiescence (§IV-E).
 
 use crate::comm::Comm;
 use crate::datatype::{self, MpiScalar, ReduceOp};
 use crate::error::{ErrClass, MpiError, Result};
-use crate::request::{ReqInner, Request};
+use crate::request::{Request, SetupRequest, SetupStage, SetupStep};
 use bytes::Bytes;
+use std::time::Duration;
 
 /// Internal collective op codes (folded into the reserved tag space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,71 +45,67 @@ fn next_salt(comm: &Comm) -> u32 {
 
 /// `MPI_Barrier`: dissemination algorithm, ⌈log2 n⌉ rounds.
 pub fn barrier(comm: &Comm) -> Result<()> {
-    let n = comm.size();
-    if n <= 1 {
+    if comm.size() <= 1 {
         return Ok(());
     }
-    let me = comm.rank();
     let salt = next_salt(comm);
-    let mut round = 0u32;
-    let mut dist = 1u32;
-    while dist < n {
-        let tag = internal_tag(CollOp::Barrier, salt.wrapping_add(round) & 0xFFFF | (salt << 16));
-        let to = (me + dist) % n;
-        let from = (me + n - dist) % n;
-        let rreq = comm.irecv_internal(Some(from), Some(tag))?;
-        let sreq = comm.isend_internal(to, tag, Bytes::new())?;
+    for round in 0..comm.size().next_power_of_two().trailing_zeros() {
+        let (rreq, sreq) = post_round(comm, CollOp::Barrier, salt, round)?;
         rreq.wait()?;
         sreq.wait()?;
-        dist *= 2;
-        round += 1;
     }
     Ok(())
 }
 
-/// `MPI_Ibarrier`: the dissemination barrier as a poll-driven state
-/// machine.
-pub fn ibarrier(comm: &Comm) -> Result<Request> {
-    let n = comm.size();
-    let pml = comm.process().pml().clone();
-    if n <= 1 {
-        let inner = ReqInner::new(crate::request::ReqKind::Coll);
-        inner.complete_send(0);
-        return Ok(Request::new(inner, pml));
+/// Post a dissemination round: receive from `2^round` ranks below, send above.
+fn post_round(comm: &Comm, op: CollOp, salt: u32, round: u32) -> Result<(Request, Request)> {
+    let (n, me, dist) = (comm.size(), comm.rank(), 1u32 << round);
+    let tag = internal_tag(op, salt.wrapping_add(round) & 0xFFFF | (salt << 16));
+    let rreq = comm.irecv_internal(Some((me + n - dist) % n), Some(tag))?;
+    let sreq = comm.isend_internal((me + dist) % n, tag, Bytes::new())?;
+    Ok((rreq, sreq))
+}
+
+/// `MPI_Ibarrier`: the dissemination barrier as a quiet setup request of
+/// one `ibarrier` stage, driven by `test`/`wait` like any construction.
+pub fn ibarrier(comm: &Comm) -> Result<SetupRequest<()>> {
+    // Like `barrier`, a one-rank barrier exchanges nothing and takes no salt.
+    let salt = if comm.size() > 1 { next_salt(comm) } else { 0 };
+    let stage = Box::new(IbarrierStage { comm: comm.clone(), salt, round: 0, pending: None });
+    let process = comm.process().clone();
+    Ok(SetupRequest::issue(process, "ibarrier", None, true, stage, None))
+}
+
+/// An [`ibarrier`]'s one stage: its rounds, one in flight at a time.
+struct IbarrierStage {
+    comm: Comm,
+    salt: u32,
+    round: u32,
+    pending: Option<(Request, Request)>,
+}
+
+impl SetupStage<()> for IbarrierStage {
+    fn name(&self) -> &'static str {
+        "ibarrier"
     }
-    let me = comm.rank();
-    let salt = next_salt(comm);
-    let comm2 = comm.clone();
-    let mut dist = 1u32;
-    let mut round = 0u32;
-    let mut pending: Option<(Request, Request)> = None;
-    let hook = Box::new(move || -> Result<bool> {
-        loop {
-            if dist >= n {
-                return Ok(true);
+    fn poll(&mut self) -> Result<SetupStep<()>> {
+        while self.round < self.comm.size().next_power_of_two().trailing_zeros() {
+            if self.pending.is_none() {
+                let round = post_round(&self.comm, CollOp::Ibarrier, self.salt, self.round)?;
+                self.pending = Some(round);
             }
-            if pending.is_none() {
-                let tag = internal_tag(
-                    CollOp::Ibarrier,
-                    salt.wrapping_add(round) & 0xFFFF | (salt << 16),
-                );
-                let to = (me + dist) % n;
-                let from = (me + n - dist) % n;
-                let rreq = comm2.irecv_internal(Some(from), Some(tag))?;
-                let sreq = comm2.isend_internal(to, tag, Bytes::new())?;
-                pending = Some((rreq, sreq));
+            let (rreq, sreq) = self.pending.as_mut().expect("just posted");
+            if !(rreq.test()? && sreq.test()?) {
+                return Ok(SetupStep::Pending);
             }
-            let (r, s) = pending.as_mut().expect("just set");
-            if r.test()? && s.test()? {
-                pending = None;
-                dist *= 2;
-                round += 1;
-                continue;
-            }
-            return Ok(false);
+            self.pending = None;
+            self.round += 1;
         }
-    });
-    Ok(Request::new(ReqInner::with_hook(hook), pml))
+        Ok(SetupStep::Done(()))
+    }
+    fn park(&mut self, limit: Duration) {
+        self.comm.process().pml().progress(Some(limit));
+    }
 }
 
 // ---------------------------------------------------------------------

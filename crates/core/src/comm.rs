@@ -877,6 +877,8 @@ impl Comm {
     /// * [`ErrClass::ProcTerminated`] — the pinned membership already
     ///   contains a member the fabric marked dead (a fault raced the pset
     ///   shrink): wait for the shrink event and retry;
+    /// * [`ErrClass::ProcFailed`] — a member died inside the rebuild's own
+    ///   fan-in: observe the newer epoch and retry;
     /// * [`ErrClass::Group`] — the caller is not in the membership (it
     ///   was itself removed): stop repairing;
     /// * [`ErrClass::Timeout`] — the rebuild collective itself timed out

@@ -4,7 +4,11 @@
 mod common;
 
 use common::run;
-use mpi_sessions::{Comm, ErrHandler, Info, Session, ThreadLevel, ANY_SOURCE, ANY_TAG};
+use mpi_sessions::{
+    Comm, ErrClass, ErrHandler, Info, Request, Session, ThreadLevel, ANY_SOURCE, ANY_TAG,
+};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::time::Duration;
 
 fn world_comm(ctx: &prrte::ProcCtx, tag: &str) -> (Session, Comm) {
     let s = Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap();
@@ -226,6 +230,64 @@ fn isend_irecv_waitall() {
     });
 }
 
+/// `wait_all` waits in issue order, and completions that land in the
+/// reverse order still complete the set: every park handles whatever
+/// arrived, not just the request being waited on. Statuses come back in
+/// issue order.
+#[test]
+fn isend_irecv_waitall_completes_in_reverse_issue_order() {
+    run(1, 2, 2, |ctx| {
+        let (s, c) = world_comm(&ctx, "nb-rev");
+        let tags: Vec<i32> = (0..8).collect();
+        if ctx.rank() == 0 {
+            let reqs = tags.iter().map(|&t| c.irecv(1, t).unwrap()).collect();
+            let statuses = Request::wait_all(reqs).unwrap();
+            assert_eq!(statuses.iter().map(|st| st.tag).collect::<Vec<_>>(), tags);
+        } else {
+            // Per-pair FIFO: request 0 (tag 0) is the last to complete.
+            for &t in tags.iter().rev() {
+                c.send_t(0, t, &[t]).unwrap();
+            }
+        }
+        c.free().unwrap();
+        s.finalize().unwrap();
+    });
+}
+
+/// A set with failing requests returns the first error *by issue index*
+/// — here the dead-peer verdict of request 1, not the `ProcFailed` that
+/// request 2 (a send to the corpse) had at issue — and still drives every
+/// other request to terminal.
+#[test]
+fn isend_irecv_waitall_returns_the_first_error_by_issue_index() {
+    let out = with_last_rank_killed(3, |c, kill| match c.rank() {
+        0 => {
+            kill.ready();
+            kill.killed();
+            let reqs = vec![
+                c.irecv(1, 1).unwrap(),
+                c.irecv(2, 1).unwrap(),
+                c.isend(2, 1, b"to the void").unwrap(),
+                c.irecv(1, 2).unwrap(),
+            ];
+            let inner: Vec<_> = reqs.iter().map(|r| r.inner().clone()).collect();
+            let err = Request::wait_all(reqs).unwrap_err();
+            Some((err.class, inner.iter().map(|r| r.is_done()).collect::<Vec<_>>()))
+        }
+        1 => {
+            c.send(0, 1, b"a").unwrap();
+            c.send(0, 2, b"b").unwrap();
+            kill.ready();
+            None
+        }
+        _ => {
+            kill.ready();
+            None
+        }
+    });
+    assert_eq!(out, [Some((ErrClass::ProcTerminated, vec![true; 4])), None]);
+}
+
 #[test]
 fn typed_transfer_roundtrips_f64() {
     run(1, 2, 2, |ctx| {
@@ -296,7 +358,7 @@ fn send_to_dead_peer_fails_with_proc_failed() {
                 .expect("failure event");
             assert_eq!(victim.rank(), 1);
             let err = c.send(1, 0, b"to the void").unwrap_err();
-            assert_eq!(err.class, mpi_sessions::ErrClass::ProcFailed);
+            assert_eq!(err.class, ErrClass::ProcFailed);
             // The session itself remains usable for local work.
             assert!(s.pset_names().is_ok());
         } else {
@@ -309,6 +371,115 @@ fn send_to_dead_peer_fails_with_proc_failed() {
     std::thread::sleep(std::time::Duration::from_millis(400));
     handle.kill_rank(1);
     handle.join().unwrap();
+}
+
+/// Where the test thread kills the last rank of a
+/// [`with_last_rank_killed`] job: after every rank called `ready`.
+struct KillPoint {
+    ready: Barrier,
+    killed: (Mutex<bool>, Condvar),
+}
+
+impl KillPoint {
+    /// This rank has reached the point the kill may land after.
+    fn ready(&self) {
+        self.ready.wait();
+    }
+
+    /// Returns once the kill has been issued.
+    fn killed(&self) {
+        let (flag, cv) = &self.killed;
+        drop(cv.wait_while(flag.lock().unwrap(), |k| !*k).unwrap());
+    }
+}
+
+/// Run `body` on every rank of an `np`-rank job whose last rank is killed
+/// at a point the test names, with no wall clock involved: every `body`
+/// calls `kill.ready()` once, the test thread then kills the last rank (held
+/// after its `body` until then), and `kill.killed()` returns once it has.
+/// The job is joined on a helper thread and awaited with a bound, so a
+/// wait that never returns fails the test instead of hanging the suite.
+/// Returns the survivors' results in rank order.
+fn with_last_rank_killed<T: Send + 'static>(np: u32, body: fn(&Comm, &KillPoint) -> T) -> Vec<T> {
+    let kill = Arc::new(KillPoint {
+        ready: Barrier::new(np as usize + 1),
+        killed: (Mutex::new(false), Condvar::new()),
+    });
+    let launcher = prrte::Launcher::new(simnet::SimTestbed::tiny(1, np));
+    let handle = launcher.spawn(prrte::JobSpec::new(np), {
+        let kill = kill.clone();
+        move |ctx| {
+            let (s, c) = world_comm(&ctx, "doomed");
+            let out = body(&c, &kill);
+            if ctx.rank() == np - 1 {
+                kill.killed();
+                return None;
+            }
+            // The comm still names the dead rank: dropped, not freed.
+            drop(c);
+            s.finalize().ok();
+            Some(out)
+        }
+    });
+    kill.ready.wait();
+    handle.kill_rank(np - 1);
+    *kill.killed.0.lock().unwrap() = true;
+    kill.killed.1.notify_all();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.join());
+        drop(launcher);
+    });
+    let out = rx.recv_timeout(Duration::from_secs(60));
+    let out = out.expect("a wait on the dead rank never returned");
+    out.expect("no rank panics").into_iter().flatten().collect()
+}
+
+/// A blocking receive naming a peer that dies fails typed once the peer
+/// is dead and the fabric is quiet, instead of waiting forever.
+#[test]
+fn blocking_recv_from_a_killed_peer_fails_proc_terminated() {
+    let out = with_last_rank_killed(2, |c, kill| {
+        kill.ready();
+        (c.rank() == 0).then(|| c.recv(1, 7).unwrap_err().class)
+    });
+    assert_eq!(out, [Some(ErrClass::ProcTerminated)]);
+}
+
+/// A rendezvous send completes only on the destination's CTS; a
+/// destination that dies holding the RTS fails the blocking wait typed.
+#[test]
+fn rendezvous_send_to_a_peer_killed_before_its_cts_fails_proc_terminated() {
+    let out = with_last_rank_killed(2, |c, kill| {
+        if c.rank() == 1 {
+            // The RTS lands in this mailbox, which is never drained.
+            kill.ready();
+            return None;
+        }
+        let req = c.isend(1, 7, &[0x5a; 200_000]).unwrap();
+        kill.ready();
+        Some(req.wait().unwrap_err().class)
+    });
+    assert_eq!(out, [Some(ErrClass::ProcTerminated)]);
+}
+
+/// A delivered message beats the dead-peer verdict: a receive posted
+/// after its sender died still gets what the sender sent before dying —
+/// the message sits unhandled in the mailbox, so only the wait's final
+/// sweep finds it.
+#[test]
+fn a_message_sent_before_the_peer_died_is_still_received() {
+    let out = with_last_rank_killed(2, |c, kill| {
+        if c.rank() == 1 {
+            c.send(0, 7, b"last words").unwrap();
+            kill.ready();
+            return None;
+        }
+        kill.ready();
+        kill.killed();
+        Some(c.recv(1, 7).unwrap().0)
+    });
+    assert_eq!(out, [Some(b"last words".to_vec())]);
 }
 
 /// `dup` → 100 two-way messages → `free`, fifty times over on the same

@@ -97,19 +97,23 @@ struct PumpState {
 struct Pump {
     state: Mutex<PumpState>,
     cv: Condvar,
-    // Length of `state.queue`, moved under the lock and read without it.
-    // Relaxed: it publishes nothing (`holds` re-checks under the lock).
+    // Messages the pump holds: raised per push under the lock, lowered only
+    // once a popped message has been handed to its mailbox, read without
+    // the lock. Relaxed: a reader that sees a hand-off's decrement locks
+    // that mailbox after the pump did (coherence orders the two locks).
     scheduled: AtomicUsize,
+    // Test-only pause point between a pop and its hand-off.
+    #[cfg(test)]
+    gate: tests::PumpGate,
 }
 
 impl Pump {
-    /// True while the pump holds delayed traffic on `pair`; locks only when
-    /// anything is scheduled at all.
+    /// True while the pump may hold delayed traffic on `pair`, a popped
+    /// message not yet handed off included; locks only when anything is
+    /// scheduled at all.
     fn holds(&self, pair: &(EndpointId, EndpointId)) -> bool {
-        self.scheduled.load(Ordering::Relaxed) != 0 && {
-            let st = self.state.lock();
-            st.pair_last.contains_key(pair) && !st.queue.is_empty()
-        }
+        self.scheduled.load(Ordering::Relaxed) != 0
+            && self.state.lock().pair_last.contains_key(pair)
     }
 }
 
@@ -347,6 +351,8 @@ impl Fabric {
             }),
             cv: Condvar::new(),
             scheduled: AtomicUsize::new(0),
+            #[cfg(test)]
+            gate: Default::default(),
         });
         let obs = Arc::new(obs::Registry::new());
         let metrics = FabricMetrics::new(&obs);
@@ -529,9 +535,7 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
                     Some(next) => {
                         let now = Instant::now();
                         if next.deliver_at <= now {
-                            let sched = st.queue.pop().expect("peeked");
-                            pump.scheduled.fetch_sub(1, Ordering::Relaxed);
-                            break sched.env;
+                            break st.queue.pop().expect("peeked").env;
                         }
                         let at = next.deliver_at;
                         pump.cv.wait_until(&mut st, at);
@@ -539,9 +543,13 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
                 }
             }
         };
+        #[cfg(test)]
+        pump.gate.pass();
         // Deliver outside the lock. Dead destinations drop silently: the
         // failure event already told interested parties. Either way the
-        // message leaves the in-flight set, which is an activity tick.
+        // message leaves the in-flight set, which is an activity tick —
+        // only after the hand-off: until then `in_flight` counts it and a
+        // zero-delay send on its pair queues behind it.
         if let Some(core) = core.upgrade() {
             {
                 let map = core.registry.map.read();
@@ -549,6 +557,7 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
                     let _ = entry.tx.send(env);
                 }
             }
+            pump.scheduled.fetch_sub(1, Ordering::Relaxed);
             core.activity.fetch_add(1, Ordering::Relaxed);
         } else {
             return;
@@ -576,6 +585,54 @@ mod tests {
         st.queue = held.map(|s| Scheduled { deliver_at: now, ..s }).collect();
         drop(st);
         pump.cv.notify_one();
+    }
+
+    /// A pause point between the pump's pop and its hand-off. Armed, the
+    /// pump parks there holding the message it just popped until the test
+    /// releases it: the interleaving is forced, not raced for.
+    #[derive(Default)]
+    pub(super) struct PumpGate {
+        state: Mutex<GateState>,
+        cv: Condvar,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        armed: bool,
+        paused: bool,
+    }
+
+    impl PumpGate {
+        /// The pump's side: park here while armed.
+        pub(super) fn pass(&self) {
+            let mut st = self.state.lock();
+            if !st.armed {
+                return;
+            }
+            st.paused = true;
+            self.cv.notify_all();
+            while st.armed {
+                self.cv.wait(&mut st);
+            }
+            st.paused = false;
+        }
+
+        fn arm(&self) {
+            self.state.lock().armed = true;
+        }
+
+        /// Wait until the pump has popped a message and parked with it.
+        fn await_pause(&self) {
+            let mut st = self.state.lock();
+            while !st.paused {
+                self.cv.wait(&mut st);
+            }
+        }
+
+        fn release(&self) {
+            self.state.lock().armed = false;
+            self.cv.notify_all();
+        }
     }
 
     #[test]
@@ -948,6 +1005,35 @@ mod tests {
             assert_eq!(fabric.in_flight(), 4);
             release_pump(&fabric);
             for tag in 0u8..4 {
+                let env = b.recv_timeout(Duration::from_secs(10)).unwrap();
+                assert_eq!(env.payload[..], [tag], "a zero-delay message overtook");
+            }
+            assert_eq!(fabric.in_flight(), 0);
+        }
+
+        /// The window between the pump's pop and its hand-off: the popped
+        /// message still counts as in flight, and a zero-delay send on its
+        /// pair queues behind it instead of overtaking it.
+        #[test]
+        fn a_popped_message_is_in_flight_until_its_hand_off() {
+            let fabric = Fabric::new(CostModel::zero());
+            let a = fabric.register(NodeId(0));
+            let b = fabric.register(NodeId(0));
+            let hour = Duration::from_secs(3600);
+            fabric.set_fault_hook(Some(Arc::new(DelayFirst { dst: b.id(), by: hour })));
+            a.send(b.id(), Bytes::from(vec![0u8])).unwrap();
+            let gate = &fabric.0.pump.gate;
+            gate.arm();
+            release_pump(&fabric);
+            gate.await_pause();
+            let held = fabric.in_flight();
+            a.send(b.id(), Bytes::from(vec![1u8])).unwrap();
+            let overtaker = b.try_recv();
+            gate.release();
+            release_pump(&fabric);
+            assert_eq!(held, 1, "popped but not handed off: still in flight");
+            assert_eq!(overtaker, Err(crate::endpoint::RecvError::Empty), "message 1 overtook");
+            for tag in 0u8..2 {
                 let env = b.recv_timeout(Duration::from_secs(10)).unwrap();
                 assert_eq!(env.payload[..], [tag], "a zero-delay message overtook");
             }

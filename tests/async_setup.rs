@@ -11,12 +11,9 @@
 
 use mpi_sessions_repro::mpi::cid::ExCid;
 use mpi_sessions_repro::mpi::instance::MpiProcess;
-use mpi_sessions_repro::mpi::request::{ReqInner, Request};
 use mpi_sessions_repro::mpi::{Comm, ErrHandler, Info, Session, SetupRequest, ThreadLevel};
 use mpi_sessions_repro::prrte::{JobSpec, Launcher};
 use mpi_sessions_repro::simnet::SimTestbed;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 // ----------------------------------------------------------------------
@@ -303,52 +300,6 @@ fn concurrent_icomms_coalesce_pgcid_round_trips() {
         pipe_reqs < K,
         "{K} overlapped constructs should need fewer than {K} round trips, got {pipe_reqs}"
     );
-}
-
-// ----------------------------------------------------------------------
-// wait_all out-of-order progress (the fixed latent blocking assumption)
-// ----------------------------------------------------------------------
-
-/// Regression for the issue-order `wait_all` livelock: request A (issued
-/// first) completes only after a flag that request B's hook sets. The old
-/// implementation waited request 0 to completion before ever polling
-/// request 1, so A's hook span forever; round-robin polling completes the
-/// set. Run under a watchdog so the pre-fix behavior fails fast instead
-/// of hanging the suite.
-#[test]
-fn wait_all_progresses_requests_out_of_issue_order() {
-    let launcher = Launcher::new(SimTestbed::tiny(1, 1));
-    launcher
-        .spawn(JobSpec::new(1), |ctx| {
-            let pml = MpiProcess::obtain(&ctx).pml().clone();
-            let flag = Arc::new(AtomicBool::new(false));
-            let fa = flag.clone();
-            let a = ReqInner::with_hook(Box::new(move || Ok(fa.load(Ordering::SeqCst))));
-            let fb = flag.clone();
-            let mut polls = 0u32;
-            let b = ReqInner::with_hook(Box::new(move || {
-                polls += 1;
-                if polls >= 3 {
-                    fb.store(true, Ordering::SeqCst);
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }));
-            let reqs = vec![Request::new(a, pml.clone()), Request::new(b, pml)];
-            let (tx, rx) = mpsc::channel();
-            let waiter = std::thread::spawn(move || {
-                let _ = tx.send(Request::wait_all(reqs));
-            });
-            let statuses = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("wait_all livelocked on out-of-order completion")
-                .expect("wait_all failed");
-            waiter.join().unwrap();
-            assert_eq!(statuses.len(), 2);
-        })
-        .join()
-        .unwrap();
 }
 
 // ----------------------------------------------------------------------
