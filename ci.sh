@@ -197,12 +197,14 @@ rm -f "$recycled_tmp"
 # fan-in, a kill landing during lazy on-demand resolution, and cascading
 # rebuilds racing a second fault) additionally drive the survivors-pset /
 # watch_faults / repair_via_pset layer under the survivors-exclude-dead
-# invariant.
+# invariant. The kill_after_free scenario kills a rank that never freed
+# a communicator its peers already freed: the dead member must count as
+# released, so the PGCID is recycled rather than leaked.
 # Override or extend the lists by exporting CHAOS_SEEDS (comma-separated
 # u64s) or CHAOS_SCENARIOS yourself, e.g. CHAOS_SEEDS=90,91 ./ci.sh
-echo "== chaos sweep (CHAOS_SEEDS=${CHAOS_SEEDS:-71,72,73,74} CHAOS_SCENARIOS=${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild}) =="
+echo "== chaos sweep (CHAOS_SEEDS=${CHAOS_SEEDS:-71,72,73,74} CHAOS_SCENARIOS=${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild,kill_after_free}) =="
 CHAOS_SEEDS="${CHAOS_SEEDS:-71,72,73,74}" \
-CHAOS_SCENARIOS="${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild}" \
+CHAOS_SCENARIOS="${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild,kill_after_free}" \
   cargo test -q --offline --test chaos_suite chaos_seeds_env
 
 # Lazy-mode sweep: the same scenario set with the universe default flipped
@@ -214,7 +216,7 @@ CHAOS_SCENARIOS="${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlate
 echo "== chaos sweep under INIT_MODE=lazy =="
 INIT_MODE=lazy \
 CHAOS_SEEDS="${CHAOS_SEEDS:-71,72,73,74}" \
-CHAOS_SCENARIOS="${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild}" \
+CHAOS_SCENARIOS="${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild,kill_after_free}" \
   cargo test -q --offline --test chaos_suite chaos_seeds_env
 
 # Soak gate: a smoke-sized run of the sessions-as-a-service churn harness
@@ -262,14 +264,14 @@ rm -f "$intro_tmp"
 # counts, protocol counters — never wall time) against the committed
 # baseline. BENCH_TOL sets the per-leaf relative tolerance (default 5%);
 # regenerate the baseline after an intentional perf change with
-#   cargo run --release -p bench-harness --bin bench_gate -- --out BENCH_PR10.json
+#   cargo run --release -p bench-harness --bin bench_gate -- --out BENCH_PR27.json
 # The binary also hard-enforces (exit 2, no tolerance) the PGCID batching
 # bound and the nonblocking-overlap bound: 8 concurrent icomms must
 # coalesce into strictly fewer pgcid.request round trips — and a strictly
 # shorter serialized critical path — than 8 blocking constructs.
 echo "== bench gate (tol ${BENCH_TOL:-0.05}) =="
 cargo run -q --offline --release -p bench-harness --bin bench_gate -- \
-  --check BENCH_PR10.json --tol "${BENCH_TOL:-0.05}"
+  --check BENCH_PR27.json --tol "${BENCH_TOL:-0.05}"
 
 # Recovery smoke: the checkpoint-free restart drill (apps::recover via
 # fig_recover) must survive two injected kills — every survivor finishes

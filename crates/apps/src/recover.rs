@@ -290,9 +290,9 @@ pub fn run_rank_with_progress(
         }
     }
     report.final_size = comm.size();
-    // Teardown is deliberately local: ranks may have observed faults
-    // asymmetrically, and one rank freeing while another abandons would
-    // strand the collective destruct.
+    // Teardown abandons: ranks may have observed faults asymmetrically, and
+    // abandon asks nothing rank-symmetric of them. It still releases the
+    // PGCID family, so the id is recycled once every member has let go.
     comm.abandon();
     session.finalize().expect("finalize");
     RankOutcome::Survivor(report)

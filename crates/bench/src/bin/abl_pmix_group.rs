@@ -107,8 +107,8 @@ fn main() {
         });
     }
     println!("\n# Shape: construct ≥ fence (same all-to-all plus group bookkeeping);");
-    println!("# the PGCID adds an RM round trip on top. Note construct includes a");
-    println!("# paired destruct here, so compare trends rather than absolutes.");
+    println!("# the PGCID adds an RM round trip on top. Each construct here is");
+    println!("# followed by its destruct, a local release that adds no collective.");
     dump_json("abl_pmix_group", &rows);
     sink.finish();
     traces.finish();

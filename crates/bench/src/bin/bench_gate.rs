@@ -7,14 +7,14 @@
 //! numbers only**: logical critical-path costs and span/stage counts from
 //! the causal trace (work counters, never wall time) and an allowlist of
 //! protocol counters. Two runs of the same binary produce byte-identical
-//! JSON, so the committed baseline (`BENCH_PR10.json`) acts as a perf
+//! JSON, so the committed baseline (`BENCH_PR27.json`) acts as a perf
 //! fingerprint: a change that adds work to a hot path (an extra PGCID
 //! round trip, a redundant handshake, a new fence stage) moves a number
 //! and fails the gate instead of sliding silently into the trace.
 //!
 //! Usage:
-//!   `bench_gate --out BENCH_PR10.json`         regenerate the baseline
-//!   `bench_gate --check BENCH_PR10.json [--tol 0.05]`
+//!   `bench_gate --out BENCH_PR27.json`         regenerate the baseline
+//!   `bench_gate --check BENCH_PR27.json [--tol 0.05]`
 //!                                             re-run and diff against it
 //!
 //! `--tol` is the per-leaf relative tolerance (ci.sh passes `BENCH_TOL`).
@@ -44,7 +44,6 @@ const COUNTERS: &[(&str, &str)] = &[
     ("pmix", "stage_fanout"),
     ("pmix", "fence_completed"),
     ("pmix", "group_construct_completed"),
-    ("pmix", "group_destruct_completed"),
     ("pmix", "pgcid_allocated"),
     ("pmix", "pgcid_pool_hits"),
     ("pml", "eager_sent"),
@@ -74,8 +73,14 @@ const COUNTERS: &[(&str, &str)] = &[
     ("instance", "cids_leaked_at_teardown"),
 ];
 
-/// Reduce one finished run's registry to the gate's deterministic record.
-fn extract(registry: &std::sync::Arc<obs::Registry>) -> Value {
+/// Shut down one finished run's universe and reduce its registry to the
+/// gate's deterministic record. The shutdown comes first because it drains
+/// every PMIx server's mailbox: the last release of a PGCID may still be
+/// on its one-way trip to the lead server when the ranks exit, and only a
+/// drained lead has counted it.
+fn extract(launcher: &Launcher) -> Value {
+    launcher.universe().shutdown();
+    let registry = launcher.universe().fabric().obs();
     let dropped = registry.spans_dropped();
     assert_eq!(dropped, 0, "gate workload overflowed the span buffer");
     let report = obs::analyze::analyze(&registry.spans_snapshot(), dropped);
@@ -126,7 +131,7 @@ fn run_init(mode: InitMode) -> Value {
         })
         .join()
         .expect("init workload");
-    extract(&launcher.universe().fabric().obs())
+    extract(&launcher)
 }
 
 /// Which dup flavor a Fig. 4 gate point exercises.
@@ -166,7 +171,7 @@ fn run_dups(kind: DupKind, iters: usize) -> Value {
         })
         .join()
         .expect("dup workload");
-    extract(&launcher.universe().fabric().obs())
+    extract(&launcher)
 }
 
 /// Fig. 5 shape: a tiny pre-synchronized multi-pair `osu_mbw_mr`.
@@ -183,10 +188,10 @@ fn run_mbw() -> Value {
         })
         .join()
         .expect("mbw workload");
-    extract(&launcher.universe().fabric().obs())
+    extract(&launcher)
 }
 
-/// Ablation shape: PMIx fences and group construct/destruct, with and
+/// Ablation shape: PMIx fences and group construct + release, with and
 /// without PGCID, over the full membership.
 fn run_group_ablation(iters: usize) -> Value {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
@@ -215,7 +220,7 @@ fn run_group_ablation(iters: usize) -> Value {
         })
         .join()
         .expect("ablation workload");
-    extract(&launcher.universe().fabric().obs())
+    extract(&launcher)
 }
 
 /// Handshake-cache shape: two communicators over the same group; the
@@ -238,7 +243,7 @@ fn run_pml_cache() -> Value {
         })
         .join()
         .expect("cache workload");
-    extract(&launcher.universe().fabric().obs())
+    extract(&launcher)
 }
 
 /// Elastic shape: pset churn (grow 4→8, kill one, retire one, delete) with
@@ -301,7 +306,7 @@ fn run_elastic() -> Value {
     // extended header races against handshake completion across rebuild
     // epochs: the split varies run to run while the total is fixed by the
     // protocol. Fold the racy pair into its deterministic sum.
-    fold_racy_data_split(extract(&launcher.universe().fabric().obs()))
+    fold_racy_data_split(extract(&launcher))
 }
 
 /// Soak shape: driver-paced session/comm/pset churn waves against one
@@ -340,7 +345,7 @@ fn run_soak(waves: u64) -> Value {
         registry.undefine_pset(&name);
     }
     handle.join().expect("soak workload");
-    fold_racy_data_split(extract(&launcher.universe().fabric().obs()))
+    fold_racy_data_split(extract(&launcher))
 }
 
 /// Recovery shape: the fault protocol's fixed-cost path — one kill, the
@@ -420,7 +425,7 @@ fn run_recover() -> Value {
         assert_eq!(sum, 3, "rank {rank} settled at the wrong width");
     }
     handle.join().expect("recover workload");
-    fold_racy_data_split(extract(&launcher.universe().fabric().obs()))
+    fold_racy_data_split(extract(&launcher))
 }
 
 /// Nonblocking-overlap shape: K communicator constructions from one world
@@ -478,7 +483,7 @@ fn run_overlap_icomm(k: usize) -> Value {
             })
             .join()
             .expect("overlap workload");
-        extract(&launcher.universe().fabric().obs())
+        extract(&launcher)
     };
     let seq = run(false);
     let pipe = run(true);

@@ -74,8 +74,9 @@ fn required_spec<'a>(schema: &'a Map, key: &str) -> &'a Map {
 
 /// `--introspect` mode: validate one flight-recorder snapshot against the
 /// introspect schema. Walks every nested collection — processes (and their
-/// requests, PGCID families, cache), registry, servers (and their shards),
-/// cvar rows — checking required fields and types.
+/// requests, PGCID families, cache), registry, servers (and their pending
+/// PGCID releases and shards), cvar rows — checking required fields and
+/// types.
 fn check_introspect(snapshot_path: &str, schema_path: &str) {
     let schema = load(schema_path);
     let schema = schema.as_object().unwrap_or_else(|| fail("schema file must be an object"));
@@ -90,6 +91,7 @@ fn check_introspect(snapshot_path: &str, schema_path: &str) {
     let family_req = required_spec(schema, "pgcid_family_required");
     let registry_req = required_spec(schema, "registry_required");
     let server_req = required_spec(schema, "server_required");
+    let release_req = required_spec(schema, "pending_release_required");
     let shards_req = required_spec(schema, "shards_required");
     let cvar_req = required_spec(schema, "cvar_required");
 
@@ -132,6 +134,10 @@ fn check_introspect(snapshot_path: &str, schema_path: &str) {
     for s in servers {
         let s = s.as_object().unwrap_or_else(|| fail("server entry is not an object"));
         check_required(s, server_req, "server");
+        for r in s.get("pending_releases").and_then(Value::as_array).unwrap() {
+            let r = r.as_object().unwrap_or_else(|| fail("pending release is not an object"));
+            check_required(r, release_req, "server pending release");
+        }
         let shards = s.get("shards").and_then(Value::as_object).unwrap();
         check_required(shards, shards_req, "server shards");
     }

@@ -17,7 +17,9 @@
 //! 4. **pgcid-accounting** — every PGCID exposed to the stack (group
 //!    fan-outs, exCID refills) is non-zero, a PGCID feeds at most one refill
 //!    per lifetime (one more than its `pgcid.recycled` count), and the
-//!    number of distinct PGCIDs in use never exceeds what the RM allocated.
+//!    number of distinct RM ids in use (a recycled PGCID is the same id a
+//!    generation later, see `pmix::pgcid_base`) never exceeds what the RM
+//!    allocated.
 //! 5. **failure-delivery** — a fresh failure watcher converges on exactly
 //!    the endpoints the run killed: nothing lost, nothing invented (this
 //!    exercises the late-subscriber replay path).
@@ -247,11 +249,13 @@ impl InvariantChecker {
     }
 
     fn check_pgcids(&self, ctx: &InvariantCtx<'_>, out: &mut Vec<Violation>) {
+        // Distinct RM-allocated ids in use: a recycled PGCID comes back a
+        // generation later, a new value over the same id.
         let mut used: BTreeSet<u64> = BTreeSet::new();
         for e in ctx.obs.events_named("group.fanout") {
             let p = attr_u64(&e, "pgcid");
             if p != 0 {
-                used.insert(p);
+                used.insert(pmix::pgcid_base(p));
             }
         }
         let mut refill_pgcids: Vec<u64> = Vec::new();
@@ -263,11 +267,11 @@ impl InvariantChecker {
                     detail: format!("process {} refilled its exCID pool with pgcid 0", e.process),
                 });
             }
-            used.insert(p);
+            used.insert(pmix::pgcid_base(p));
             refill_pgcids.push(p);
         }
         // A PGCID may feed one refill per *lifetime*: its first use plus one
-        // more for every time a group destruct returned it to the pool.
+        // more for every time a lead recycled it into a pool.
         let mut refill_counts: BTreeMap<u64, u64> = BTreeMap::new();
         for p in &refill_pgcids {
             *refill_counts.entry(*p).or_insert(0) += 1;
@@ -663,7 +667,7 @@ mod tests {
         let v = InvariantChecker::standard().check(&ctx_for(&obs, &fabric, &[]));
         assert_eq!(v.len(), 1, "got: {v:?}");
         assert_eq!(v[0].invariant, "pgcid-accounting");
-        // The destruct-time recycle legitimizes the reuse.
+        // The lead's recycle legitimizes the reuse.
         obs.event("server:0", "pmix", "pgcid.recycled", vec![(
             "pgcid".into(),
             9u64.into(),

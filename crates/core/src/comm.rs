@@ -69,9 +69,9 @@ pub(crate) struct DerivePool {
     /// the child's exCID together with the child's *own* pool, captured at
     /// free time. A recycled child resumes that pool rather than starting a
     /// fresh one, so it can never re-derive a grandchild exCID that might
-    /// still be live. LIFO and fed only by the collective [`Comm::free`],
-    /// which keeps the list identical on every rank (derivation must stay
-    /// rank-symmetric).
+    /// still be live. LIFO and fed only by [`Comm::free`], which every rank
+    /// calls on the same children, so the list stays identical on every
+    /// rank (derivation must stay rank-symmetric).
     pub freed: Vec<FreedSlot>,
 }
 
@@ -186,8 +186,8 @@ impl Comm {
         }
         // Every exCID communicator holds a reference on its PGCID family;
         // the PMIx group handle (if we own one) parks there so the *last*
-        // free of the family — base or derived — runs the collective
-        // destruct, after which the server can recycle the PGCID.
+        // free of the family — base or derived — releases the group, after
+        // which the lead server can recycle the PGCID.
         if let Some(e) = excid {
             if e.pgcid != 0 {
                 process.pgcid_retain(e.pgcid, pmix_group);
@@ -913,45 +913,50 @@ impl Comm {
         Comm::create_from_group(&group, &format!("repair:{pset}@{epoch}"))
     }
 
-    /// Locally retire a communicator whose membership has diverged — a
-    /// member died, so the collective [`Comm::free`] could never complete.
-    /// Reclaims the local CID and PML route and leaves the PMIx group
-    /// behind for the server's GC. Recovery loops call this on the broken
-    /// communicator once [`Comm::shrink`] / [`Comm::repair_via_pset`] has
-    /// handed them a replacement; it is also the right teardown when
-    /// different ranks may have observed faults asymmetrically (one rank
-    /// freeing while another abandons would strand the collective).
+    /// Retire a communicator whose membership may have diverged — a member
+    /// died, or ranks observed a fault at different points. Recovery loops
+    /// call this on the broken communicator once [`Comm::shrink`] /
+    /// [`Comm::repair_via_pset`] has handed them a replacement. Like
+    /// [`Comm::free`] it is local and releases the PGCID family, so the
+    /// PGCID of a repaired communicator is recycled once every member has
+    /// freed, abandoned or died. Unlike `free` it does not return a derived
+    /// exCID subfield to its parent pool: abandonment is rank-asymmetric,
+    /// and the pool's freed list must stay identical on every rank.
     pub fn abandon(self) {
         if self.inner.freed.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Drop the PGCID-family reference WITHOUT destructing (membership
-        // diverged, the collective could never complete) and without
-        // recycling the subfield (abandonment is rank-asymmetric; the
-        // freed-list must stay identical on every rank).
-        drop(self.retire_local());
+        self.retire_local();
     }
 
     /// The local half of retiring a communicator: release the PML route and
-    /// the local CID, drop the PGCID-family reference. Returns the family's
-    /// PMIx group when this was its last member.
-    fn retire_local(&self) -> Option<pmix::PmixGroup> {
+    /// the local CID and drop the PGCID-family reference; the family's last
+    /// reference releases its PMIx group.
+    fn retire_local(&self) {
         self.process.pml().unregister_comm(self.inner.local_cid);
         self.process.release_cid(self.inner.local_cid);
         count_cid(&self.process, "released");
-        let pgcid = self.inner.excid.map(|e| e.pgcid).filter(|p| *p != 0)?;
-        self.process.pgcid_release(pgcid)
+        let Some(pgcid) = self.inner.excid.map(|e| e.pgcid).filter(|p| *p != 0) else {
+            return;
+        };
+        if let Some(group) = self.process.pgcid_release(pgcid) {
+            // A one-way release to the local server; it cannot fail.
+            let _ = self.process.pmix().group_destruct(&group, None);
+        }
     }
 
-    /// `MPI_Comm_free`: collective. Releases the local CID and route,
-    /// returns a derived exCID subfield to its parent pool for recycling,
-    /// and — when this was the last live communicator of its PGCID family —
-    /// collectively destructs the backing PMIx group, letting the server
-    /// recycle the PGCID.
+    /// `MPI_Comm_free`. Completes locally: it releases the local CID and
+    /// route, returns a derived exCID subfield to its parent pool for
+    /// recycling, and — when this was the last live communicator of its
+    /// PGCID family — releases the backing PMIx group. The lead server
+    /// recycles the PGCID once every member has released it or died, so
+    /// nothing here waits on a peer, dead or alive. Every rank must still
+    /// free (not abandon) a derived communicator, so the parent pools'
+    /// freed lists stay identical; the only error is freeing twice.
     pub fn free(self) -> Result<()> {
         self.check_live()?;
         self.inner.freed.store(true, Ordering::Release);
-        let last_of_family = self.retire_local();
+        self.retire_local();
         if self.inner.origin == CidOrigin::Derived {
             if let (Some(excid), Some(parent)) =
                 (self.inner.excid, self.inner.parent_pool.lock().clone())
@@ -967,9 +972,6 @@ impl Comm {
                     }
                 }
             }
-        }
-        if let Some(g) = last_of_family {
-            self.process.pmix().group_destruct(&g, None)?;
         }
         Ok(())
     }

@@ -42,9 +42,11 @@ struct Subsystem {
 
 /// Reference count of one PGCID "family": the base communicator plus every
 /// communicator whose exCID was derived (directly or transitively) from its
-/// PGCID. The PMIx group handle parks here so the *last* free — whichever
-/// member it is — runs the collective destruct, after which the server can
-/// recycle the PGCID.
+/// PGCID. The PMIx group handle parks here so the *last* free or abandon —
+/// whichever member it is — releases the group at the local PMIx server
+/// (`PmixClient::group_destruct`, one-way and local). The group's lead
+/// server recycles the PGCID once every member process has released it or
+/// died; a family dropped without either (never freed) keeps it forever.
 struct PgcidFamily {
     count: u32,
     group: Option<pmix::PmixGroup>,
@@ -475,7 +477,7 @@ impl MpiProcess {
     }
 
     /// Add one reference to `pgcid`'s family, parking the PMIx group handle
-    /// (when the caller owns one) for the eventual last-free destruct.
+    /// (when the caller owns one) for the eventual last-free release.
     pub(crate) fn pgcid_retain(&self, pgcid: u64, group: Option<pmix::PmixGroup>) {
         let mut st = self.state.lock();
         let fam = st
@@ -489,8 +491,8 @@ impl MpiProcess {
     }
 
     /// Drop one reference from `pgcid`'s family. Returns the parked PMIx
-    /// group handle when this was the last reference — the caller then owns
-    /// the collective destruct.
+    /// group handle when this was the last reference — the caller then
+    /// releases the group.
     pub(crate) fn pgcid_release(&self, pgcid: u64) -> Option<pmix::PmixGroup> {
         let mut st = self.state.lock();
         let fam = st.pgcid_users.get_mut(&pgcid)?;

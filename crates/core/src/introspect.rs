@@ -16,9 +16,11 @@
 //!   without progress, stall flag, what it is parked on);
 //! * **registry** — the namespace registry: live psets, pset epoch,
 //!   tombstones, GC enablement, and the epoch pins currently blocking GC;
-//! * **servers** — per PMIx server: the PGCID block size, pooled ids, and
-//!   per-shard occupancy (KVS entries, live collective ops, retained
-//!   epochs);
+//! * **servers** — per PMIx server: the PGCID block size, pooled ids, the
+//!   release tallies it leads that still wait on member servers (PGCID →
+//!   nodes heard, so a leaked PGCID names the servers that never
+//!   reported), and per-shard occupancy (KVS entries, live collective ops,
+//!   retained epochs);
 //! * **cvars** — the full control-variable surface with current values.
 //!
 //! # Determinism
@@ -154,6 +156,24 @@ fn server_json(server: &Arc<pmix::PmixServer>) -> Value {
     m.insert("node".into(), Value::U64(u64::from(server.node().0)));
     m.insert("pgcid_block".into(), Value::U64(server.pgcid_block()));
     m.insert("pgcid_pool".into(), Value::U64(server.pgcid_pool_len() as u64));
+    m.insert(
+        "pending_releases".into(),
+        Value::Array(
+            server
+                .pending_releases()
+                .iter()
+                .map(|(pgcid, heard)| {
+                    let mut r = Map::new();
+                    r.insert("pgcid".into(), Value::U64(*pgcid));
+                    r.insert(
+                        "heard".into(),
+                        Value::Array(heard.iter().map(|n| Value::U64(u64::from(n.0))).collect()),
+                    );
+                    Value::Object(r)
+                })
+                .collect(),
+        ),
+    );
     let occ = server.shard_occupancy();
     let mut s = Map::new();
     s.insert(

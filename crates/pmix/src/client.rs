@@ -50,9 +50,8 @@ impl PmixClient {
     /// collective's local fan-in under it. The span is *entered* whenever
     /// this thread is inside the server, so the fan-in links it as causal
     /// predecessor and any fault injected on a message this thread sends is
-    /// attributed to it. Every collective — fence, group construct and
-    /// destruct, blocking or not — starts here and ends in
-    /// [`PendingOp::close`].
+    /// attributed to it. Every collective — fence or group construct,
+    /// blocking or not — starts here and ends in [`PendingOp::close`].
     #[allow(clippy::too_many_arguments)]
     fn begin_coll(
         &self,
@@ -212,15 +211,16 @@ impl PmixClient {
         Ok(PendingGroup { op, request_pgcid: directives.request_pgcid })
     }
 
-    /// Collectively destruct a group (`PMIx_Group_destruct`).
-    pub fn group_destruct(&self, group: &PmixGroup, timeout: Option<Duration>) -> Result<()> {
-        let directives = GroupDirectives::default().without_pgcid().with_timeout(
-            timeout.or(Some(DEFAULT_TIMEOUT)),
-        );
-        let (name, kind) = (group.name(), OpKind::GroupDestruct);
-        self.begin_coll("pmix.group_destruct", name, kind, name, group.members(), &directives, HashMap::new())?
-            .wait()
-            .map(|_| ())
+    /// Release this member's hold on a group (`PMIx_Group_destruct`). Local
+    /// and one-way: the node's server records the release and returns at
+    /// once. When every local member has released the group or died, the
+    /// server forgets it and reports to the group's lead server, which
+    /// recycles the PGCID once every member server has reported (see
+    /// `server/pgcid.rs`). Nothing waits on another member, so `timeout` is
+    /// unused and the call never fails; both stay for the PMIx signature.
+    pub fn group_destruct(&self, group: &PmixGroup, _timeout: Option<Duration>) -> Result<()> {
+        self.server.group_release(group, &self.proc);
+        Ok(())
     }
 
     /// Leave a group asynchronously; remaining members get a

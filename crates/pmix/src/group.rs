@@ -1,6 +1,6 @@
 //! PMIx group construction: directives, results and the client-side handle.
 //!
-//! The collective construct/destruct protocol itself lives in
+//! The collective construct and the local release behind destruct live in
 //! [`crate::server`]; this module defines the user-facing pieces, which
 //! mirror Figure 2 of the paper (`PMIx_Group_construct` /
 //! `PMIx_Group_destruct` plus directives).
@@ -47,7 +47,7 @@ impl GroupDirectives {
         Self::default()
     }
 
-    /// No PGCID (pure membership agreement, e.g. destruct epochs).
+    /// No PGCID (pure membership agreement, e.g. fences).
     pub fn without_pgcid(mut self) -> Self {
         self.request_pgcid = false;
         self
@@ -126,10 +126,10 @@ pub struct GroupResult {
 
 /// A live PMIx group as seen by one member.
 ///
-/// Dropping the handle does *not* destruct the group (destruction is
-/// collective); it merely releases the local handle, matching PMIx
-/// semantics where the group outlives any one handle until
-/// `PMIx_Group_destruct` or the last member leaves.
+/// Dropping the handle does *not* release the group; only
+/// [`crate::PmixClient::group_destruct`] does, matching PMIx semantics where
+/// the group outlives any one handle until `PMIx_Group_destruct` or the
+/// last member leaves.
 #[derive(Debug, Clone)]
 pub struct PmixGroup {
     name: String,

@@ -12,12 +12,13 @@
 //!   data and direct modex (on-demand fetch from the owning server);
 //! * **fences** — collective barriers over arbitrary process sets, with
 //!   optional data collection;
-//! * **groups** — collective construct/destruct over arbitrary process
-//!   sets, three-stage hierarchical implementation (local fan-in → server
+//! * **groups** — collective construct over arbitrary process sets,
+//!   three-stage hierarchical implementation (local fan-in → server
 //!   all-to-all → local fan-out), optional **PGCID** assignment by the
-//!   resource manager (a 64-bit id, unique per allocation, never zero),
-//!   timeouts, and failure reporting; plus the asynchronous *invite/join*
-//!   construction mode;
+//!   resource manager (a 64-bit id, unique among live groups, never zero),
+//!   timeouts, and failure reporting; a local destruct whose releases the
+//!   group's lead server counts before it recycles the PGCID; plus the
+//!   asynchronous *invite/join* construction mode;
 //! * **events** — process-termination and group-membership notifications;
 //! * **queries** — `PMIX_QUERY_NUM_PSETS` / `PMIX_QUERY_PSET_NAMES` and pset
 //!   membership resolution.
@@ -66,7 +67,7 @@ pub use group::{GroupDirectives, GroupResult, InviteOutcome, InviteReport, PmixG
 pub use nspace::{NamespaceInfo, NamespaceRegistry};
 pub use resolver::{PeerFetch, PeerResolver};
 pub use server::{
-    FetchTicket, LogicalDeadline, PendingColl, PmixServer, ServerShardOccupancy,
+    pgcid_base, FetchTicket, LogicalDeadline, PendingColl, PmixServer, ServerShardOccupancy,
     DEFAULT_PGCID_BLOCK, EPOCH_RETENTION_CAP, SERVER_SHARDS,
 };
 pub use types::{ProcId, Rank};

@@ -1,7 +1,7 @@
 //! The three-stage hierarchical collective engine (paper §III-A) behind
-//! fences and group construct/destruct: local fan-in, server all-to-all,
-//! local fan-out — plus the begin/poll/park handle local participants
-//! hold on an in-flight op.
+//! fences and group constructs: local fan-in, server all-to-all, local
+//! fan-out — plus the begin/poll/park handle local participants hold on an
+//! in-flight op.
 
 use super::pgcid::PgcidWaiter;
 use super::{GroupInfo, OpState, OpsShard, PmixServer, EPOCH_RETENTION_CAP, SERVER_SHARDS};
@@ -225,11 +225,13 @@ impl PmixServer {
             return Some(Err(PmixError::ProcTerminated(pc.me.clone())));
         };
         if op.result.is_some() {
+            let servers = (pc.op_id.kind == OpKind::GroupConstruct)
+                .then(|| op.expected_servers.clone());
             let res = self.observe_result_locked(&mut st, &pc.op_id);
             drop(st);
             pc.finished = true;
-            if let Ok(out) = &res {
-                self.finish_group_bookkeeping(pc.op_id.kind, &pc.op_id.name, out, &pc.directives);
+            if let (Ok(out), Some(servers)) = (&res, servers) {
+                self.record_group(&pc.op_id.name, out, servers, &pc.directives);
             }
             return Some(res);
         }
@@ -363,33 +365,25 @@ impl PmixServer {
         }
     }
 
-    fn finish_group_bookkeeping(
+    /// A local member observed a completed construct: record the live group
+    /// once, for the first local observer. Later observers must not replace
+    /// the entry — it accumulates this server's releases.
+    fn record_group(
         &self,
-        kind: OpKind,
         name: &str,
         out: &CollOutcome,
+        servers: BTreeSet<NodeId>,
         directives: &GroupDirectives,
     ) {
-        match kind {
-            OpKind::GroupConstruct => {
-                self.ctl.lock().groups.insert(
-                    name.to_owned(),
-                    GroupInfo {
-                        members: out.members.clone(),
-                        pgcid: out.pgcid,
-                        notify_on_termination: directives.notify_on_termination,
-                    },
-                );
-            }
-            OpKind::GroupDestruct => {
-                // The first local completer does this server's bookkeeping
-                // (`remove` is idempotent across the other completers).
-                let info = self.ctl.lock().groups.remove(name);
-                let Some(info) = info else { return };
-                self.maybe_recycle_pgcid(&info, out);
-            }
-            OpKind::Fence => {}
-        }
+        let key = (name.to_owned(), membership_hash(&out.members));
+        self.ctl.lock().groups.entry(key).or_insert_with(|| GroupInfo {
+            members: out.members.clone(),
+            pgcid: out.pgcid,
+            notify_on_termination: directives.notify_on_termination,
+            servers,
+            locals: self.locals_of(&out.members),
+            released: Vec::new(),
+        });
     }
 
     /// Stage-2 trigger: if the local fan-in just completed, record our own
@@ -584,7 +578,7 @@ impl PmixServer {
             op_id,
             vec![
                 ("members".into(), n_members.into()),
-                // 0 = no PGCID involved (fences, destructs). Non-zero values
+                // 0 = no PGCID involved (fences, plain groups). Non-zero values
                 // let checkers match every exposed PGCID to an RM allocation
                 // and assert cross-server agreement per (kind, name, epoch).
                 ("pgcid".into(), pgcid.unwrap_or(0).into()),
@@ -593,7 +587,6 @@ impl PmixServer {
         match op_id.kind {
             OpKind::Fence => sc.fence_completed.inc(),
             OpKind::GroupConstruct => sc.group_construct_completed.inc(),
-            OpKind::GroupDestruct => sc.group_destruct_completed.inc(),
         }
         shard.cv.notify_all();
     }

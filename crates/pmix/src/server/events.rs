@@ -105,7 +105,8 @@ impl PmixServer {
     }
 
     /// React to a process death: fail or shrink affected collectives,
-    /// notify subscribers, and mark the process dead.
+    /// notify subscribers, count the process as released in every group it
+    /// belonged to here, and mark it dead.
     pub fn on_proc_failed(&self, proc: &ProcId) {
         {
             let mut dead = self.dead.write();
@@ -175,13 +176,20 @@ impl PmixServer {
             }
             shard.cv.notify_all();
         }
+        // The dead member counts as released. Reporting before notifying
+        // orders the reports ahead of anything a notified local does next:
+        // its next construct's contribution travels behind them.
+        self.release_dead_member(proc);
         // Group-membership failure notifications + plain proc-terminated
-        // events for subscribers on this node (control plane).
+        // events for subscribers on this node (control plane). A group
+        // released just now has no live local left to care; its live
+        // members elsewhere still hold it at their own servers, which
+        // notify them.
         let notifications = {
             let st = self.ctl.lock();
             let dead = self.dead.read();
             let mut notifications = Vec::new();
-            for (name, info) in st.groups.iter() {
+            for ((name, _), info) in st.groups.iter() {
                 if info.notify_on_termination && info.members.contains(proc) {
                     let targets: Vec<ProcId> = info
                         .members

@@ -8,7 +8,7 @@ use crate::error::{PmixError, Result};
 use crate::event::{Event, EventCode};
 use crate::group::{GroupDirectives, GroupResult, InviteOutcome, InviteReport};
 use crate::types::ProcId;
-use crate::wire::ServerMsg;
+use crate::wire::{membership_hash, ServerMsg};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -145,7 +145,8 @@ impl PmixServer {
         if report.any_timed_out() {
             // The collapsed API treats a straggler as failure: undo the
             // partial finalization the report path performed.
-            self.ctl.lock().groups.remove(name);
+            let key = (name.to_owned(), membership_hash(&report.group.members));
+            self.ctl.lock().groups.remove(&key);
             return Err(PmixError::Timeout);
         }
         Ok(report.group)
@@ -222,10 +223,22 @@ impl PmixServer {
         } else {
             None
         };
-        self.ctl.lock().groups.insert(
-            name.to_owned(),
-            GroupInfo { members: members.clone(), pgcid, notify_on_termination: true },
-        );
+        // Only the initiator holds a handle and only this server records
+        // the group, so its PGCID is recycled only when the initiator is
+        // the sole member. Otherwise the id leaks, which is safe.
+        let servers = members
+            .iter()
+            .filter_map(|m| self.registry.locate(m).ok().map(|e| e.node))
+            .collect();
+        let info = GroupInfo {
+            members: members.clone(),
+            pgcid,
+            notify_on_termination: true,
+            servers,
+            locals: self.locals_of(&members),
+            released: Vec::new(),
+        };
+        self.ctl.lock().groups.insert((name.to_owned(), membership_hash(&members)), info);
         Ok(InviteReport { group: GroupResult { members, pgcid }, outcomes })
     }
 
@@ -278,7 +291,9 @@ impl PmixServer {
             let mut st = self.ctl.lock();
             let info = st
                 .groups
-                .get_mut(name)
+                .iter_mut()
+                .find(|((n, _), info)| n == name && info.members.contains(me))
+                .map(|(_, info)| info)
                 .ok_or_else(|| PmixError::NotFound(format!("group {name}")))?;
             info.members.retain(|m| m != me);
             info.members.clone()

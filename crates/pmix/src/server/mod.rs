@@ -7,7 +7,7 @@
 //!
 //! ## The three-stage hierarchical collective (paper §III-A)
 //!
-//! Fences and group construct/destruct all run the same engine:
+//! Fences and group constructs run the same engine:
 //!
 //! 1. **local fan-in** — every local participant notifies its server
 //!    ([`PmixServer::coll_begin`]);
@@ -23,14 +23,21 @@
 //! inter-node RPC is exactly the "relatively expensive operation" the paper
 //! blames for the sessions communicator-construction overhead (§III-B3).
 //!
+//! Destruction is not a collective. A member releases a group locally
+//! ([`crate::PmixClient::group_destruct`]); once every local member of a
+//! group has released it or died, its server forgets the group and sends one
+//! [`ServerMsg::GroupReleased`] to the group's lead — the lowest node of the
+//! construct-time server set — which recycles the PGCID when every member
+//! server has reported (DESIGN.md §11).
+//!
 //! ## Where things live
 //!
 //! This file holds the server's state, construction, message loop and
 //! dispatch ([`PmixServer::handle_ctx`]); each concern is an `impl` block
 //! in its own file: `kvs` (commit, fetch tickets, purge, dmodex), `coll`
-//! (the collective engine above), `pgcid` (id acquisition and recycling),
-//! `invite` (invite/join construction, [`LogicalDeadline`]) and `events`
-//! (subscriptions, notifications, process death).
+//! (the collective engine above), `pgcid` (id acquisition, group release
+//! and recycling), `invite` (invite/join construction, [`LogicalDeadline`])
+//! and `events` (subscriptions, notifications, process death).
 //!
 //! Every operation that can wait is implemented once as *begin* → *poll*
 //! → *park* on one condvar (`fetch_*` on a kvs shard, `coll_*` on an ops
@@ -81,6 +88,7 @@ mod pgcid;
 pub use coll::{CollOutcome, PendingColl};
 pub use invite::LogicalDeadline;
 pub use kvs::FetchTicket;
+pub use pgcid::pgcid_base;
 
 use crate::error::PmixError;
 use crate::event::Subscription;
@@ -94,7 +102,7 @@ use invite::InviteState;
 use parking_lot::{Condvar, Mutex, RwLock};
 use pgcid::{PgcidCtl, PgcidWaiter};
 use simnet::{Endpoint, EndpointId, EndpointSender, NodeId};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -119,11 +127,32 @@ pub const DEFAULT_PGCID_BLOCK: u64 = 8;
 /// two runs, far beyond any scenario's working set.
 pub const EPOCH_RETENTION_CAP: usize = 1024;
 
+/// A live group with local members, keyed in [`CtlState::groups`] by
+/// `(name, membership hash)`.
 #[derive(Debug, Clone)]
 struct GroupInfo {
     members: Vec<ProcId>,
     pgcid: Option<u64>,
     notify_on_termination: bool,
+    /// Construct-time server set; its first (lowest) node is the lead that
+    /// counts releases and recycles the PGCID.
+    servers: BTreeSet<NodeId>,
+    /// Members homed on this server.
+    locals: Vec<ProcId>,
+    /// Locals that released the group ([`PmixServer::group_release`]).
+    released: Vec<ProcId>,
+}
+
+/// Key of [`CtlState::groups`]: the group name plus the hash of its sorted
+/// membership, as collectives key their ops — two same-named groups over
+/// different members are different groups.
+type GroupKey = (String, u64);
+
+/// The lead's count of one PGCID's releases: which member servers have
+/// reported, out of the construct-time set.
+struct ReleaseTally {
+    servers: BTreeSet<NodeId>,
+    heard: BTreeSet<NodeId>,
 }
 
 struct OpState {
@@ -241,7 +270,9 @@ impl KvsShard {
 struct CtlState {
     subs: Vec<(ProcId, Subscription)>,
     // Live groups with local members.
-    groups: HashMap<String, GroupInfo>,
+    groups: HashMap<GroupKey, GroupInfo>,
+    // Lead side: PGCIDs some member server has released, awaiting the rest.
+    releases: BTreeMap<u64, ReleaseTally>,
     // Asynchronous (invite/join) constructions initiated locally.
     invites: HashMap<String, InviteState>,
     // Grant slots of invite finalizes waiting for a PGCID: present while
@@ -257,7 +288,6 @@ struct CtlState {
 struct ShardCounters {
     fence_completed: obs::Counter,
     group_construct_completed: obs::Counter,
-    group_destruct_completed: obs::Counter,
     stage_fanin: obs::Counter,
     stage_xchg: obs::Counter,
     stage_fanout: obs::Counter,
@@ -284,7 +314,8 @@ struct ServerMetrics {
     pgcid_coalesced: obs::Counter,
     // Nonblocking collective handles dropped before observing their result.
     coll_abandoned: obs::Counter,
-    // Ids returned to the pool by a group destruct (lifecycle GC).
+    // Ids returned to the pool once every member server released their
+    // group (lifecycle GC).
     pgcid_recycled: obs::Counter,
     // KV pairs dropped when their owning process was declared dead.
     kvs_purged: obs::Counter,
@@ -307,7 +338,6 @@ impl ServerMetrics {
                 ShardCounters {
                     fence_completed: sc("fence_completed"),
                     group_construct_completed: sc("group_construct_completed"),
-                    group_destruct_completed: sc("group_destruct_completed"),
                     stage_fanin: sc("stage_fanin"),
                     stage_xchg: sc("stage_xchg"),
                     stage_fanout: sc("stage_fanout"),
@@ -350,7 +380,6 @@ fn kind_str(kind: OpKind) -> &'static str {
     match kind {
         OpKind::Fence => "fence",
         OpKind::GroupConstruct => "group_construct",
-        OpKind::GroupDestruct => "group_destruct",
     }
 }
 
@@ -512,7 +541,6 @@ impl PmixServer {
         let k = match kind {
             OpKind::Fence => 1u64,
             OpKind::GroupConstruct => 2,
-            OpKind::GroupDestruct => 3,
         };
         let mut h = fnv_u64(FNV_OFFSET, k);
         h = fnv_bytes(h, name.as_bytes());
@@ -591,6 +619,11 @@ impl PmixServer {
             ServerMsg::PgcidReply { token, pgcid, count } => {
                 self.on_pgcid_reply(token, pgcid, count, ctx)
             }
+            ServerMsg::GroupReleased { pgcid, from_node, servers } => self.on_group_released(
+                pgcid,
+                NodeId(from_node),
+                servers.into_iter().map(NodeId).collect(),
+            ),
             ServerMsg::ProcFailed { proc } => self.on_proc_failed(&proc),
             ServerMsg::DmodexReq { reply_to, token, proc, key } => {
                 self.on_dmodex_req(reply_to, token, proc, key)

@@ -1,13 +1,62 @@
 //! PGCID acquisition — one route for every waiter: local pool → in-flight
 //! latch/backlog coalescer → one RM block request → delivery — plus the
-//! RM-side allocator and the recycle-on-destruct path that feeds the pool.
+//! RM-side allocator and the release path that feeds recycled ids back
+//! into the pool.
+//!
+//! # Release and recycling
+//!
+//! Destroying a group is local. Each member releases it at its own server
+//! ([`PmixServer::group_release`]); a member that dies counts as released.
+//! When every local member is released, the server drops the group and
+//! reports once to the group's *lead*, the lowest node of the
+//! construct-time server set (inline when it is the lead, else one
+//! [`ServerMsg::GroupReleased`]). The lead tallies reports per PGCID and
+//! recycles the id when every member server has reported. Only the lead
+//! decides, so no two servers can disagree about recycling.
+//!
+//! A report travels on the same server→lead fabric pair as that server's
+//! next construct contribution. Per-pair FIFO therefore makes the lead count
+//! it before any later construct among the same members can ask the pool.
+//!
+//! Two cases leak the PGCID, which is safe: a member server whose locals
+//! all died before any of them observed the construct never recorded the
+//! group, so it never reports; and a live member that dropped its construct
+//! handle unobserved never holds the group to release it. Once any other
+//! member server has reported, the lead's pending tally names the servers
+//! still missing in the flight recorder ([`PmixServer::pending_releases`]).
+//!
+//! A recycled id comes back one *generation* later (see [`pgcid_base`]):
+//! the exCIDs of the family that reuses it differ from the freed family's,
+//! so a frame of the freed family still in flight can never match on its
+//! successor.
 
-use super::coll::CollOutcome;
-use super::{GroupInfo, PmixServer};
-use crate::wire::{AbortReason, OpId, ServerMsg};
-use simnet::EndpointId;
-use std::collections::VecDeque;
+use super::{CtlState, GroupInfo, GroupKey, PmixServer, ReleaseTally};
+use crate::group::PmixGroup;
+use crate::types::ProcId;
+use crate::wire::{membership_hash, AbortReason, OpId, ServerMsg};
+use simnet::{EndpointId, NodeId};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
+
+/// First bit of a PGCID's *generation*. The bits below it are the id the
+/// RM allocated; bits `PGCID_GENERATION_SHIFT..=62` count how often a lead
+/// recycled that id. Bit 63 stays clear: it marks the hashed PGCIDs of
+/// lazy communicators.
+const PGCID_GENERATION_SHIFT: u32 = 40;
+
+/// The RM-allocated id under `pgcid`, whatever its generation: bits 40–62
+/// of a PGCID count how often a lead recycled the id below them.
+pub fn pgcid_base(pgcid: u64) -> u64 {
+    pgcid & ((1 << PGCID_GENERATION_SHIFT) - 1)
+}
+
+/// `pgcid` one generation later: what a lead pools when it recycles
+/// `pgcid`. The generation wraps inside its bits.
+fn next_generation(pgcid: u64) -> u64 {
+    const GENERATIONS: u64 = 1 << (63 - PGCID_GENERATION_SHIFT);
+    let generation = ((pgcid >> PGCID_GENERATION_SHIFT) + 1) % GENERATIONS;
+    pgcid_base(pgcid) | generation << PGCID_GENERATION_SHIFT
+}
 
 /// Coalescing state for RM block requests. At most one `PgcidRequest` is
 /// outstanding per server: constructs that hit an empty pool while one is
@@ -60,42 +109,130 @@ impl PmixServer {
         self.with_pool(|pool| pool.pop_front())
     }
 
-    /// Lifecycle GC: a destructed group's PGCID is safe to hand to a future
-    /// construct once no communicator can still be derived from it (the
-    /// client layer guarantees that by running the destruct only when the
-    /// last communicator of the family is freed). Exactly one server — the
-    /// lead participant, lowest node among the destruct's surviving members
-    /// — returns the id to its local pool, the same pool RM block grants
-    /// feed, so the next construct led here reuses it without RM traffic.
-    ///
-    /// Skipped entirely when any construct-time member has been declared
-    /// dead: per-server dead sets can briefly diverge during a failure, and
-    /// leaking one id is always safe while recycling it twice (two live
-    /// groups sharing a PGCID) never is.
-    pub(super) fn maybe_recycle_pgcid(&self, info: &GroupInfo, out: &CollOutcome) {
-        let Some(pgcid) = info.pgcid else { return };
-        {
-            let dead = self.dead.read();
-            if info.members.iter().any(|m| dead.contains(m)) {
-                return;
-            }
-        }
-        let lead = out
-            .members
+    /// The members of `members` homed on this server's node.
+    pub(super) fn locals_of(&self, members: &[ProcId]) -> Vec<ProcId> {
+        members
             .iter()
-            .filter_map(|m| self.registry.locate(m).ok().map(|e| e.node))
-            .min();
-        if lead != Some(self.node) {
+            .filter(|m| self.registry.locate(m).is_ok_and(|e| e.node == self.node))
+            .cloned()
+            .collect()
+    }
+
+    /// `me` releases `group` (the server half of
+    /// [`crate::PmixClient::group_destruct`]). Returns at once: nothing here
+    /// waits on another member. A group this server holds no record of —
+    /// never observed here, or already released — is ignored.
+    pub(crate) fn group_release(&self, group: &PmixGroup, me: &ProcId) {
+        let key = (group.name().to_owned(), membership_hash(group.members()));
+        let done = {
+            let mut ctl = self.ctl.lock();
+            let Some(info) = ctl.groups.get_mut(&key) else { return };
+            if !info.released.contains(me) {
+                info.released.push(me.clone());
+            }
+            self.take_released(&mut ctl, &key)
+        };
+        if let Some(info) = done {
+            self.report_release(&info);
+        }
+    }
+
+    /// A dead member counts as released: drop and report every group whose
+    /// locals `proc`'s death leaves all released or dead.
+    pub(super) fn release_dead_member(&self, proc: &ProcId) {
+        let done: Vec<GroupInfo> = {
+            let mut ctl = self.ctl.lock();
+            let keys: Vec<GroupKey> = ctl
+                .groups
+                .iter()
+                .filter(|(_, info)| info.locals.contains(proc))
+                .map(|(key, _)| key.clone())
+                .collect();
+            keys.iter().filter_map(|key| self.take_released(&mut ctl, key)).collect()
+        };
+        for info in &done {
+            self.report_release(info);
+        }
+    }
+
+    /// Remove and return group `key` once each of its locals has released
+    /// it or died.
+    fn take_released(&self, ctl: &mut CtlState, key: &GroupKey) -> Option<GroupInfo> {
+        let info = ctl.groups.get(key)?;
+        let done = {
+            let dead = self.dead.read();
+            info.locals.iter().all(|p| info.released.contains(p) || dead.contains(p))
+        };
+        if done {
+            ctl.groups.remove(key)
+        } else {
+            None
+        }
+    }
+
+    /// This server is done with a group: count it at the lead — inline when
+    /// that is this server. A plain group has no PGCID and nothing to count.
+    fn report_release(&self, info: &GroupInfo) {
+        let (Some(pgcid), Some(&lead)) = (info.pgcid, info.servers.first()) else { return };
+        if lead == self.node {
+            self.on_group_released(pgcid, self.node, info.servers.clone());
+        } else if let Some(ep) = self.registry.server_of(lead) {
+            let msg = ServerMsg::GroupReleased {
+                pgcid,
+                from_node: self.node.0,
+                servers: info.servers.iter().map(|n| n.0).collect(),
+            };
+            let _ = self.sender.send(ep, msg.encode());
+        }
+    }
+
+    /// Lead side: server `from` released `pgcid`. The id is recycled once
+    /// every server of the construct-time set `servers` has reported —
+    /// exactly once, because the tally goes with it. A report the fabric
+    /// duplicated changes nothing: before the recycle the tally already
+    /// holds `from`, and after it the id's next generation sits in the
+    /// pool.
+    pub(super) fn on_group_released(&self, pgcid: u64, from: NodeId, servers: BTreeSet<NodeId>) {
+        if self.pgcid_pool.lock().contains(&next_generation(pgcid)) {
             return;
         }
-        self.with_pool(|pool| pool.push_back(pgcid));
-        self.metrics.pgcid_recycled.inc();
-        self.metrics.obs.event(
-            &self.metrics.process,
-            "pmix",
-            "pgcid.recycled",
-            vec![("pgcid".into(), pgcid.into())],
-        );
+        let complete = {
+            let mut ctl = self.ctl.lock();
+            let tally = ctl
+                .releases
+                .entry(pgcid)
+                .or_insert_with(|| ReleaseTally { servers, heard: BTreeSet::new() });
+            tally.heard.insert(from);
+            let complete = tally.servers.is_subset(&tally.heard);
+            if complete {
+                ctl.releases.remove(&pgcid);
+            }
+            complete
+        };
+        if complete {
+            // The same pool RM block grants feed, so the next construct led
+            // here reuses the id without RM traffic.
+            self.with_pool(|pool| pool.push_back(next_generation(pgcid)));
+            self.metrics.pgcid_recycled.inc();
+            self.metrics.obs.event(
+                &self.metrics.process,
+                "pmix",
+                "pgcid.recycled",
+                vec![("pgcid".into(), pgcid.into())],
+            );
+        }
+    }
+
+    /// Release tallies this server leads that still wait on member servers,
+    /// as `(pgcid, nodes heard)`, ascending by PGCID (flight-recorder
+    /// snapshots: a PGCID stuck here names the servers that never reported).
+    pub fn pending_releases(&self) -> Vec<(u64, Vec<NodeId>)> {
+        self.ctl
+            .lock()
+            .releases
+            .iter()
+            .map(|(pgcid, tally)| (*pgcid, tally.heard.iter().copied().collect()))
+            .collect()
     }
 
     /// RM-side block allocation: reserve `count` consecutive ids and
@@ -363,5 +500,45 @@ impl PmixServer {
             // Serve everything that queued behind this round trip.
             self.drain_pgcid_backlog();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::universe::PmixUniverse;
+    use simnet::SimTestbed;
+
+    #[test]
+    fn generations_keep_the_id_and_never_set_bit_63() {
+        let top = (1u64 << 63) - 1; // the last generation of the largest id
+        assert_eq!(pgcid_base(next_generation(42)), 42);
+        assert_ne!(next_generation(42), 42);
+        assert_eq!(next_generation(top), pgcid_base(top), "the generation wraps to 0");
+        assert_eq!(next_generation(top) >> 63, 0);
+    }
+
+    /// Two member servers: the first report leaves the pool alone, the
+    /// second recycles the id exactly once, one generation later, and a
+    /// duplicate — before or after the recycle — changes nothing.
+    #[test]
+    fn lead_recycles_once_every_member_server_reported() {
+        let uni = PmixUniverse::new(SimTestbed::tiny(2, 1));
+        let lead = uni.server(NodeId(0)).unwrap();
+        let recycled = || uni.fabric().obs().sum_counters("pmix", "pgcid_recycled");
+        let report = |from: u32| {
+            lead.handle(ServerMsg::GroupReleased { pgcid: 42, from_node: from, servers: vec![0, 1] })
+        };
+        report(1);
+        report(1);
+        assert_eq!((lead.pgcid_pool_len(), recycled()), (0, 0));
+        assert_eq!(lead.pending_releases(), vec![(42, vec![NodeId(1)])]);
+        report(0);
+        assert_eq!((lead.pgcid_pool_len(), recycled()), (1, 1));
+        assert!(lead.pending_releases().is_empty());
+        report(1);
+        assert_eq!((lead.pgcid_pool_len(), recycled()), (1, 1));
+        assert!(lead.pending_releases().is_empty(), "a late duplicate opens no tally");
+        assert_eq!(lead.take_pooled_pgcid(), Some(next_generation(42)));
     }
 }

@@ -401,17 +401,26 @@ impl PmixUniverse {
         self.fabric.kill(entry.endpoint);
         Ok(())
     }
-}
 
-impl Drop for PmixUniverse {
-    fn drop(&mut self) {
-        // Kill server endpoints so run_loops exit, then join everything.
+    /// Stop the control plane: kill every server endpoint, let each server
+    /// handle what its mailbox still holds, and join the server and
+    /// failure-bridge threads. Idempotent; dropping the universe does the
+    /// same. Counts a server settles only on arrival — a one-way PGCID
+    /// release still queued at its lead when the ranks exit — are final
+    /// once this returns, which is when a harness should read them.
+    pub fn shutdown(&self) {
         for ep in &self.server_eps {
             self.fabric.kill(*ep);
         }
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
+    }
+}
+
+impl Drop for PmixUniverse {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

@@ -25,8 +25,6 @@ pub enum OpKind {
     Fence,
     /// `PMIx_Group_construct`.
     GroupConstruct,
-    /// `PMIx_Group_destruct`.
-    GroupDestruct,
 }
 
 /// Identifier of one *instance* of a collective operation.
@@ -155,6 +153,18 @@ pub enum ServerMsg {
         pgcid: u64,
         /// Number of consecutive ids in the block (>= 1).
         count: u64,
+    },
+    /// One-way, to a group's lead server: every local member of the group on
+    /// `from_node` has released it (or died). The lead recycles `pgcid` once
+    /// such a report has arrived from every node in `servers`.
+    GroupReleased {
+        /// The group's PGCID.
+        pgcid: u64,
+        /// The reporting server's node.
+        from_node: u32,
+        /// The group's construct-time server set (ascending nodes; the
+        /// first is the lead).
+        servers: Vec<u32>,
     },
     /// Broadcast: a process died. Servers fail affected collectives and
     /// notify subscribed clients.

@@ -309,7 +309,7 @@ fn concurrent_icomms_coalesce_pgcid_round_trips() {
 /// Dropping an in-flight `SetupRequest` (symmetrically on every rank)
 /// completes the collective exchange, then releases the would-be
 /// communicator: local CIDs return to the table, the PGCID family is
-/// destructed, later constructs work, and teardown audits zero leaks.
+/// released, later constructs work, and teardown audits zero leaks.
 /// Every issued request reaches a terminal `req.*` event — the
 /// `request-terminal` invariant the chaos layer checks under faults.
 #[test]

@@ -1200,6 +1200,95 @@ fn run_cascade_rebuild(seed: u64) -> RunReport {
     report
 }
 
+/// Kill after free: ranks 0–2 free their communicator, then rank 3, which
+/// still holds it, is killed. `free` is local and a dead member counts as
+/// released, so the victim's server reports the group released and the
+/// lead recycles the PGCID. (The collective destruct this replaced could
+/// not complete with a dead member, and skipped recycling any group that
+/// had one.) The survivors then build a communicator over the three of
+/// them. Node 1's contribution to that construct travels behind node 1's
+/// release report, so the recycle is counted before the construct ends.
+fn run_kill_after_free(seed: u64) -> RunReport {
+    use mpi_sessions_repro::mpi::info::keys;
+    use std::sync::{mpsc, Condvar, Mutex};
+
+    const VICTIM: u32 = 3;
+    let plan = FaultPlan::new(
+        seed,
+        vec![FaultRule::new(
+            FaultClass::Delay,
+            RuleScope::pair_within(1, 3),
+            SeqWindow::first(2),
+        )
+        .with_delay_ms(15)],
+    );
+    let world = ChaosWorld::new(SimTestbed::tiny(2, 2), plan);
+    let nspace = format!("chaos-freekill-{seed}");
+    let (tx, rx) = mpsc::channel::<u64>();
+    let killed = Arc::new((Mutex::new(false), Condvar::new()));
+    let handle = world.launcher().spawn_named(&nspace, JobSpec::new(4), {
+        let killed = killed.clone();
+        move |ctx| {
+            // A lazy construct takes no PGCID: pin eager against the
+            // INIT_MODE=lazy sweep.
+            let info = Info::new();
+            info.set(keys::INIT_MODE, "eager");
+            let session =
+                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+            let mut notifier = session.failure_notifier().unwrap();
+            let g = session.group_from_pset("mpi://world").unwrap();
+            let c = Comm::create_from_group(&g, "pre-free").unwrap();
+            assert_eq!(coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap()[0], 4);
+            let pgcid = c.excid().unwrap().pgcid;
+            if ctx.rank() == VICTIM {
+                tx.send(pgcid).unwrap();
+                // The victim holds the communicator, unfreed, until killed.
+                let (flag, cv) = &*killed;
+                drop(cv.wait_while(flag.lock().unwrap(), |k| !*k).unwrap());
+                return 0;
+            }
+            c.free().unwrap();
+            tx.send(pgcid).unwrap();
+            // This server's failure event follows its release report.
+            let dead = notifier.next_timeout(Duration::from_secs(10)).expect("failure event");
+            assert_eq!(dead.rank(), VICTIM);
+            let survivors = session.surviving_group("mpi://world").unwrap();
+            let c2 = Comm::create_from_group(&survivors, "post-kill").unwrap();
+            let sum = coll::allreduce_t(&c2, ReduceOp::Sum, &[1u32]).unwrap()[0];
+            c2.free().unwrap();
+            session.finalize().unwrap();
+            sum
+        }
+    });
+    let pgcids: Vec<u64> =
+        (0..4).map(|_| rx.recv_timeout(Duration::from_secs(30)).expect("free ack")).collect();
+    assert!(pgcids.iter().all(|p| *p == pgcids[0]), "one PGCID for one communicator");
+    world.kill_proc(&ProcId::new(nspace.as_str(), VICTIM));
+    *killed.0.lock().unwrap() = true;
+    killed.1.notify_all();
+    let out = handle.join().unwrap();
+    assert_eq!(out, vec![3, 3, 3, 0], "survivors rebuild; the victim bows out");
+    let recycled: Vec<u64> = world
+        .universe()
+        .fabric()
+        .obs()
+        .events_named("pgcid.recycled")
+        .iter()
+        .filter_map(|e| e.attr("pgcid").and_then(|v| v.as_u64()))
+        .collect();
+    assert!(
+        recycled.contains(&pgcids[0]),
+        "the dead member counted as released, so its PGCID {} was recycled: {recycled:?}",
+        pgcids[0]
+    );
+    // Survivors and the victim legitimately diverge in cid counters.
+    let report = world.finish(None, Vec::new());
+    assert!(!report.trace.is_empty(), "the warm construct must cross the delay rule");
+    assert!(report.trace.iter().all(|r| r.class == FaultClass::Delay && r.detail == 15));
+    report.assert_clean();
+    report
+}
+
 type Scenario = fn(u64) -> RunReport;
 
 const SCENARIOS: &[(&str, Scenario)] = &[
@@ -1216,6 +1305,7 @@ const SCENARIOS: &[(&str, Scenario)] = &[
     ("partition_rebuild", run_partition_rebuild),
     ("kill_lazy_resolve", run_kill_lazy_resolve),
     ("cascade_rebuild", run_cascade_rebuild),
+    ("kill_after_free", run_kill_after_free),
 ];
 
 // ---------------------------------------------------------------------------
@@ -1311,6 +1401,13 @@ fn kill_lazy_resolve_seeds_fail_typed_at_the_resolver() {
 fn cascade_rebuild_seeds_reenter_to_the_newer_epoch() {
     for seed in [131, 132, 133] {
         run_cascade_rebuild(seed);
+    }
+}
+
+#[test]
+fn kill_after_free_seeds_recycle_through_the_dead_member() {
+    for seed in [141, 142, 143] {
+        run_kill_after_free(seed);
     }
 }
 

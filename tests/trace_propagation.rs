@@ -97,7 +97,7 @@ fn analyzed_group_stages_have_increasing_logical_times() {
     let report = obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped());
     let spans = report.as_object().unwrap()["spans"].as_array().unwrap();
     // Stage spans of the same collective op share (process, key); several
-    // ops run per server (fences, construct, destruct), so match on both.
+    // ops run per server (fences and constructs), so match on both.
     let start_of = |process: &str, key: &str, name: &str| -> Option<u64> {
         spans.iter().map(|s| s.as_object().unwrap()).find_map(|s| {
             (s["process"].as_str() == Some(process)
