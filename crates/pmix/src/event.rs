@@ -9,12 +9,11 @@
 use crate::types::ProcId;
 use crate::value::PmixValue;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
 
 /// Event codes (subset of `pmix_status_t` event space used here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventCode {
     /// A process terminated without deregistering (abnormal exit).
     ProcTerminated,
@@ -48,37 +47,9 @@ pub struct Event {
     pub data: HashMap<String, PmixValue>,
     /// Causal trace context of the operation that emitted the event.
     /// Only survives local (same-universe) delivery: the wire format skips
-    /// it (see the manual serde impls below), which is harmless —
-    /// cross-node consumers re-root their spans.
+    /// it (span ids are registry-local), which is harmless — cross-node
+    /// consumers re-root their spans.
     pub ctx: Option<obs::TraceContext>,
-}
-
-// Manual serde impls: the vendored derive shim has no `#[serde(skip)]`,
-// and `ctx` must not cross the wire (span ids are registry-local).
-impl serde::Serialize for Event {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        let mut m = serde::Map::new();
-        m.insert("code".to_owned(), serde::to_value(&self.code));
-        m.insert("source".to_owned(), serde::to_value(&self.source));
-        m.insert("data".to_owned(), serde::to_value(&self.data));
-        s.serialize_value(serde::Value::Object(m))
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Event {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        let v = d.take_value()?;
-        let r: std::result::Result<Self, serde::DeError> = (|| match v {
-            serde::Value::Object(mut m) => Ok(Event {
-                code: serde::from_value(m.remove("code").unwrap_or(serde::Value::Null))?,
-                source: serde::from_value(m.remove("source").unwrap_or(serde::Value::Null))?,
-                data: serde::from_value(m.remove("data").unwrap_or(serde::Value::Null))?,
-                ctx: None,
-            }),
-            other => Err(serde::DeError(format!("expected object for Event, got {}", other.kind()))),
-        })();
-        r.map_err(<D::Error as serde::de::Error>::custom)
-    }
 }
 
 impl Event {

@@ -516,7 +516,16 @@ impl PmixServer {
     /// Drain `endpoint` until it is killed; must run on a dedicated thread.
     pub fn run_loop(self: &Arc<Self>, endpoint: &Endpoint) {
         while let Ok(env) = endpoint.recv() {
-            if let Some(msg) = ServerMsg::decode(&env.payload) {
+            let decoded = ServerMsg::decode(&env.payload);
+            // No fault corrupts a payload, so a frame that fails to decode
+            // is a codec bug: loud in debug builds, dropped in release.
+            debug_assert!(
+                decoded.is_some(),
+                "undecodable server frame: tag {:?}, {} bytes",
+                env.payload.first(),
+                env.payload.len()
+            );
+            if let Some(msg) = decoded {
                 // Control-plane software overhead: the server's event loop
                 // processes one RPC at a time, each costing real work in
                 // the reference implementation.

@@ -1,6 +1,5 @@
 //! Core PMIx identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A process rank within a namespace (PMIx `pmix_rank_t`).
@@ -45,19 +44,6 @@ impl std::fmt::Display for ProcId {
     }
 }
 
-impl Serialize for ProcId {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        (&*self.nspace, self.rank).serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for ProcId {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        let (ns, rank): (String, Rank) = Deserialize::deserialize(d)?;
-        Ok(ProcId::new(ns, rank))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,10 +66,14 @@ mod tests {
     }
 
     #[test]
-    fn proc_id_serde_roundtrip() {
+    fn proc_id_codec_roundtrip() {
+        use crate::wire::ServerMsg;
         let p = ProcId::new("job", 3);
-        let s = serde_json::to_string(&p).unwrap();
-        let q: ProcId = serde_json::from_str(&s).unwrap();
+        let Some(ServerMsg::ProcFailed { proc: q }) =
+            ServerMsg::decode(&ServerMsg::ProcFailed { proc: p.clone() }.encode())
+        else {
+            panic!("a ProcFailed frame decodes to itself");
+        };
         assert_eq!(p, q);
     }
 

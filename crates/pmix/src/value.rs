@@ -2,10 +2,9 @@
 //! returned by queries (`pmix_value_t`).
 
 use crate::types::ProcId;
-use serde::{Deserialize, Serialize};
 
 /// A typed PMIx value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PmixValue {
     /// UTF-8 string.
     Str(String),
@@ -171,9 +170,13 @@ mod tests {
 
     #[test]
     fn proc_list_roundtrip() {
+        use crate::wire::ServerMsg;
         let v = PmixValue::ProcList(vec![ProcId::new("j", 0), ProcId::new("j", 1)]);
-        let s = serde_json::to_string(&v).unwrap();
-        let w: PmixValue = serde_json::from_str(&s).unwrap();
+        let msg = ServerMsg::DmodexReply { token: 1, value: Some(v.clone()) };
+        let Some(ServerMsg::DmodexReply { value: Some(w), .. }) = ServerMsg::decode(&msg.encode())
+        else {
+            panic!("a DmodexReply frame decodes to itself");
+        };
         assert_eq!(v, w);
         assert_eq!(w.as_proc_list().unwrap().len(), 2);
     }

@@ -97,10 +97,11 @@ struct PumpState {
 struct Pump {
     state: Mutex<PumpState>,
     cv: Condvar,
-    // Messages the pump holds: raised per push under the lock, lowered only
-    // once a popped message has been handed to its mailbox, read without
-    // the lock. Relaxed: a reader that sees a hand-off's decrement locks
-    // that mailbox after the pump did (coherence orders the two locks).
+    // Messages the pump holds: raised per push under the lock, lowered
+    // inside the destination mailbox's lock right after a popped message's
+    // push, read without the lock. Relaxed: a reader that sees a hand-off's
+    // decrement locks that mailbox after the pump did (coherence orders the
+    // two locks), and a receiver that took the message reads it lowered.
     scheduled: AtomicUsize,
     // Test-only pause point between a pop and its hand-off.
     #[cfg(test)]
@@ -545,19 +546,26 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
         };
         #[cfg(test)]
         pump.gate.pass();
-        // Deliver outside the lock. Dead destinations drop silently: the
-        // failure event already told interested parties. Either way the
-        // message leaves the in-flight set, which is an activity tick —
-        // only after the hand-off: until then `in_flight` counts it and a
-        // zero-delay send on its pair queues behind it.
+        // Deliver outside the pump lock. Dead destinations drop silently:
+        // the failure event already told interested parties. Either way the
+        // message leaves the in-flight set, which is an activity tick. The
+        // count drops inside the mailbox's push critical section, after the
+        // push: until then `in_flight` counts it and a zero-delay send on
+        // its pair queues behind it, and a receiver holding it reads the
+        // count already lowered.
         if let Some(core) = core.upgrade() {
+            let retire = || {
+                pump.scheduled.fetch_sub(1, Ordering::Relaxed);
+            };
             {
                 let map = core.registry.map.read();
-                if let Some(entry) = map.get(&env.dst) {
-                    let _ = entry.tx.send(env);
+                match map.get(&env.dst) {
+                    Some(entry) => {
+                        let _ = entry.tx.send_then(env, retire);
+                    }
+                    None => retire(),
                 }
             }
-            pump.scheduled.fetch_sub(1, Ordering::Relaxed);
             core.activity.fetch_add(1, Ordering::Relaxed);
         } else {
             return;

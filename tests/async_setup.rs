@@ -9,11 +9,13 @@
 //! schedules via proptest, and the chaos suite injects faults between the
 //! same stages (`async_setup` scenario, `request-terminal` invariant).
 
+use chaos::{ChaosHook, FaultClass, FaultPlan, FaultRule, RuleScope, SeqWindow};
 use mpi_sessions_repro::mpi::cid::ExCid;
 use mpi_sessions_repro::mpi::instance::MpiProcess;
 use mpi_sessions_repro::mpi::{Comm, ErrHandler, Info, Session, SetupRequest, ThreadLevel};
 use mpi_sessions_repro::prrte::{JobSpec, Launcher};
-use mpi_sessions_repro::simnet::SimTestbed;
+use mpi_sessions_repro::simnet::{FaultHook, SimTestbed};
+use std::sync::Arc;
 use std::time::Duration;
 
 // ----------------------------------------------------------------------
@@ -251,13 +253,31 @@ fn count_pgcid_requests(launcher: &Launcher) -> usize {
 /// `pgcid.request` round trips than K sequential blocking constructs,
 /// because all fan-ins (and their PGCID demand) are on the wire before
 /// the first wait and the per-server coalescer batches them.
+///
+/// Coalescing needs the other K−1 fan-ins to reach the lead server while
+/// the first grant is in flight. A fault rule holds the first RM request
+/// for far longer than that fan-in takes, so the pipelined run always pays
+/// exactly two round trips: the first grant, then one follow-up sized for
+/// the K−1 constructs queued behind it.
 #[test]
 fn concurrent_icomms_coalesce_pgcid_round_trips() {
     const K: usize = 8;
 
     let run = |nonblocking: bool| -> (usize, Vec<Vec<ExCid>>) {
         let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-        let obs = launcher.universe().fabric().obs();
+        let fabric = launcher.universe().fabric();
+        // Rel ids count from this fabric's first endpoint; other tests in
+        // this binary register endpoints concurrently, so read the RM's
+        // rather than assume the control plane is dense.
+        let rm = launcher.universe().registry().rm_endpoint().unwrap().0;
+        let rm = rm - fabric.base_endpoint_id();
+        let hold_first_request =
+            FaultRule::new(FaultClass::Delay, RuleScope::dst_in(rm, rm + 1), SeqWindow::exactly(0))
+                .with_delay_ms(250);
+        let rules = if nonblocking { vec![hold_first_request] } else { Vec::new() };
+        let hook = Arc::new(ChaosHook::new(FaultPlan::new(0, rules)));
+        fabric.set_fault_hook(Some(hook.clone() as Arc<dyn FaultHook>));
+        let obs = fabric.obs();
         obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).unwrap();
         let excids = launcher
             .spawn(JobSpec::new(2), move |ctx| {
@@ -284,6 +304,8 @@ fn concurrent_icomms_coalesce_pgcid_round_trips() {
             })
             .join()
             .unwrap();
+        let held = hook.records().len();
+        assert_eq!(held, nonblocking as usize, "the rule holds exactly the first RM request");
         (count_pgcid_requests(&launcher), excids)
     };
 
@@ -292,13 +314,11 @@ fn concurrent_icomms_coalesce_pgcid_round_trips() {
     assert_eq!(seq_excids[0], seq_excids[1]);
     assert_eq!(pipe_excids[0], pipe_excids[1]);
     assert!(seq_reqs >= K, "sequential blocking run must pay one round trip per construct");
-    assert!(
-        pipe_reqs < seq_reqs,
-        "pipelined constructs must coalesce PGCID round trips: {pipe_reqs} vs {seq_reqs}"
-    );
-    assert!(
-        pipe_reqs < K,
-        "{K} overlapped constructs should need fewer than {K} round trips, got {pipe_reqs}"
+    assert_eq!(
+        pipe_reqs,
+        2,
+        "{K} overlapped constructs: one grant, then one follow-up for the {} queued behind it",
+        K - 1
     );
 }
 

@@ -1149,10 +1149,18 @@ fn run_cascade_rebuild(seed: u64) -> RunReport {
             assert_eq!(coll::allreduce_t(ec.comm().unwrap(), ReduceOp::Sum, &[1u32]).unwrap()[0], 4);
             tx.send(ctx.rank()).unwrap();
             if ctx.rank() >= 2 {
-                // The victims: wait out the own death, then bow out.
+                // The victims: wait out the own death, then bow out — only
+                // once the own server has marked it too. Dropping the
+                // communicator releases it; released earlier, the pair of
+                // frees could beat the server's death handling and put a
+                // release where the failure notification goes, so the
+                // fault trace would not reproduce.
+                let server = ctx.universe().server(ctx.node()).unwrap();
                 for i in 0..1000 {
                     let sg = session.surviving_group("mpi://world").unwrap();
-                    if sg.iter().all(|m| m.proc.rank() != ctx.rank()) {
+                    if sg.iter().all(|m| m.proc.rank() != ctx.rank())
+                        && server.proc_is_dead(ctx.proc())
+                    {
                         return 0u32;
                     }
                     assert!(i < 999, "victim never observed its own failure");
@@ -1426,6 +1434,25 @@ fn same_seed_reproduces_byte_identical_traces() {
             first.trace_json, second.trace_json,
             "scenario {name} seed {seed} must reproduce its fault trace byte-for-byte"
         );
+    }
+}
+
+/// Same-seed trace dump for comparing two trees: writes every scenario's
+/// `trace_json` for seeds 71–74 to
+/// `target/chaos-traces/<scenario>-<seed>.json`. Run it on both trees
+/// (once more under `INIT_MODE=lazy`, after moving the first dump aside)
+/// and diff the directories:
+/// `cargo test --release --test chaos_suite dump_chaos_traces -- --ignored`.
+#[test]
+#[ignore = "writes trace files for a tree-to-tree diff; run on demand"]
+fn dump_chaos_traces() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/chaos-traces");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, scenario) in SCENARIOS {
+        for seed in 71..=74 {
+            let report = scenario(seed);
+            std::fs::write(dir.join(format!("{name}-{seed}.json")), report.trace_json).unwrap();
+        }
     }
 }
 
