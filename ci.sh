@@ -196,7 +196,7 @@ rm -f "$recycled_tmp"
 # scenarios (correlated multi-node kills, a partition biting the rebuild
 # fan-in, a kill landing during lazy on-demand resolution, and cascading
 # rebuilds racing a second fault) additionally drive the survivors-pset /
-# watch_faults / repair_via_pset layer under the survivors-exclude-dead
+# watch_faults / ElasticComm rebuild layer under the survivors-exclude-dead
 # invariant. The kill_after_free scenario kills a rank that never freed
 # a communicator its peers already freed: the dead member must count as
 # released, so the PGCID is recycled rather than leaked.
@@ -264,14 +264,14 @@ rm -f "$intro_tmp"
 # counts, protocol counters — never wall time) against the committed
 # baseline. BENCH_TOL sets the per-leaf relative tolerance (default 5%);
 # regenerate the baseline after an intentional perf change with
-#   cargo run --release -p bench-harness --bin bench_gate -- --out BENCH_PR27.json
+#   cargo run --release -p bench-harness --bin bench_gate -- --out BENCH_BASELINE.json
 # The binary also hard-enforces (exit 2, no tolerance) the PGCID batching
 # bound and the nonblocking-overlap bound: 8 concurrent icomms must
 # coalesce into strictly fewer pgcid.request round trips — and a strictly
 # shorter serialized critical path — than 8 blocking constructs.
 echo "== bench gate (tol ${BENCH_TOL:-0.05}) =="
 cargo run -q --offline --release -p bench-harness --bin bench_gate -- \
-  --check BENCH_PR27.json --tol "${BENCH_TOL:-0.05}"
+  --check BENCH_BASELINE.json --tol "${BENCH_TOL:-0.05}"
 
 # Recovery smoke: the checkpoint-free restart drill (apps::recover via
 # fig_recover) must survive two injected kills — every survivor finishes

@@ -18,8 +18,9 @@
 //!   an MPI-everywhere library (L0) interleaved with an MPI+threads
 //!   library (L1) whose quiescence runs through QUO (§IV-E);
 //! * [`recover`] — the checkpoint-free fault-recovery loop (DESIGN.md
-//!   §15): a ring allreduce with bounded typed waits that repairs its
-//!   communicator through injected kills via the survivors pset.
+//!   §15): a ring allreduce with bounded typed waits that rebuilds its
+//!   communicator through injected kills with an `ElasticComm` over the
+//!   survivors pset.
 
 pub mod hpcc;
 pub mod mesh2;

@@ -4,18 +4,18 @@
 //! The loop each rank runs is the user-facing composition of the whole
 //! fault layer: `Session::track_faults` publishes the survivors pset,
 //! `Session::watch_faults` delivers each death exactly once (replayed to
-//! late subscribers), and `Comm::repair_via_pset` rebuilds the compute
-//! communicator at a pinned registry epoch with typed verdicts the loop
-//! branches on — no string matching, no checkpoint files.
+//! late subscribers), and an `ElasticComm` over the survivors pset keeps
+//! the compute communicator: `next_rebuild` rebuilds it at the pruned
+//! epoch and answers with a typed `Rebuild` verdict the loop branches on
+//! — no string matching, no registry polling, no checkpoint files.
 //!
 //! The collective itself is a ring allreduce built on `irecv` +
 //! [`mpi_sessions::Request::wait_data_timeout`], so **every blocking
 //! point has a bounded, typed exit**: a dead neighbor surfaces as
 //! `ProcTerminated` (fast — the wait's dead-peer check fires well before
 //! the budget), a neighbor stalled behind a dead rank surfaces as
-//! `Timeout`. Either verdict routes the rank into the repair loop; a
-//! rank that finds itself evicted from the survivors pset exits as
-//! [`RankOutcome::Removed`].
+//! `Timeout`. Either verdict routes the rank into a rebuild; a rank that
+//! the survivors pset no longer lists exits as [`RankOutcome::Removed`].
 //!
 //! Because ranks observe a fault at different points in the step
 //! schedule (one fails mid-ring, its neighbor only next step), the loop
@@ -24,12 +24,10 @@
 //! globally consistent step and recompute anything past it — that
 //! recomputation *is* the checkpoint-free restart.
 
-use mpi_sessions::instance::MpiProcess;
-use mpi_sessions::session::PSET_WORLD;
-use mpi_sessions::{Comm, ErrClass, ErrHandler, Info, Session, ThreadLevel};
+use mpi_sessions::{Comm, ElasticComm, ErrClass, ErrHandler, Info, Rebuild, Session, ThreadLevel};
 use prrte::ProcCtx;
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Knobs of the recovery workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,7 +36,7 @@ pub struct RecoverConfig {
     pub steps: u32,
     /// Per-wait budget inside one ring step (typed `Timeout` after this).
     pub step_wait: Duration,
-    /// Total budget for one repair episode (epoch polling + rebuild
+    /// Budget for one rebuild (waiting for the pset change plus fan-in
     /// retries); exceeding it panics — the drill is wedged.
     pub repair_budget: Duration,
 }
@@ -61,8 +59,9 @@ pub struct RecoverReport {
     pub steps_done: u32,
     /// Successful communicator repairs (fault episodes survived).
     pub repairs: u32,
-    /// `Stale` / `ProcFailed` verdicts retried: the registry epoch moved,
-    /// or a member died inside the rebuild and the epoch is about to move.
+    /// Rebuild fan-ins retried: a member died inside one and the rebuild
+    /// re-entered at the newer epoch (`session.rebuild_reentered`), or one
+    /// timed out and was retried at its epoch (`session.rebuild_retries`).
     pub stale_retries: u32,
     /// Deaths delivered by the fault watcher while stepping.
     pub faults_seen: u32,
@@ -142,63 +141,6 @@ fn step_tag(step: u32) -> i32 {
 /// Tag block for the post-repair step-agreement ring.
 const AGREE_TAG: i32 = 0x4000;
 
-/// Repair `comm` against the survivors pset, following the typed
-/// protocol documented on [`Comm::repair_via_pset`]. Returns the
-/// replacement, or `None` when this rank has been evicted.
-fn repair(
-    session: &Session,
-    process: &MpiProcess,
-    pset: &str,
-    comm: &Comm,
-    budget: Duration,
-    report: &mut RecoverReport,
-) -> Option<Comm> {
-    let registry = process.universe().registry();
-    let me = process.proc().clone();
-    let deadline = Instant::now() + budget;
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "repair exceeded its {budget:?} budget — the recovery drill is wedged"
-        );
-        let (epoch, members) = registry
-            .pset_members_versioned(pset)
-            .expect("survivors pset exists while the session is live");
-        if !members.contains(&me) {
-            return None;
-        }
-        // Let the failure bridge finish pruning before pinning the epoch:
-        // repairing against a membership that still names a corpse is a
-        // guaranteed `ProcTerminated` round-trip.
-        if members.iter().any(|p| process.universe().proc_is_dead(p)) {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        }
-        match comm.repair_via_pset(session, pset, epoch) {
-            Ok(next) => {
-                report.repairs += 1;
-                return Some(next);
-            }
-            Err(e) => match e.class {
-                // The registry moved past our epoch (another fault or
-                // churn landed), or a member died inside the rebuild's
-                // fan-in (one more fault to absorb): observe the newer
-                // epoch and retry.
-                ErrClass::Stale | ErrClass::ProcFailed => report.stale_retries += 1,
-                // A fault raced the pset shrink: wait for the prune.
-                ErrClass::ProcTerminated => std::thread::sleep(Duration::from_millis(2)),
-                // The rebuild fan-in timed out (epoch disagreement or a
-                // partition): retry within the budget.
-                ErrClass::Timeout => {}
-                // We were evicted between the membership read and the
-                // rebuild.
-                ErrClass::Group => return None,
-                _ => panic!("unrecoverable repair error: {e}"),
-            },
-        }
-    }
-}
-
 /// The per-rank recovery loop: ring-allreduce `cfg.steps` times over the
 /// widest available communicator, repairing through every observed fault.
 pub fn run_rank(ctx: &ProcCtx, cfg: &RecoverConfig) -> RankOutcome {
@@ -218,10 +160,8 @@ pub fn run_rank_with_progress(
             .expect("session init");
     let pset = session.track_faults().expect("track_faults");
     let mut faults = session.watch_faults().expect("watch_faults");
-    let process = MpiProcess::obtain(ctx);
-
-    let world = session.group_from_pset(PSET_WORLD).expect("world group");
-    let mut comm = Comm::create_from_group(&world, "recover").expect("initial comm");
+    let mut elastic =
+        ElasticComm::establish(&session, &pset, cfg.repair_budget).expect("initial comm");
 
     let mut report = RecoverReport {
         steps_done: 0,
@@ -235,31 +175,35 @@ pub fn run_rank_with_progress(
     let mut step = 0u32;
     let mut dirty = false;
     while step < cfg.steps {
-        // Exactly-once fault intake: any death observed since the last
-        // check forces a repair pass before the next collective.
-        while faults.try_next().is_some() {
+        // Exactly-once fault intake: the death of a current member forces a
+        // rebuild before the next collective. A death an earlier rebuild
+        // already excluded needs none: its prune event is consumed.
+        let comm = elastic.comm().expect("a member holds a comm");
+        while let Some(dead) = faults.try_next() {
             report.faults_seen += 1;
-            dirty = true;
+            dirty |= comm.group().rank_of(&dead).is_some();
         }
         if dirty {
-            let next = match repair(&session, &process, &pset, &comm, cfg.repair_budget, &mut report)
-            {
-                Some(c) => c,
-                None => return RankOutcome::Removed { steps_done: step },
-            };
-            std::mem::replace(&mut comm, next).abandon();
+            match elastic.next_rebuild(cfg.repair_budget) {
+                Ok(Rebuild::Rebuilt { .. }) => report.repairs += 1,
+                Ok(Rebuild::Retired { .. } | Rebuild::Deleted { .. }) => {
+                    return RankOutcome::Removed { steps_done: step }
+                }
+                Err(e) => panic!("unrecoverable rebuild error: {e}"),
+            }
+            let comm = elastic.comm().expect("a rebuild leaves a comm");
             // Survivors reached this repair from different points in the
             // step schedule (one failed mid-ring, its neighbor only on
             // the following step): agree on MIN(next step) and recompute
             // from there — the checkpoint-free restart.
-            match ring_fold(&comm, AGREE_TAG, step, u32::min, cfg.step_wait) {
+            match ring_fold(comm, AGREE_TAG, step, u32::min, cfg.step_wait) {
                 Ok(agreed) => {
                     step = agreed;
                     report.sums.truncate(step as usize);
                     dirty = false;
                 }
                 // A second fault landed during the agreement itself:
-                // stay dirty and re-enter the repair loop.
+                // stay dirty and rebuild again.
                 Err(e)
                     if matches!(
                         e.class,
@@ -269,7 +213,7 @@ pub fn run_rank_with_progress(
             }
             continue;
         }
-        match ring_fold(&comm, step_tag(step), 1, |a, b| a + b, cfg.step_wait) {
+        match ring_fold(comm, step_tag(step), 1, |a, b| a + b, cfg.step_wait) {
             Ok(sum) => {
                 debug_assert_eq!(sum, comm.size(), "each member contributes exactly 1");
                 report.sums.push(sum);
@@ -289,11 +233,17 @@ pub fn run_rank_with_progress(
             Err(e) => panic!("unrecoverable step error: {e}"),
         }
     }
-    report.final_size = comm.size();
-    // Teardown abandons: ranks may have observed faults asymmetrically, and
-    // abandon asks nothing rank-symmetric of them. It still releases the
-    // PGCID family, so the id is recycled once every member has let go.
-    comm.abandon();
+    report.final_size = elastic.comm().expect("a member holds a comm").size();
+    let (obs, me) = (ctx.universe().fabric().obs(), ctx.proc().to_string());
+    report.stale_retries = ["rebuild_reentered", "rebuild_retries"]
+        .iter()
+        .map(|name| obs.counter_value(&me, "session", name) as u32)
+        .sum();
+    // Dropping the ElasticComm abandons its comm: ranks may have observed
+    // faults asymmetrically, and abandon asks nothing rank-symmetric of
+    // them. It still releases the PGCID family, so the id is recycled once
+    // every member has let go.
+    drop(elastic);
     session.finalize().expect("finalize");
     RankOutcome::Survivor(report)
 }
@@ -323,11 +273,11 @@ mod tests {
         }
     }
 
-    /// A member that dies inside a repair's own rebuild fails the fan-in
-    /// `ProcFailed`; the repair absorbs it as one more fault and rebuilds
-    /// at the newer epoch. The kill is ordered after the server opened the
-    /// repair's construct — a survivor has then passed every liveness
-    /// check and sits in the fan-in — so the interleaving is forced.
+    /// A member that dies inside a rebuild's own fan-in fails it
+    /// `ProcFailed`; `establish` absorbs it as one more fault and re-enters
+    /// onto the prune event. The kill is ordered after the server opened
+    /// the survivors' construct — a survivor then sits in the fan-in — so
+    /// the interleaving is forced.
     #[test]
     fn a_death_inside_the_repair_fan_in_is_retried_at_the_newer_epoch() {
         let launcher = Launcher::new(SimTestbed::tiny(1, 3));
@@ -344,68 +294,69 @@ mod tests {
                     Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null())
                         .unwrap();
                 let pset = session.track_faults().unwrap();
-                let world = session.group_from_pset(PSET_WORLD).unwrap();
-                let comm = Comm::create_from_group(&world, "fan-in").unwrap();
                 ready.send(ctx.rank()).unwrap();
                 if ctx.rank() == 2 {
-                    // The victim never repairs; it is killed inside the
-                    // survivors' rebuild.
+                    // The victim never joins; it is killed inside the
+                    // survivors' fan-in.
                     let (flag, cv) = &*killed;
                     drop(cv.wait_while(flag.lock().unwrap(), |k| !*k).unwrap());
                     return None;
                 }
-                let mut report = RecoverReport {
-                    steps_done: 0,
-                    repairs: 0,
-                    stale_retries: 0,
-                    faults_seen: 0,
-                    step_faults: 0,
-                    final_size: 0,
-                    sums: Vec::new(),
-                };
-                let process = MpiProcess::obtain(&ctx);
-                let budget = Duration::from_secs(10);
-                let next = repair(&session, &process, &pset, &comm, budget, &mut report)
+                let elastic = ElasticComm::establish(&session, &pset, Duration::from_secs(10))
                     .expect("a survivor is never evicted");
-                let size = next.size();
-                next.abandon();
-                comm.abandon();
+                let size = elastic.comm().map(Comm::size);
+                drop(elastic);
                 session.finalize().unwrap();
-                Some((size, report.stale_retries))
+                size
             }
         };
         let handle = launcher.spawn(JobSpec::new(3), run);
         for _ in 0..3 {
-            ready_rx.recv_timeout(Duration::from_secs(30)).expect("every rank built its comm");
+            ready_rx.recv_timeout(Duration::from_secs(30)).expect("every rank tracks faults");
         }
         // Every earlier collective was observed by all three ranks and
-        // reaped; the next op a server holds is the repair's construct.
-        let repairing = || {
+        // reaped; the next op a server holds is the survivors' construct.
+        let constructing = || {
             let servers = universe.servers().iter();
             servers.flat_map(|s| s.shard_occupancy().ops_live).any(|n| n > 0)
         };
-        while !repairing() {
+        while !constructing() {
             std::thread::yield_now();
         }
         universe.kill_proc(&pmix::ProcId::new(handle.nspace(), 2)).expect("kill");
         *killed.0.lock().unwrap() = true;
         killed.1.notify_all();
-        let out = handle.join().expect("a ProcFailed repair verdict is retried, not fatal");
-        let survivors: Vec<(u32, u32)> = out.into_iter().flatten().collect();
-        assert_eq!(survivors.iter().map(|s| s.0).collect::<Vec<_>>(), [2, 2]);
+        let out = handle.join().expect("a ProcFailed fan-in is re-entered, not fatal");
+        assert_eq!(out.into_iter().flatten().collect::<Vec<_>>(), [2, 2]);
         assert!(
-            survivors.iter().any(|s| s.1 >= 1),
-            "the survivor inside the fan-in retried its failed rebuild: {survivors:?}"
+            obs.sum_counters("session", "rebuild_reentered") >= 1,
+            "the survivor inside the fan-in re-entered its failed rebuild"
         );
     }
 
     #[test]
     fn killed_rank_is_removed_and_survivors_recover() {
+        kill_one_of_four(false);
+    }
+
+    /// A lazy default changes nothing in the drill: the rebuild after the
+    /// kill is still an eager construct, so its fan-in completes on the
+    /// servers.
+    #[test]
+    fn killed_rank_is_removed_and_survivors_recover_under_a_lazy_default() {
+        kill_one_of_four(true);
+    }
+
+    fn kill_one_of_four(lazy: bool) {
         let launcher = Launcher::new(SimTestbed::tiny(2, 2));
         let universe = launcher.universe().clone();
         // Fast typed Timeout verdicts while epochs disagree mid-repair.
         let obs = universe.fabric().obs();
         obs.cvar_write("universe", "pmix.group_timeout_ms", obs::CvarValue::U64(2000)).unwrap();
+        if lazy {
+            let mode = obs::CvarValue::Str("lazy".into());
+            obs.cvar_write("universe", "pmix.init_mode", mode).unwrap();
+        }
         let cfg = RecoverConfig {
             steps: 6,
             step_wait: Duration::from_secs(2),
@@ -443,10 +394,16 @@ mod tests {
                 done_step1.insert(rank);
             }
         }
+        let constructs = || obs.sum_counters("pmix", "group_construct_completed");
+        let before_kill = constructs();
         universe.kill_proc(&victim).expect("kill");
         *killed.0.lock().unwrap() = true;
         killed.1.notify_all();
         let out = handle.join().unwrap();
+        assert!(constructs() > before_kill, "the rebuild after the kill fans in");
+        if lazy {
+            assert_eq!(obs.sum_counters("pmix", "fence_completed"), 0, "init stayed lazy");
+        }
         for (rank, outcome) in out.iter().enumerate() {
             if rank == 3 {
                 assert!(

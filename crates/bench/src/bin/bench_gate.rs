@@ -7,14 +7,14 @@
 //! numbers only**: logical critical-path costs and span/stage counts from
 //! the causal trace (work counters, never wall time) and an allowlist of
 //! protocol counters. Two runs of the same binary produce byte-identical
-//! JSON, so the committed baseline (`BENCH_PR27.json`) acts as a perf
+//! JSON, so the committed baseline (`BENCH_BASELINE.json`) acts as a perf
 //! fingerprint: a change that adds work to a hot path (an extra PGCID
 //! round trip, a redundant handshake, a new fence stage) moves a number
 //! and fails the gate instead of sliding silently into the trace.
 //!
 //! Usage:
-//!   `bench_gate --out BENCH_PR27.json`         regenerate the baseline
-//!   `bench_gate --check BENCH_PR27.json [--tol 0.05]`
+//!   `bench_gate --out BENCH_BASELINE.json`      regenerate the baseline
+//!   `bench_gate --check BENCH_BASELINE.json [--tol 0.05]`
 //!                                             re-run and diff against it
 //!
 //! `--tol` is the per-leaf relative tolerance (ci.sh passes `BENCH_TOL`).
@@ -350,7 +350,8 @@ fn run_soak(waves: u64) -> Value {
 
 /// Recovery shape: the fault protocol's fixed-cost path — one kill, the
 /// survivors pset prunes, every survivor repairs at the settled epoch
-/// (`Comm::repair_via_pset`) and resumes collectives at the shrunk width.
+/// (`ElasticComm::establish` on the survivors pset) and resumes
+/// collectives at the shrunk width.
 /// The kill is driver-paced against parked survivors (blocked in the
 /// fault watcher, generating no traffic), so no request ever times out or
 /// retries: the fingerprint is the protocol's deterministic recovery cost
@@ -398,20 +399,18 @@ fn run_recover() -> Value {
             .registry()
             .clone();
         // Wait for the bridge to prune the corpse, then repair one-shot at
-        // the settled epoch: no Stale/ProcTerminated/Timeout retries, so
-        // the message counts stay protocol-fixed.
-        let epoch = loop {
-            let (epoch, members) =
-                registry.pset_members_versioned(&pset).expect("survivors pset");
-            if members.len() == 3 {
-                break epoch;
-            }
+        // the settled epoch: no re-entry or Timeout retries, so the message
+        // counts stay protocol-fixed.
+        while registry.pset_members(&pset).expect("survivors pset").len() != 3 {
             std::thread::sleep(Duration::from_millis(2));
-        };
-        let repaired = comm.repair_via_pset(&session, &pset, epoch).expect("repair");
-        let sum = coll::allreduce_t(&repaired, ReduceOp::Sum, &[1u32]).expect("allreduce")[0];
+        }
+        let repaired =
+            mpi_sessions::ElasticComm::establish(&session, &pset, Duration::from_secs(30))
+                .expect("repair");
+        let sum = coll::allreduce_t(repaired.comm().expect("member"), ReduceOp::Sum, &[1u32])
+            .expect("allreduce")[0];
         tx.send((ctx.rank(), sum)).expect("ack");
-        repaired.free().expect("free repaired");
+        drop(repaired);
         comm.abandon();
         session.finalize().expect("finalize");
     });

@@ -122,7 +122,7 @@ fn main() {
     }
     println!(
         "\n# survivors observed {faults_seen} faults and repaired {repairs} times \
-         ({stale_retries} stale-epoch or failed-member retries, {step_faults} typed step \
+         ({stale_retries} rebuild re-entries or fan-in retries, {step_faults} typed step \
          faults routed into repair)"
     );
     // Drain the tail of in-flight step acks (survivors kept stepping past

@@ -826,97 +826,10 @@ impl Comm {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Fault-aware repair
-    // ------------------------------------------------------------------
-
-    /// Fault-shrink (`MPIX_Comm_shrink` analog): build a replacement
-    /// communicator over this communicator's still-live members, via a
-    /// fresh `MPI_Comm_create_from_group` tagged `shrink:{tag}` — a
-    /// collective over exactly the survivors, which every survivor must
-    /// call with the same `tag`. Dead peers are evicted from the PML
-    /// handshake cache on the way out, so a later incarnation on the same
-    /// endpoint is never trusted with a stale `CidAdvert`.
-    ///
-    /// Fails typed [`ErrClass::ProcTerminated`] when the *caller* is
-    /// itself marked dead (it cannot be part of any survivor collective).
-    pub fn shrink(&self, tag: &str) -> Result<Comm> {
-        self.check_live()?;
-        let fabric = self.process.universe().fabric().clone();
-        let mut survivors = Vec::new();
-        for m in self.inner.group.iter() {
-            if fabric.is_alive(m.endpoint) {
-                survivors.push(m);
-            } else {
-                self.process.pml().invalidate_peer(m.endpoint);
-            }
-        }
-        if !survivors.iter().any(|m| &m.proc == self.process.proc()) {
-            return Err(MpiError::new(
-                ErrClass::ProcTerminated,
-                "calling process is marked dead; it cannot join the shrunk communicator",
-            ));
-        }
-        let group = MpiGroup::from_members(survivors)
-            .bind(self.process.clone())
-            .mark_lazy(self.inner.group.is_lazy());
-        Comm::create_from_group(&group, &format!("shrink:{tag}"))
-    }
-
-    /// Repair by re-deriving from a pset at a pinned epoch (the recovery
-    /// loop's step once a fault has settled into the registry): resolves
-    /// `pset` only if the registry is still exactly at `epoch`, sanity
-    /// checks the snapshot, and rebuilds via `MPI_Comm_create_from_group`
-    /// tagged `repair:{pset}@{epoch}` — collective over the members of
-    /// that epoch.
-    ///
-    /// Errors are typed so a recovery loop can branch without string
-    /// matching:
-    /// * [`ErrClass::Stale`] — the registry moved past `epoch` (another
-    ///   fault or churn landed): observe the newer epoch and retry;
-    /// * [`ErrClass::ProcTerminated`] — the pinned membership already
-    ///   contains a member the fabric marked dead (a fault raced the pset
-    ///   shrink): wait for the shrink event and retry;
-    /// * [`ErrClass::ProcFailed`] — a member died inside the rebuild's own
-    ///   fan-in: observe the newer epoch and retry;
-    /// * [`ErrClass::Group`] — the caller is not in the membership (it
-    ///   was itself removed): stop repairing;
-    /// * [`ErrClass::Timeout`] — the rebuild collective itself timed out
-    ///   (e.g. a partition): retry within the caller's budget.
-    pub fn repair_via_pset(
-        &self,
-        session: &crate::session::Session,
-        pset: &str,
-        epoch: u64,
-    ) -> Result<Comm> {
-        self.check_live()?;
-        let group = session.group_from_pset_at(pset, epoch)?;
-        if group.rank_of(self.process.proc()).is_none() {
-            return Err(MpiError::new(
-                ErrClass::Group,
-                format!("caller is not a member of pset '{pset}' at epoch {epoch}"),
-            ));
-        }
-        let fabric = self.process.universe().fabric();
-        for m in group.iter() {
-            if !fabric.is_alive(m.endpoint) {
-                return Err(MpiError::new(
-                    ErrClass::ProcTerminated,
-                    format!(
-                        "repair pset '{pset}'@{epoch} still includes dead member {}",
-                        m.proc
-                    ),
-                ));
-            }
-        }
-        let group = group.mark_lazy(session.is_lazy());
-        Comm::create_from_group(&group, &format!("repair:{pset}@{epoch}"))
-    }
-
     /// Retire a communicator whose membership may have diverged — a member
-    /// died, or ranks observed a fault at different points. Recovery loops
-    /// call this on the broken communicator once [`Comm::shrink`] /
-    /// [`Comm::repair_via_pset`] has handed them a replacement. Like
+    /// died, or ranks observed a fault at different points.
+    /// [`crate::elastic::ElasticComm`] calls this on the broken
+    /// communicator before it builds the replacement. Like
     /// [`Comm::free`] it is local and releases the PGCID family, so the
     /// PGCID of a repaired communicator is recycled once every member has
     /// freed, abandoned or died. Unlike `free` it does not return a derived

@@ -17,7 +17,9 @@
 //!   communicator with `MPI_Comm_create_from_group`, and explicitly
 //!   invalidate the PML handshake cache for departed peers so a later
 //!   incarnation on the same endpoint is never trusted with a stale
-//!   `CidAdvert`.
+//!   `CidAdvert`. It is also the only fault-recovery primitive: a repair
+//!   is [`ElasticComm::establish`] on the [`Session::track_faults`] pset,
+//!   and following later faults is [`ElasticComm::next_rebuild`].
 //!
 //! The protocol assumption is the one the driver examples/benches uphold:
 //! churn is sequenced, i.e. the controller waits until every member of
@@ -31,9 +33,11 @@ use crate::comm::Comm;
 use crate::error::{ErrClass, MpiError, Result};
 use crate::ft::Watcher;
 use crate::group::{MpiGroup, ProcRef};
+use crate::instance::MpiProcess;
 use crate::session::Session;
 use pmix::value::keys;
 use pmix::{Event, EventCode, ProcId};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One decoded pset change, as observed through a [`PsetWatcher`].
@@ -105,8 +109,7 @@ impl Session {
     /// so callers distinguish "the world moved on" from "no such pset".
     pub fn group_from_pset_at(&self, name: &str, epoch: u64) -> Result<MpiGroup> {
         self.check_live()?;
-        let process = self.process().clone();
-        let registry = process.universe().registry();
+        let registry = self.process().universe().registry();
         let (current, members) = registry.pset_members_versioned(name).map_err(|_| {
             MpiError::new(ErrClass::Arg, format!("unknown process set '{name}'"))
         })?;
@@ -116,15 +119,21 @@ impl Session {
                 format!("pset '{name}' is at epoch {current}, caller pinned epoch {epoch}"),
             ));
         }
-        let refs: Vec<ProcRef> = members
-            .iter()
-            .map(|proc| {
-                let entry = registry.locate(proc)?;
-                Ok(ProcRef { proc: proc.clone(), endpoint: entry.endpoint })
-            })
-            .collect::<Result<_>>()?;
-        Ok(MpiGroup::from_members(refs).bind(process))
+        bind_members(self.process(), &members)
     }
+}
+
+/// `members`, located in the registry and bound to `process` as a group.
+fn bind_members(process: &Arc<MpiProcess>, members: &[ProcId]) -> Result<MpiGroup> {
+    let registry = process.universe().registry();
+    let refs: Vec<ProcRef> = members
+        .iter()
+        .map(|proc| {
+            let entry = registry.locate(proc)?;
+            Ok(ProcRef { proc: proc.clone(), endpoint: entry.endpoint })
+        })
+        .collect::<Result<_>>()?;
+    Ok(MpiGroup::from_members(refs).bind(process.clone()))
 }
 
 /// What [`ElasticComm::next_rebuild`] did with the change it observed.
@@ -156,6 +165,13 @@ pub enum Rebuild {
 /// caller; [`ElasticComm::next_rebuild`] consumes one change at a time,
 /// replacing the communicator (grow/shrink) or retiring it (the caller
 /// departed, or the pset was deleted).
+///
+/// Fault recovery is the same loop over the [`Session::track_faults`]
+/// pset. `establish` after a fault starts from the replayed, settled
+/// membership; a corpse the prune has not yet removed fails the eager
+/// fan-in `ProcFailed`, and the loop re-enters onto the prune event.
+/// Every rebuild constructs eagerly: its fan-in is where the members
+/// agree on the membership.
 pub struct ElasticComm {
     session: Session,
     pset: String,
@@ -282,16 +298,7 @@ impl ElasticComm {
                         if e.class != ErrClass::Stale {
                             return Err(e);
                         }
-                        let registry = process.universe().registry();
-                        let refs: Vec<ProcRef> = update
-                            .members
-                            .iter()
-                            .map(|proc| {
-                                let entry = registry.locate(proc)?;
-                                Ok(ProcRef { proc: proc.clone(), endpoint: entry.endpoint })
-                            })
-                            .collect::<Result<_>>()?;
-                        Ok(MpiGroup::from_members(refs).bind(process.clone()))
+                        bind_members(&process, &update.members)
                     })?;
                 match Comm::create_from_group(
                     &group,

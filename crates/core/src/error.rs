@@ -22,8 +22,8 @@ pub enum ErrClass {
     ProcFailed,
     /// A peer this operation was waiting on is *already known dead* when
     /// the operation is issued or polled: the policy layer (fault-aware
-    /// waits, `Comm::repair_via_pset`, `ElasticComm` rebuild) returns this
-    /// instead of burning a timeout budget on a peer that can never answer.
+    /// waits, the [`crate::ElasticComm`] rebuild) returns this instead of
+    /// burning a timeout budget on a peer that can never answer.
     /// Distinct from [`ErrClass::ProcFailed`], which reports a failure the
     /// runtime *discovered* while the operation was in flight.
     ProcTerminated,

@@ -10,6 +10,10 @@
 //!   MPI over the surviving processes ("roll forward ... and use whatever
 //!   resources are available at the point of re-initialization").
 //!
+//! Repair without re-initialization rebuilds a communicator over the
+//! survivors pset ([`Session::track_faults`]) with
+//! [`crate::elastic::ElasticComm`], the one rebuild loop.
+//!
 //! The client/server isolation scenario (a client failure must not cascade
 //!   into the server's internal session) is exercised by the
 //! `client_server` example and the integration tests.
@@ -108,9 +112,10 @@ impl Session {
     /// bridge on each kill and by the launcher on each graceful retire.
     ///
     /// The pset is versioned under the registry epoch like any other, so
-    /// it composes with [`Session::group_from_pset`],
-    /// [`Session::group_from_pset_at`] (epoch-pinned), and
-    /// [`crate::elastic::ElasticComm`]. It is **opt-in** (not defined at
+    /// it composes with [`Session::group_from_pset`] and
+    /// [`Session::group_from_pset_at`] (epoch-pinned); a repair after a
+    /// fault is [`crate::elastic::ElasticComm::establish`] on it. It is
+    /// **opt-in** (not defined at
     /// launch) so jobs that never track faults keep their exact pset
     /// epoch sequence. Returns the pset name.
     pub fn track_faults(&self) -> Result<String> {

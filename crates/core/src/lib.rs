@@ -78,7 +78,6 @@ pub mod pml;
 pub mod request;
 pub mod session;
 pub mod status;
-pub mod topo;
 pub mod win;
 pub mod world;
 

@@ -1,7 +1,7 @@
 //! The fault-aware recovery surface: `watch_faults` (exactly-once replay),
-//! the opt-in queryable faults pset (`Session::track_faults`), the typed
-//! `Comm::shrink` / `Comm::repair_via_pset` primitives, and the elastic
-//! rebuild loop's re-entry when a second fault races a rebuild.
+//! the opt-in queryable faults pset (`Session::track_faults`), repair as
+//! `ElasticComm::establish` on that pset, and the elastic rebuild loop's
+//! re-entry when a second fault races a rebuild.
 //!
 //! Two of these are fails-pre-fix regressions:
 //! * `dead_remote_member_fails_group_fanin_typed` — `coll_begin` used to
@@ -91,7 +91,7 @@ fn dead_remote_member_fails_group_fanin_typed() {
 }
 
 #[test]
-fn faults_pset_shrinks_and_supports_shrink_and_repair() {
+fn faults_pset_shrinks_and_supports_repair() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let handle = launcher.spawn(JobSpec::new(4), |ctx| {
         let session = new_session(&ctx);
@@ -112,43 +112,29 @@ fn faults_pset_shrinks_and_supports_shrink_and_repair() {
         let mut faults = session.watch_faults().unwrap();
         let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
         assert_eq!(victim.rank(), 3);
-        // The failure bridge prunes the faults pset just after the death
-        // lands; poll for the settled membership.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let epoch = loop {
-            let (e, m) = registry.pset_members_versioned(&pset).unwrap();
-            if m.len() == 3 {
-                break e;
-            }
-            assert!(Instant::now() < deadline, "faults pset never shrank");
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        assert!(epoch > epoch0, "the shrink bumped the pset epoch");
+        // The repair is a collective over the three survivors: the failure
+        // bridge prunes the faults pset just after the death lands, and a
+        // rebuild that still names the corpse re-enters onto the prune.
+        let repaired = ElasticComm::establish(&session, &pset, Duration::from_secs(10)).unwrap();
+        assert!(repaired.epoch() > epoch0, "the shrink bumped the pset epoch");
+        let rebuilt = repaired.comm().unwrap();
+        assert_eq!(rebuilt.size(), 3);
+        let sum = coll::allreduce_t(rebuilt, ReduceOp::Sum, &[1u32]).unwrap()[0];
         // A stale pin fails typed (the world moved on) without any fan-in.
-        let stale = comm.repair_via_pset(&session, &pset, epoch0).unwrap_err();
+        let stale = session.group_from_pset_at(&pset, epoch0).unwrap_err();
         assert_eq!(stale.class, ErrClass::Stale);
-        // The current pin repairs: a collective over the three survivors.
-        let repaired = comm.repair_via_pset(&session, &pset, epoch).unwrap();
-        assert_eq!(repaired.size(), 3);
-        let sum = coll::allreduce_t(&repaired, ReduceOp::Sum, &[1u32]).unwrap()[0];
-        assert_eq!(sum, 3);
-        // shrink() reaches the same membership straight from the fabric.
-        let shrunk = repaired.shrink("post-fault").unwrap();
-        assert_eq!(shrunk.size(), 3);
-        let sum2 = coll::allreduce_t(&shrunk, ReduceOp::Sum, &[2u32]).unwrap()[0];
-        assert_eq!(sum2, 6);
-        shrunk.free().unwrap();
-        repaired.free().unwrap();
+        drop(repaired);
         // `comm` includes the dead rank: its teardown cannot be collective
         // anymore, so it is dropped, not freed.
+        drop(comm);
         session.finalize().unwrap();
-        sum + sum2
+        sum
     });
     std::thread::sleep(Duration::from_millis(500));
     handle.kill_rank(3);
     let out = handle.join().unwrap();
     for r in &out[..3] {
-        assert_eq!(*r, 9);
+        assert_eq!(*r, 3);
     }
 }
 

@@ -1,9 +1,8 @@
-//! Cartesian topologies and the variable-count / prefix collectives.
+//! The variable-count and prefix collectives.
 
 mod common;
 
 use common::run;
-use mpi_sessions::topo::{dims_create, CartComm};
 use mpi_sessions::{coll, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 
 fn world_comm(ctx: &prrte::ProcCtx, tag: &str) -> (Session, Comm) {
@@ -11,96 +10,6 @@ fn world_comm(ctx: &prrte::ProcCtx, tag: &str) -> (Session, Comm) {
     let g = s.group_from_pset("mpi://world").unwrap();
     let c = Comm::create_from_group(&g, tag).unwrap();
     (s, c)
-}
-
-#[test]
-fn cart_coords_roundtrip() {
-    run(1, 6, 6, |ctx| {
-        let (s, c) = world_comm(&ctx, "cart");
-        let cart = CartComm::create(&c, &[3, 2], &[false, false]).unwrap();
-        let coords = cart.my_coords();
-        assert_eq!(coords, vec![ctx.rank() / 2, ctx.rank() % 2]);
-        let back = cart
-            .rank_of(&coords.iter().map(|c| *c as i64).collect::<Vec<_>>())
-            .unwrap();
-        assert_eq!(back, Some(ctx.rank()));
-        cart.free().unwrap();
-        c.free().unwrap();
-        s.finalize().unwrap();
-    });
-}
-
-#[test]
-fn cart_shift_periodic_and_walls() {
-    let out = run(1, 4, 4, |ctx| {
-        let (s, c) = world_comm(&ctx, "shift");
-        // 1-D ring of 4, periodic.
-        let ring = CartComm::create(&c, &[4], &[true]).unwrap();
-        let (src_p, dst_p) = ring.shift(0, 1).unwrap();
-        ring.free().unwrap();
-        // 1-D line of 4, walls.
-        let line_comm = c.dup().unwrap();
-        let line = CartComm::create(&line_comm, &[4], &[false]).unwrap();
-        let (src_w, dst_w) = line.shift(0, 1).unwrap();
-        line.free().unwrap();
-        c.free().unwrap();
-        s.finalize().unwrap();
-        (src_p, dst_p, src_w, dst_w)
-    });
-    // Periodic: everyone has both neighbors (wrapped).
-    assert_eq!(out[0], (Some(3), Some(1), None, Some(1)));
-    assert_eq!(out[3], (Some(2), Some(0), Some(2), None));
-}
-
-#[test]
-fn cart_halo_exchange_moves_data() {
-    let out = run(1, 3, 3, |ctx| {
-        let (s, c) = world_comm(&ctx, "halo");
-        let cart = CartComm::create(&c, &[3], &[true]).unwrap();
-        let me = ctx.rank() as u8;
-        let (from_low, from_high) =
-            cart.halo_exchange(0, 5, &[me, 100], &[me, 200]).unwrap();
-        cart.free().unwrap();
-        c.free().unwrap();
-        s.finalize().unwrap();
-        (from_low, from_high)
-    });
-    // from_low = low neighbor's to_high; from_high = high neighbor's to_low.
-    assert_eq!(out[1].0, Some(vec![0, 200]));
-    assert_eq!(out[1].1, Some(vec![2, 100]));
-    assert_eq!(out[0].0, Some(vec![2, 200])); // wrapped
-}
-
-#[test]
-fn cart_sub_splits_grid() {
-    let out = run(1, 6, 6, |ctx| {
-        let (s, c) = world_comm(&ctx, "sub");
-        let grid = CartComm::create(&c, &[3, 2], &[false, false]).unwrap();
-        // Keep dim 1 => rows of 2.
-        let row = grid.sub(&[false, true]).unwrap();
-        let row_size = row.comm().size();
-        let row_sum =
-            coll::allreduce_t(row.comm(), ReduceOp::Sum, &[ctx.rank()]).unwrap()[0];
-        row.free().unwrap();
-        grid.free().unwrap();
-        c.free().unwrap();
-        s.finalize().unwrap();
-        (row_size, row_sum)
-    });
-    assert_eq!(out[0], (2, 1)); // ranks 0+1
-    assert_eq!(out[2], (2, 5)); // ranks 2+3
-    assert_eq!(out[5], (2, 9)); // ranks 4+5
-}
-
-#[test]
-fn cart_create_rejects_bad_grid() {
-    run(1, 3, 3, |ctx| {
-        let (s, c) = world_comm(&ctx, "bad");
-        assert!(CartComm::create(&c, &[2, 2], &[false, false]).is_err());
-        assert!(CartComm::create(&c, &[3], &[false, true]).is_err());
-        c.free().unwrap();
-        s.finalize().unwrap();
-    });
 }
 
 #[test]
@@ -168,20 +77,4 @@ fn reduce_scatter_block_distributes_reduction() {
     });
     assert_eq!(out[0], vec![1, 1]);
     assert_eq!(out[1], vec![21, 21]);
-}
-
-#[test]
-fn dims_create_then_cart_works_for_any_np() {
-    for np in [2u32, 4, 6] {
-        run(1, np, np, move |ctx| {
-            let (s, c) = world_comm(&ctx, "auto");
-            let dims = dims_create(np, 2);
-            let cart = CartComm::create(&c, &dims, &[true, true]).unwrap();
-            cart.barrier().unwrap();
-            assert_eq!(cart.dims().iter().product::<u32>(), np);
-            cart.free().unwrap();
-            c.free().unwrap();
-            s.finalize().unwrap();
-        });
-    }
 }

@@ -571,8 +571,14 @@ impl PmixServer {
         self.reap_if_fully_abandoned(&mut st, op_id);
         drop(st);
         // Stage 3: local fan-out — waiting clients on this node are released.
+        // The stage event comes last, so a reader that has seen it also sees
+        // every counter of the op.
         let sc = &self.metrics.shards[si];
         sc.stage_fanout.inc();
+        match op_id.kind {
+            OpKind::Fence => sc.fence_completed.inc(),
+            OpKind::GroupConstruct => sc.group_construct_completed.inc(),
+        }
         self.metrics.stage_event(
             "group.fanout",
             op_id,
@@ -584,10 +590,6 @@ impl PmixServer {
                 ("pgcid".into(), pgcid.unwrap_or(0).into()),
             ],
         );
-        match op_id.kind {
-            OpKind::Fence => sc.fence_completed.inc(),
-            OpKind::GroupConstruct => sc.group_construct_completed.inc(),
-        }
         shard.cv.notify_all();
     }
 

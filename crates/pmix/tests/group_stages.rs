@@ -6,7 +6,9 @@
 use obs::Event;
 use pmix::{GroupDirectives, PmixUniverse, ProcId};
 use simnet::SimTestbed;
+use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn spawn_procs(uni: &Arc<PmixUniverse>, nspace: &str, n: u32) -> Vec<ProcId> {
     let spec = uni.testbed().cluster.clone();
@@ -41,20 +43,34 @@ fn construct_on_all(uni: &Arc<PmixUniverse>, procs: &[ProcId], name: &str) {
         .collect();
     let pgcids: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert!(pgcids.iter().all(|p| *p == pgcids[0]));
+    // A server releases its clients before it counts the fan-out, so wait
+    // for every participating server's `group.fanout` event: it is the
+    // last thing a server records for the op, after every stage counter.
+    let registry = uni.registry();
+    let servers: HashSet<_> = procs.iter().map(|p| registry.locate(p).unwrap().node).collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stage_events(uni, name, "group.fanout") < servers.len() {
+        assert!(Instant::now() < deadline, "a server never finished the fan-out of '{name}'");
+        std::thread::yield_now();
+    }
 }
 
-/// Stage events for one construct op, filtered by op name and kind.
+/// Events of one stage of one construct op, filtered by op name and kind.
+fn stage_events(uni: &Arc<PmixUniverse>, op: &str, stage: &str) -> usize {
+    uni.fabric()
+        .obs()
+        .events_named(stage)
+        .iter()
+        .filter(|e: &&Event| {
+            e.attr("op").and_then(|v| v.as_str()) == Some(op)
+                && e.attr("kind").and_then(|v| v.as_str()) == Some("group_construct")
+        })
+        .count()
+}
+
+/// Stage event counts (fanin, xchg, fanout) for one construct op.
 fn stage_counts(uni: &Arc<PmixUniverse>, op: &str) -> (usize, usize, usize) {
-    let obs = uni.fabric().obs();
-    let count = |stage: &str| {
-        obs.events_named(stage)
-            .iter()
-            .filter(|e: &&Event| {
-                e.attr("op").and_then(|v| v.as_str()) == Some(op)
-                    && e.attr("kind").and_then(|v| v.as_str()) == Some("group_construct")
-            })
-            .count()
-    };
+    let count = |stage| stage_events(uni, op, stage);
     (count("group.fanin"), count("group.xchg"), count("group.fanout"))
 }
 

@@ -1077,9 +1077,10 @@ mod tests {
             b.send(a.id(), payload(3)).unwrap();
             let seen = hook.seen.lock();
             assert_eq!(seen.len(), 3);
-            // a was registered first: rel ids are offsets from a.
+            // a was registered first: rel ids are offsets from a. The id
+            // counter is process-global, so b need not follow a directly.
             assert_eq!(seen[0].rel_src, 0);
-            assert_eq!(seen[0].rel_dst, 1);
+            assert_eq!(seen[0].rel_dst, b.id().0 - a.id().0);
             assert_eq!(seen[0].pair_seq, 0);
             assert_eq!(seen[1].pair_seq, 1);
             // The reverse direction is a distinct pair with its own counter.

@@ -807,12 +807,13 @@ fn run_lazy_init(seed: u64) -> RunReport {
 /// every survivor holds a tracked faults pset and a fault watcher. The
 /// live watcher sees both deaths, a watcher attached after the burst
 /// replays exactly both (never more), the faults pset settles on the two
-/// survivors, and an epoch-pinned [`Comm::repair_via_pset`] rebuilds a
-/// working communicator over them. The `survivors-exclude-dead` invariant
-/// then audits that neither corpse is still listed at run end.
+/// survivors, and [`ElasticComm::establish`] on it at the settled epoch
+/// rebuilds a working communicator over them. The `survivors-exclude-dead`
+/// invariant then audits that neither corpse is still listed at run end.
 fn run_correlated_kills(seed: u64) -> RunReport {
     use mpi_sessions_repro::mpi::info::keys;
     use mpi_sessions_repro::mpi::instance::MpiProcess;
+    use mpi_sessions_repro::mpi::ElasticComm;
     use std::sync::mpsc;
     use std::time::Instant;
 
@@ -869,23 +870,21 @@ fn run_correlated_kills(seed: u64) -> RunReport {
         replay.sort_unstable();
         assert_eq!(replay, vec![1, 3]);
         assert!(late.try_next().is_none(), "replay is exactly-once");
-        // The faults pset settles on the two survivors; pin its epoch and
-        // repair the broken communicator over it.
+        // The faults pset settles on the two survivors; repair the broken
+        // communicator over it. Waiting for the prune keeps the rebuild
+        // off the bridge's abort path, so the fault trace stays fixed.
         let registry = MpiProcess::obtain(&ctx).universe().registry().clone();
         let deadline = Instant::now() + Duration::from_secs(10);
-        let epoch = loop {
-            let (e, m) = registry.pset_members_versioned(&pset).unwrap();
-            if m.len() == 2 {
-                break e;
-            }
+        while registry.pset_members(&pset).unwrap().len() != 2 {
             assert!(Instant::now() < deadline, "faults pset never settled on the survivors");
             std::thread::sleep(Duration::from_millis(10));
-        };
-        let repaired = c.repair_via_pset(&session, &pset, epoch).unwrap();
-        assert_eq!(repaired.size(), 2);
-        let sum = coll::allreduce_t(&repaired, ReduceOp::Sum, &[1u32]).unwrap()[0];
+        }
+        let repaired = ElasticComm::establish(&session, &pset, Duration::from_secs(10)).unwrap();
+        let comm = repaired.comm().unwrap();
+        assert_eq!(comm.size(), 2);
+        let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(sum, 2);
-        repaired.free().unwrap();
+        drop(repaired);
         // `c` still names the dead ranks: its teardown cannot be
         // collective anymore, so it is dropped, not freed.
         session.finalize().unwrap();

@@ -304,8 +304,8 @@ proptest! {
                 }
                 _ => {
                     // Repair-side read: the versioned snapshot a
-                    // `repair_via_pset` pins must be stable across an
-                    // immediate re-read (no phantom epoch bumps).
+                    // rebuild pins must be stable across an immediate
+                    // re-read (no phantom epoch bumps).
                     let (e1, m1) = reg.pset_members_versioned(&survivors).unwrap();
                     let (e2, m2) = reg.pset_members_versioned(&survivors).unwrap();
                     prop_assert_eq!(e1, e2, "read-only ops must not move the epoch");

@@ -14,7 +14,17 @@ use mpi_sessions_repro::obs;
 use mpi_sessions_repro::pmix::ProcId;
 use mpi_sessions_repro::prrte::{JobSpec, Launcher};
 use mpi_sessions_repro::simnet::SimTestbed;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Endpoint ids come from one process-wide counter, and a fault rule names
+/// endpoints by their offset from its fabric's first one. Each test here
+/// holds this lock while its universe exists, so no sibling test registers
+/// an endpoint inside another's id range and shifts those offsets.
+fn own_id_range() -> MutexGuard<'static, ()> {
+    static IDS: Mutex<()> = Mutex::new(());
+    IDS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// One sessions-mode job: init, world comm, a little point-to-point
 /// traffic (forces the extended-header handshake), teardown.
@@ -45,6 +55,7 @@ fn run_sessions_job(launcher: &Launcher, np: u32) {
 /// extended headers), and both end up in the same trace.
 #[test]
 fn handshake_context_links_sender_to_receiver_across_processes() {
+    let _ids = own_id_range();
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     run_sessions_job(&launcher, 2);
 
@@ -68,6 +79,7 @@ fn handshake_context_links_sender_to_receiver_across_processes() {
 /// at the launcher even though ranks run on their own threads.
 #[test]
 fn rank_spans_are_children_of_the_launch_span() {
+    let _ids = own_id_range();
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     run_sessions_job(&launcher, 2);
 
@@ -90,6 +102,7 @@ fn rank_spans_are_children_of_the_launch_span() {
 /// critical-path claim rests on.
 #[test]
 fn analyzed_group_stages_have_increasing_logical_times() {
+    let _ids = own_id_range();
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     run_sessions_job(&launcher, 4);
 
@@ -136,6 +149,7 @@ fn analyzed_group_stages_have_increasing_logical_times() {
 /// `pmix.fence` span and surface in the analyzer's `fault_spans` table.
 #[test]
 fn kill_mid_fence_annotates_the_interrupted_fence_span() {
+    let _ids = own_id_range();
     let mut scope = RuleScope::pair_within(1, 3);
     scope.dst_in = Some((2, 3)); // only the node0→node1 server direction
     let plan = FaultPlan::new(
