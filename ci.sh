@@ -24,10 +24,12 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 # loop's (inside one, a kind only delegates to its wake source); no
 # `progress(Some(` outside a `fn park` body, so no wait loop pumps the PML
 # itself; one `LogicalDeadline::new` in the whole core crate; and the
-# deleted poll-hook mechanism stays deleted. The count-based tests in
+# deleted poll-hook mechanism stays deleted; and exactly one
+# `yield_now(` call, in `drive` (a `Pending` poll yields the CPU once and
+# polls again before the loop parks). The count-based tests in
 # `request/setup.rs` check the behaviour; this keeps a second loop from
 # coming back unnoticed.
-echo "== wait-loop gate (request/: no sleep, one park call site, PML pumped only in park) =="
+echo "== wait-loop gate (request/: no sleep, one park call site, one yield in drive, PML pumped only in park) =="
 req=crates/core/src/request
 # Print "file:line:enclosing fn:text" for each code line containing $1.
 call_sites() {
@@ -47,6 +49,12 @@ parks="$(call_sites '.park(' | awk -F: '$3 != "park"')"
 if [ "$(printf '%s\n' "$parks" | grep -c ':drive:')" -ne 1 ] || [ "$(printf '%s\n' "$parks" | grep -c .)" -ne 1 ]; then
   printf '%s\n' "$parks" >&2
   echo "expected exactly one .park( call outside fn park bodies, in drive" >&2
+  exit 1
+fi
+yields="$(call_sites 'yield_now(')"
+if [ "$(printf '%s\n' "$yields" | grep -c ':drive:')" -ne 1 ] || [ "$(printf '%s\n' "$yields" | grep -c .)" -ne 1 ]; then
+  printf '%s\n' "$yields" >&2
+  echo "expected exactly one yield_now( call in $req outside test modules, in drive" >&2
   exit 1
 fi
 if call_sites 'progress(Some(' | awk -F: '$3 != "park"' | grep .; then
@@ -97,14 +105,25 @@ cargo test -q --offline -p bytes
 # mailbox channel has exactly one `notify_one(` call site (the one in `send`
 # behind the `waiting > signaled` test; disconnect uses `notify_all`), the
 # fabric clones no destination `Sender`, sleeps only to charge the cost
-# model's send overhead, and the sleeping `quiesce` poll stays deleted. The
-# count-based tests in the crossbeam shim (notify counter, `waiting` /
-# `signaled` under the lock, an interleaving proptest) check the behaviour.
-echo "== wake-contract gate (one notify_one site; fabric: no tx.clone, one sleep, no quiesce) =="
-notifies="$(grep -c 'notify_one(' vendor/crossbeam/src/lib.rs || true)"
+# model's send overhead, and the sleeping `quiesce` poll stays deleted. A
+# receiver about to park yields its CPU once first and never spins: the
+# shim's non-test code has exactly one `yield_now(` and no `spin_loop`. The
+# count-based tests in the crossbeam shim (notify and yield counters,
+# `waiting` / `signaled` under the lock, an interleaving proptest) check
+# the behaviour.
+echo "== wake-contract gate (one notify_one site, one yield, no spin; fabric: no tx.clone, one sleep, no quiesce) =="
+shim=vendor/crossbeam/src/lib.rs
+notifies="$(grep -c 'notify_one(' "$shim" || true)"
 if [ "$notifies" -ne 1 ]; then
-  grep -n 'notify_one(' vendor/crossbeam/src/lib.rs >&2 || true
+  grep -n 'notify_one(' "$shim" >&2 || true
   echo "expected exactly one notify_one( call site in the crossbeam shim, found $notifies" >&2
+  exit 1
+fi
+# The shim's code lines, up to its test module, as "line:text".
+shim_code() { awk '/^ *mod tests \{/ { exit } /^ *\/\// { next } { print FNR ":" $0 }' "$shim"; }
+if [ "$(shim_code | grep -c 'yield_now(' || true)" -ne 1 ] || shim_code | grep 'spin_loop'; then
+  shim_code | grep -E 'yield_now\(|spin_loop' >&2 || true
+  echo "expected exactly one yield_now( and no spin_loop in the crossbeam shim's non-test code" >&2
   exit 1
 fi
 if grep -n 'tx\.clone()' crates/simnet/src/fabric.rs; then

@@ -48,11 +48,14 @@ impl<T> Watcher<T> {
         self.next_timeout(Duration::ZERO)
     }
 
-    /// Wait up to `timeout` for the next update.
+    /// Wait up to `timeout` for the next update. A timeout past the end of
+    /// `Instant`'s range (`Duration::MAX`) waits without bound.
     pub fn next_timeout(&mut self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = std::time::Instant::now().checked_add(timeout);
         loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let left = deadline.map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(std::time::Instant::now())
+            });
             if let Some(update) = (self.pull)(left)? {
                 return Some(update);
             }

@@ -5,12 +5,13 @@
 //! `Pml::progress`; a [`SetupRequest`] is a staged construction (below).
 //! Every blocking call on either kind is one private `drive(budget)` loop
 //! over a private waitable surface both implement (`poll` / `park` /
-//! `waiting_on` / `fail`): it polls again at once after progress; on
-//! `Pending` after a park it fails the request typed `ProcTerminated` once
-//! what it waits on is dead (after a final sweep: a delivered message beats
-//! the verdict), returns `Timeout` once a bounded budget expires in logical
-//! time, and else parks on the kind's wake source. DESIGN.md §12 has the
-//! contract.
+//! `waiting_on` / `fail`): it polls again at once after progress; on the
+//! first `Pending` since its last park it yields the CPU once and polls
+//! again; on `Pending` after a park it fails the request typed
+//! `ProcTerminated` once what it waits on is dead (after a final sweep: a
+//! delivered message beats the verdict), returns `Timeout` once a bounded
+//! budget expires in logical time, and else parks on the kind's wake
+//! source. DESIGN.md §12 has the contract.
 //!
 //! # The setup engine (nonblocking session/comm construction)
 //!
@@ -118,10 +119,18 @@ fn drive<W: Waitable>(w: &mut W, budget: Duration) -> Result<W::Output> {
     let mut deadline =
         (budget < Duration::MAX).then(|| pmix::LogicalDeadline::new(w.fabric(), budget));
     let mut last_park = None;
+    let mut yielded = false;
     loop {
         let limit = match w.poll() {
             Polled::Ready(res) => return res,
             Polled::Progressed => continue,
+            // Before parking, hand the CPU to a runnable peer once and look
+            // again: what it does next is usually what this wait needs.
+            Polled::Pending if !yielded => {
+                yielded = true;
+                std::thread::yield_now();
+                continue;
+            }
             // Liveness is judged only once a park found nothing, so a wait
             // its first park completes never looks.
             Polled::Pending => match last_park.and_then(|_| w.waiting_on()) {
@@ -139,6 +148,7 @@ fn drive<W: Waitable>(w: &mut W, budget: Duration) -> Result<W::Output> {
             },
         };
         last_park = Some(limit);
+        yielded = false;
         w.park(limit);
     }
 }

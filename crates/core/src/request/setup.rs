@@ -617,10 +617,20 @@ mod tests {
         assert_eq!(parks, Vec::<&str>::new());
     }
 
+    /// A stage still `Pending` after the driver's yield-and-repoll is
+    /// parked, once per driver.
     #[test]
     fn a_pending_stage_is_parked_once_while_it_is_current() {
-        let parks = parks_under_every_driver(&[("a", 0), ("b", 1), ("c", 0)]);
+        let parks = parks_under_every_driver(&[("a", 0), ("b", 2), ("c", 0)]);
         assert_eq!(parks, ["b"; 3], "one park per driver, on the stage that answered Pending");
+    }
+
+    /// The driver yields once before it parks: a stage that is ready when
+    /// polled again after the yield is never parked.
+    #[test]
+    fn a_stage_ready_after_one_yield_is_never_parked() {
+        let parks = parks_under_every_driver(&[("a", 0), ("b", 1), ("c", 0)]);
+        assert_eq!(parks, Vec::<&str>::new());
     }
 
     /// The dead-peer exit of the drive loop: a stage that can only be

@@ -52,6 +52,28 @@ fn watch_faults_replays_to_late_subscriber_exactly_once() {
     handle.join().unwrap();
 }
 
+/// `Duration::MAX` is past the end of `Instant`'s range: it waits without
+/// bound instead of panicking, and a replayed fault comes straight back.
+#[test]
+fn watch_faults_next_timeout_max_returns_a_queued_fault() {
+    let launcher = Launcher::new(SimTestbed::tiny(1, 2));
+    let handle = launcher.spawn(JobSpec::new(2), |ctx| {
+        let victim = pmix::ProcId::new(ctx.proc().nspace(), 1);
+        while !ctx.universe().proc_is_dead(&victim) {
+            std::thread::yield_now();
+        }
+        if ctx.rank() == 1 {
+            return;
+        }
+        let session = new_session(&ctx);
+        let mut faults = session.watch_faults().unwrap();
+        assert_eq!(faults.next_timeout(Duration::MAX).expect("replayed fault").rank(), 1);
+        session.finalize().unwrap();
+    });
+    handle.kill_rank(1);
+    handle.join().unwrap();
+}
+
 #[test]
 fn dead_remote_member_fails_group_fanin_typed() {
     // Fails-pre-fix regression: rank 3 is the *sole* group member homed on

@@ -150,4 +150,12 @@ mod tests {
         assert_eq!(stream.try_next().unwrap().code, EventCode::Custom(1));
         assert!(stream.try_next().is_none());
     }
+
+    /// `Duration::MAX` is past the end of `Instant`'s range: no deadline.
+    #[test]
+    fn next_timeout_max_returns_a_queued_event() {
+        let (sub, stream) = EventStream::pair(None);
+        sub.tx.send(Event::new(EventCode::Custom(2), None)).unwrap();
+        assert_eq!(stream.next_timeout(Duration::MAX).unwrap().code, EventCode::Custom(2));
+    }
 }

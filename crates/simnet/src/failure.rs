@@ -107,4 +107,14 @@ mod tests {
         assert_eq!(w.recv_timeout(Duration::from_secs(1)).unwrap().endpoint, b.id());
         assert!(w.try_recv().is_none());
     }
+
+    /// `Duration::MAX` is past the end of `Instant`'s range: no deadline.
+    #[test]
+    fn recv_timeout_max_returns_a_queued_failure() {
+        let fabric = Fabric::new(CostModel::zero());
+        let a = fabric.register(NodeId(0));
+        let mut w = fabric.watch_failures();
+        fabric.kill(a.id());
+        assert_eq!(w.recv_timeout(Duration::MAX).unwrap().endpoint, a.id());
+    }
 }
