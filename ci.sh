@@ -72,6 +72,55 @@ if grep -rnE 'PollHook|with_hook|ReqKind::Coll' crates src tests examples --incl
   exit 1
 fi
 
+# CID-route gate: each of the paper's three CID routes (consensus, fresh
+# PGCID, local exCID derivation) is written once. Every fresh PGCID a
+# communicator gets comes from the `begin` -> `group` -> `commit` stage
+# machine in `comm/construct.rs`, whose blocking callers are its quiet
+# `wait`. Structurally, over the core crate's code (test modules and
+# comment lines excluded): no call to the blocking PMIx `.group_construct(`,
+# and exactly one `Comm::build(..)` call naming `CidOrigin::Pgcid`, in
+# `commit_stage`. The split test in `crates/core/tests/comm_derive.rs`
+# checks the behaviour; this keeps a hand-rolled second construct path
+# from coming back unnoticed.
+echo "== CID-route gate (core: no blocking group construct; one PGCID Comm::build, in commit_stage) =="
+# Print "file:line:enclosing fn:text" for each code line of crates/core/src.
+core_code() {
+  find crates/core/src -name '*.rs' ! -name tests.rs | sort | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /^ *(pub(\([a-z]+\))? )?mod [a-z_]*tests \{/ { in_tests = 1 }
+    in_tests || /^ *\/\// { next }
+    /^ *(pub(\([a-z]+\))? )?fn [a-z_]/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    { print FILENAME ":" FNR ":" fn ":" $0 }'
+}
+if core_code | grep -F '.group_construct('; then
+  echo "crates/core/src calls the blocking group_construct: issue the construct stages and wait" >&2
+  exit 1
+fi
+# "file:line:fn" of every Comm::build( call whose argument list names
+# CidOrigin::Pgcid (the call may span lines; parentheses are balanced).
+pgcid_builds="$(core_code | awk '
+  {
+    split($0, f, ":"); text = $0; sub(/^[^:]*:[^:]*:[^:]*:/, "", text)
+    if (!inside && index(text, "Comm::build(")) {
+      inside = 1; depth = 0; call = ""; site = f[1] ":" f[2] ":" f[3]
+      text = substr(text, index(text, "Comm::build("))
+    }
+    if (!inside) next
+    call = call text
+    n = split(text, ch, "")
+    for (i = 1; i <= n && inside; i++) {
+      if (ch[i] == "(") depth++
+      else if (ch[i] == ")" && --depth == 0) inside = 0
+    }
+    if (!inside && index(call, "CidOrigin::Pgcid")) print site
+  }')"
+if [ "$(printf '%s\n' "$pgcid_builds" | grep -c .)" -ne 1 ] \
+  || ! printf '%s\n' "$pgcid_builds" | grep -q ':commit_stage$'; then
+  printf '%s\n' "$pgcid_builds" >&2
+  echo "expected exactly one Comm::build(.., CidOrigin::Pgcid, ..) in crates/core/src, in commit_stage" >&2
+  exit 1
+fi
+
 # Copy-contract gate: a payload is copied once, at the `&[u8]` API boundary
 # in `Comm::isend`, and never between `Pml::isend` and `Request::wait_data`
 # — it travels as the body segment of a gather envelope, by handle.

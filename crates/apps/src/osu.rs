@@ -500,83 +500,3 @@ mod tests {
         assert_eq!(samples.len(), 1);
     }
 }
-
-/// One `osu_bw` (unidirectional bandwidth) sample.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct BwSample {
-    /// Message size in bytes.
-    pub size: usize,
-    /// Bandwidth in MB/s.
-    pub mb_per_s: f64,
-}
-
-/// The `osu_bw` core loop: rank 0 streams a window of messages to rank 1,
-/// which ACKs the window; run between exactly two ranks.
-pub fn osu_bw(
-    comm: &Comm,
-    sizes: &[usize],
-    window: usize,
-    warmup: usize,
-    iters: usize,
-) -> Vec<BwSample> {
-    assert!(comm.size() >= 2, "osu_bw needs two processes");
-    let me = comm.rank();
-    let mut out = Vec::new();
-    for &size in sizes {
-        let payload = vec![0x3cu8; size];
-        coll::barrier(comm).unwrap();
-        let t0 = Instant::now();
-        for _ in 0..(warmup + iters) {
-            if me == 0 {
-                let mut reqs = Vec::with_capacity(window);
-                for _ in 0..window {
-                    reqs.push(comm.isend(1, 4, &payload).unwrap());
-                }
-                mpi_sessions::Request::wait_all(reqs).unwrap();
-                let _ = comm.recv(1, 5).unwrap();
-            } else if me == 1 {
-                let mut reqs = Vec::with_capacity(window);
-                for _ in 0..window {
-                    reqs.push(comm.irecv(0, 4).unwrap());
-                }
-                for r in reqs {
-                    r.wait().unwrap();
-                }
-                comm.send(0, 5, b"ok").unwrap();
-            }
-        }
-        let elapsed = t0.elapsed();
-        coll::barrier(comm).unwrap();
-        if me == 0 {
-            let bytes = ((warmup + iters) * window * size) as f64;
-            out.push(BwSample { size, mb_per_s: bytes / elapsed.as_secs_f64() / 1e6 });
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod bw_tests {
-    use super::*;
-    use prrte::{JobSpec, Launcher};
-
-    #[test]
-    fn osu_bw_reports_increasing_bandwidth() {
-        let launcher = Launcher::new(SimTestbed::tiny(1, 2));
-        let out = launcher
-            .spawn(JobSpec::new(2), |ctx| {
-                let (session, comm) = bench_comm(&ctx, InitMode::Sessions, "bw");
-                let samples = osu_bw(&comm, &[64, 4096], 8, 1, 5);
-                comm.free().unwrap();
-                if let Some(s) = session {
-                    s.finalize().unwrap();
-                }
-                samples
-            })
-            .join()
-            .unwrap();
-        let s = &out[0];
-        assert_eq!(s.len(), 2);
-        assert!(s[1].mb_per_s > s[0].mb_per_s, "larger messages amortize overheads");
-    }
-}

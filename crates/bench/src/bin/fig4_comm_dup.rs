@@ -123,9 +123,9 @@ fn time_idups(
             let (session, comm) = apps::osu::bench_comm(&ctx, InitMode::Sessions, "fig4-nb");
             let t0 = Instant::now();
             let reqs: Vec<_> =
-                (0..iters).map(|_| comm.idup_via_group().expect("idup issue")).collect();
+                (0..iters).map(|_| comm.idup_via_group().expect("dup issue")).collect();
             let dups: Vec<_> =
-                reqs.into_iter().map(|r| r.wait().expect("idup wait")).collect();
+                reqs.into_iter().map(|r| r.wait().expect("dup wait")).collect();
             let elapsed = t0.elapsed();
             for d in dups {
                 d.free().expect("free");

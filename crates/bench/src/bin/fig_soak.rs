@@ -88,7 +88,7 @@ fn main() {
             // Abandon variant: one nonblocking PGCID dup rides in flight
             // across the whole wave's churn (issued here, resolved after
             // the allreduce below).
-            let inflight = abandon.then(|| comm.idup_via_group().expect("idup issue"));
+            let inflight = abandon.then(|| comm.idup_via_group().expect("dup issue"));
             // Derive a child, free it, derive again: the second derivation
             // must resume the recycled subfield, exercising the freed-list
             // path every single wave.
@@ -106,7 +106,7 @@ fn main() {
                     // same drained world as a claimed-and-freed wave.
                     drop(req);
                 } else {
-                    req.wait().expect("idup wait").free().expect("free idup");
+                    req.wait().expect("dup wait").free().expect("free dup");
                 }
             }
             comm.free().expect("free comm");
@@ -199,7 +199,7 @@ fn main() {
     // 10% of the in-flight idups (every 10th wave, all ranks) are dropped
     // mid-flight; each drop must surface as exactly one cancellation.
     let abandoned = if abandon { waves.div_ceil(10) * NP as u64 } else { 0 };
-    assert_eq!(cancelled, abandoned, "every abandoned idup must be cancelled, nothing else");
+    assert_eq!(cancelled, abandoned, "every abandoned request must be cancelled, nothing else");
     if !no_gc && waves > GC_TOMBSTONE_THRESHOLD as u64 {
         assert!(gced > 0, "churn past the threshold must trigger GC");
     }

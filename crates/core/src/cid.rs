@@ -17,11 +17,17 @@
 //! counter would pass 255, or not all processes of the parent participate
 //! (`MPI_Comm_create_group`).
 //!
+//! `DerivePool` holds that policy for one communicator: which block it
+//! derives from, which block it came from, and the freed slots a block
+//! recycles.
+//!
 //! The 16-bit local CID (communicator-table index) is unchanged from the
 //! classic design and remains what the optimized 14-byte match header
 //! carries; this module also houses the table allocator for it.
 
 use crate::error::{ErrClass, MpiError, Result};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// Maximum local CIDs per process (16-bit index space).
 pub const MAX_LOCAL_CIDS: usize = u16::MAX as usize + 1;
@@ -161,6 +167,138 @@ pub fn try_derive_excid(
     let child = parent.with_subfield(state.active, value);
     let child_state = DeriveState::child_of(state);
     Ok((child, child_state))
+}
+
+/// One communicator's place in the exCID derivation tree: the block it
+/// derives children from, and the block it was itself derived from.
+///
+/// A block is a base exCID (PGCID-fresh or itself derived) plus the
+/// derivation cursor walking its subfield space. Blocks sit behind an `Arc`
+/// so a parent whose block is exhausted and the refill child it mints (see
+/// `Comm::dup`) *share* one block: further dups of either consume the same
+/// 255-slot budget, which keeps the derivation tree collision-free without
+/// re-acquiring a PGCID per dup.
+#[derive(Default)]
+pub(crate) struct DerivePool {
+    /// The block children are derived from (`None`: no exCID block, so
+    /// every dup takes the fresh-PGCID route).
+    own: Mutex<Option<Block>>,
+    /// The block this communicator was derived *from* (`None` unless it
+    /// is a derived child): freeing it returns its subfield there.
+    parent: Mutex<Option<Block>>,
+}
+
+type Block = Arc<Mutex<BlockState>>;
+
+struct BlockState {
+    base: ExCid,
+    state: DeriveState,
+    /// Subfield slots returned by freed derived children. LIFO and fed only
+    /// by `Comm::free`, which every rank calls on the same children, so the
+    /// list stays identical on every rank (derivation must stay
+    /// rank-symmetric).
+    freed: Vec<FreedSlot>,
+}
+
+impl BlockState {
+    fn rooted(base: ExCid, state: DeriveState) -> Block {
+        Arc::new(Mutex::new(BlockState { base, state, freed: Vec::new() }))
+    }
+}
+
+/// One recyclable subfield on a block's freed list: the child's exCID
+/// together with the child's *own* block, captured at free time. A recycled
+/// child resumes that block rather than starting a fresh one, so it can
+/// never re-derive a grandchild exCID that might still be live.
+struct FreedSlot {
+    excid: ExCid,
+    own: Block,
+    /// Incarnation of the communicator that returned the slot. The list is
+    /// identical on every rank, so the count is too: the next communicator
+    /// to take the slot is incarnation + 1 everywhere, which is what lets
+    /// the PML tell its traffic from its predecessor's.
+    incarnation: u16,
+}
+
+/// A subfield handed out by [`DerivePool::take`], to be seated on the
+/// child communicator with [`DerivePool::seat`].
+pub(crate) struct Subfield {
+    pub excid: ExCid,
+    pub incarnation: u16,
+    /// Whether the slot was recycled from a freed sibling.
+    pub recycled: bool,
+    own: Block,
+    parent: Block,
+}
+
+impl DerivePool {
+    /// A pool rooting a fresh block at `base` (a PGCID-fresh or hashed
+    /// lazy exCID: itself plus up to 255 locally-derived children).
+    pub fn rooted(base: ExCid) -> Self {
+        DerivePool {
+            own: Mutex::new(Some(BlockState::rooted(base, DeriveState::fresh()))),
+            ..Default::default()
+        }
+    }
+
+    /// Take one exCID subfield: recycled slots first (one incarnation later
+    /// than their previous holder), then fresh derivation from the block.
+    /// `None` when there is no block, `Some(Err(why))` when the subfield
+    /// space is exhausted.
+    pub fn take(&self) -> Option<std::result::Result<Subfield, DeriveExhausted>> {
+        let parent = self.own.lock().clone()?;
+        let mut block = parent.lock();
+        if let Some(slot) = block.freed.pop() {
+            drop(block);
+            return Some(Ok(Subfield {
+                excid: slot.excid,
+                incarnation: slot.incarnation.wrapping_add(1),
+                recycled: true,
+                own: slot.own,
+                parent,
+            }));
+        }
+        let base = block.base;
+        let derived = try_derive_excid(&base, &mut block.state);
+        drop(block);
+        Some(derived.map(|(excid, state)| Subfield {
+            excid,
+            incarnation: 0,
+            recycled: false,
+            own: BlockState::rooted(excid, state),
+            parent,
+        }))
+    }
+
+    /// Install a taken subfield on the child built from it: the child
+    /// derives from its own block (fresh, or resumed when recycled) and
+    /// remembers the block it came from.
+    pub fn seat(&self, sub: Subfield) {
+        *self.own.lock() = Some(sub.own);
+        *self.parent.lock() = Some(sub.parent);
+    }
+
+    /// Give a freed derived child's subfield back to the block it came
+    /// from, for recycling. Whether a slot was returned: a refill child
+    /// shares its parent's block and has nothing to give back.
+    pub fn give_back(&self, excid: ExCid, incarnation: u16) -> bool {
+        let (Some(parent), Some(own)) = (self.parent.lock().clone(), self.own.lock().clone())
+        else {
+            return false;
+        };
+        if Arc::ptr_eq(&own, &parent) {
+            return false;
+        }
+        parent.lock().freed.push(FreedSlot { excid, own, incarnation });
+        true
+    }
+
+    /// Adopt `refill`'s block as this pool's own (the exhaustion refill:
+    /// shared, so dups of either communicator derive from it from now on).
+    pub fn adopt(&self, refill: &DerivePool) {
+        let block = refill.own.lock().clone();
+        *self.own.lock() = block;
+    }
 }
 
 /// The per-process local-CID table allocator: lowest-free-index policy,

@@ -17,8 +17,8 @@
 //!
 //! [`SetupRequest`] is the request type behind the `i`-variants of the
 //! construction API (`Session::init_i`, `Session::igroup_from_pset`,
-//! `Comm::icomm_create_from_group`, `Comm::idup`, `Comm::idup_via_group`)
-//! and behind `coll::ibarrier`.
+//! `Comm::icomm_create_from_group`, `Comm::idup_via_group`) and behind
+//! `coll::ibarrier`.
 //! A setup request is a **multi-stage state machine**: each stage is a
 //! [`SetupStage`] whose `poll` either reports [`SetupStep::Pending`],
 //! hands over to the next stage ([`SetupStep::Next`]), or finishes with

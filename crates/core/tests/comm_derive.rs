@@ -221,6 +221,51 @@ fn split_by_parity() {
     assert_eq!(out, vec![2, 4, 2, 4]); // evens: 0+2, odds: 1+3
 }
 
+/// A sessions communicator's split takes the fresh-PGCID route: each half
+/// gets its own PGCID, and once every rank has freed it the half's family
+/// is recycled exactly once.
+#[test]
+fn split_of_sessions_comm_gets_and_recycles_fresh_pgcids() {
+    use prrte::{JobSpec, Launcher};
+    use simnet::SimTestbed;
+    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
+    let out = launcher
+        .spawn(JobSpec::new(4), |ctx| {
+            let (s, c) = world_comm(&ctx, "split-pgcid");
+            let sub = c.split(ctx.rank() % 2, ctx.rank()).unwrap();
+            let origin = sub.cid_origin();
+            let (parent, half) = (c.excid().unwrap().pgcid, sub.excid().unwrap().pgcid);
+            sub.free().unwrap();
+            c.free().unwrap();
+            s.finalize().unwrap();
+            (origin, parent, half)
+        })
+        .join()
+        .unwrap();
+    let parent = out[0].1;
+    for (rank, &(origin, p, half)) in out.iter().enumerate() {
+        assert_eq!(origin, CidOrigin::Pgcid, "rank {rank}");
+        assert_eq!(p, parent, "rank {rank} agrees on the parent");
+        assert_ne!(half, parent, "rank {rank}: a half gets a PGCID of its own");
+        assert_eq!(half, out[rank % 2].2, "rank {rank} agrees with its half");
+    }
+    let (evens, odds) = (out[0].2, out[1].2);
+    assert_ne!(evens, odds);
+    // A release is one-way: read the recycled ids once every server
+    // mailbox is drained.
+    launcher.universe().shutdown();
+    let obs = launcher.universe().fabric().obs();
+    let recycled: Vec<u64> = obs
+        .events_named("pgcid.recycled")
+        .iter()
+        .filter_map(|e| e.attr("pgcid").and_then(|v| v.as_u64()))
+        .collect();
+    for half in [evens, odds] {
+        assert_eq!(recycled.iter().filter(|&&p| p == half).count(), 1, "{recycled:?}");
+    }
+    assert_eq!(obs.sum_counters("pmix", "pgcid_recycled"), 3, "parent + one per half");
+}
+
 #[test]
 fn split_with_key_reorders_ranks() {
     let out = run(1, 3, 3, |ctx| {

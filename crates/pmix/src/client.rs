@@ -293,11 +293,6 @@ impl PmixClient {
             .local_peers(self.server.node()))
     }
 
-    /// Query: number of defined process sets (`PMIX_QUERY_NUM_PSETS`).
-    pub fn query_num_psets(&self) -> usize {
-        self.server.registry().num_psets()
-    }
-
     /// Query: names of all process sets (`PMIX_QUERY_PSET_NAMES`).
     pub fn query_pset_names(&self) -> Vec<String> {
         self.server.registry().pset_names()
@@ -306,19 +301,6 @@ impl PmixClient {
     /// Query: membership of one process set.
     pub fn query_pset_membership(&self, name: &str) -> Result<Vec<ProcId>> {
         self.server.registry().pset_members(name)
-    }
-
-    /// Query: membership of one process set together with the pset's epoch.
-    pub fn query_pset_membership_versioned(
-        &self,
-        name: &str,
-    ) -> Result<(u64, Arc<Vec<ProcId>>)> {
-        self.server.registry().pset_members_versioned(name)
-    }
-
-    /// Query: current global pset-registry epoch.
-    pub fn query_pset_epoch(&self) -> u64 {
-        self.server.registry().pset_epoch()
     }
 
     /// Query: a self-consistent snapshot of the whole pset table. Batches

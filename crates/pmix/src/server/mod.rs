@@ -633,7 +633,6 @@ impl PmixServer {
                 NodeId(from_node),
                 servers.into_iter().map(NodeId).collect(),
             ),
-            ServerMsg::ProcFailed { proc } => self.on_proc_failed(&proc),
             ServerMsg::DmodexReq { reply_to, token, proc, key } => {
                 self.on_dmodex_req(reply_to, token, proc, key)
             }

@@ -69,10 +69,9 @@ mod tests {
     fn proc_id_codec_roundtrip() {
         use crate::wire::ServerMsg;
         let p = ProcId::new("job", 3);
-        let Some(ServerMsg::ProcFailed { proc: q }) =
-            ServerMsg::decode(&ServerMsg::ProcFailed { proc: p.clone() }.encode())
-        else {
-            panic!("a ProcFailed frame decodes to itself");
+        let msg = ServerMsg::InviteReply { group: "g".into(), from: p.clone(), accept: true };
+        let Some(ServerMsg::InviteReply { from: q, .. }) = ServerMsg::decode(&msg.encode()) else {
+            panic!("an InviteReply frame decodes to itself");
         };
         assert_eq!(p, q);
     }

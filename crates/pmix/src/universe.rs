@@ -131,7 +131,7 @@ impl PmixUniverse {
             }));
         }
 
-        // Failure bridge: fabric deaths -> ProcFailed at every server,
+        // Failure bridge: fabric deaths -> `on_proc_failed` at every server,
         // then the dead process's psets shrink around it (so subscribers
         // rebuilding from the event already see the server-side death).
         // Exits when a *server* endpoint dies, which only happens at

@@ -173,12 +173,6 @@ pub enum ServerMsg {
         /// first is the lead).
         servers: Vec<u32>,
     },
-    /// Broadcast: a process died. Servers fail affected collectives and
-    /// notify subscribed clients.
-    ProcFailed {
-        /// The dead process.
-        proc: ProcId,
-    },
     /// Direct-modex fetch of one key of one (remote) process.
     DmodexReq {
         /// Where to send the reply.
@@ -218,6 +212,9 @@ pub enum ServerMsg {
 }
 
 /// Frame tags, one per [`ServerMsg`] variant (the first byte of a frame).
+/// Tag 7 is retired (it carried a process-death broadcast; deaths reach
+/// servers only through the universe's failure bridge) and decodes to
+/// `None`.
 mod tag {
     pub const COLL_CONTRIB: u8 = 1;
     pub const COLL_PGCID: u8 = 2;
@@ -225,7 +222,6 @@ mod tag {
     pub const PGCID_REQUEST: u8 = 4;
     pub const PGCID_REPLY: u8 = 5;
     pub const GROUP_RELEASED: u8 = 6;
-    pub const PROC_FAILED: u8 = 7;
     pub const DMODEX_REQ: u8 = 8;
     pub const DMODEX_REPLY: u8 = 9;
     pub const NOTIFY: u8 = 10;
@@ -271,10 +267,6 @@ impl ServerMsg {
                 pgcid.put(&mut out);
                 from_node.put(&mut out);
                 servers.put(&mut out);
-            }
-            ServerMsg::ProcFailed { proc } => {
-                out.push(tag::PROC_FAILED);
-                proc.put(&mut out);
             }
             ServerMsg::DmodexReq { reply_to, token, proc, key } => {
                 out.push(tag::DMODEX_REQ);
@@ -325,7 +317,6 @@ impl ServerMsg {
             tag::GROUP_RELEASED => {
                 ServerMsg::GroupReleased { pgcid: r.get()?, from_node: r.get()?, servers: r.get()? }
             }
-            tag::PROC_FAILED => ServerMsg::ProcFailed { proc: r.get()? },
             tag::DMODEX_REQ => ServerMsg::DmodexReq {
                 reply_to: EndpointId(r.get()?),
                 token: r.get()?,
@@ -772,7 +763,6 @@ mod tests {
             ServerMsg::PgcidRequest { reply_to: EndpointId(u64::MAX), token: 0, count: 64 },
             ServerMsg::PgcidReply { token: 17, pgcid: 42, count: 1 },
             ServerMsg::GroupReleased { pgcid: 42, from_node: u32::MAX, servers: vec![0, 1, 300] },
-            ServerMsg::ProcFailed { proc: p.clone() },
             ServerMsg::DmodexReq {
                 reply_to: EndpointId(4),
                 token: 9,
@@ -863,13 +853,15 @@ mod tests {
         assert_eq!(ServerMsg::decode(b"not json"), None);
         assert_eq!(ServerMsg::decode(&[0]), None);
         assert_eq!(ServerMsg::decode(&[12]), None);
+        // The retired tag 7, with what its frame used to carry.
+        assert_eq!(ServerMsg::decode(&[7, 1, b'j', 0]), None);
         // A `u32` field one past its range.
         let mut frame = vec![tag::GROUP_RELEASED, 42];
         put_varint(&mut frame, u32::MAX as u64 + 1);
         frame.push(0);
         assert_eq!(ServerMsg::decode(&frame), None);
         // Invalid UTF-8 in a string, and a non-0/1 bool.
-        assert_eq!(ServerMsg::decode(&[tag::PROC_FAILED, 1, 0xff, 0]), None);
+        assert_eq!(ServerMsg::decode(&[tag::DMODEX_REQ, 0, 0, 1, 0xff, 0, 0]), None);
         assert_eq!(ServerMsg::decode(&[tag::INVITE_REPLY, 0, 1, b'j', 0, 2]), None);
         // A varint running past 64 bits.
         let mut frame = vec![tag::PGCID_REPLY];
@@ -976,7 +968,7 @@ mod tests {
         impl Strategy for AnyMsg {
             type Value = ServerMsg;
             fn generate(&self, rng: &mut TestRng) -> ServerMsg {
-                match rng.below(11) {
+                match rng.below(10) {
                     0 => ServerMsg::CollContrib {
                         op: op_id(rng),
                         from_node: rng.next_u64() as u32,
@@ -1009,18 +1001,17 @@ mod tests {
                         from_node: rng.next_u64() as u32,
                         servers: (0..rng.below(5)).map(|_| rng.next_u64() as u32 >> 20).collect(),
                     },
-                    6 => ServerMsg::ProcFailed { proc: proc(rng) },
-                    7 => ServerMsg::DmodexReq {
+                    6 => ServerMsg::DmodexReq {
                         reply_to: EndpointId(rng.next_u64() >> 50),
                         token: rng.next_u64(),
                         proc: proc(rng),
                         key: string(rng),
                     },
-                    8 => ServerMsg::DmodexReply {
+                    7 => ServerMsg::DmodexReply {
                         token: rng.next_u64(),
                         value: (rng.next_u64() & 1 == 1).then(|| value(rng)),
                     },
-                    9 => ServerMsg::Notify { event: event(rng), targets: procs(rng) },
+                    8 => ServerMsg::Notify { event: event(rng), targets: procs(rng) },
                     _ => ServerMsg::InviteReply {
                         group: string(rng),
                         from: proc(rng),
