@@ -187,6 +187,41 @@ if grep -n 'fn quiesce' crates/simnet/src/fabric.rs; then
   echo "the sleeping Fabric::quiesce poll is back: use in_flight() / activity()" >&2
   exit 1
 fi
+# Thread gate: the simulator's only threads are rank threads and the
+# fabric's delivery pump. A PMIx server (the RM included) is state plus a
+# served endpoint, run by the threads that send to it; deaths reach the
+# servers through a fabric death callback, not a bridge thread; and the
+# pump starts on the first delayed frame. Structurally: non-test code
+# under crates/{simnet,pmix,prrte,core}/src calls `thread::spawn` /
+# `thread::Builder` only in the launcher's `spawn_rank_thread` and the
+# fabric's `schedule` (the lazy pump start), and no `run_loop` is back in
+# crates/pmix/src. The tests `universe_churn` (thread count flat through
+# boot, a job and drop) and `thread_model` (a job's threads are its ranks)
+# check the behaviour.
+echo "== thread gate (spawns: rank threads + the lazy pump only; no pmix run_loop) =="
+spawn_sites() {
+  find crates/simnet/src crates/pmix/src crates/prrte/src crates/core/src -name '*.rs' ! -name tests.rs \
+    | sort | xargs awk '
+    FNR == 1 { in_tests = 0; cfg_test = 0 }
+    cfg_test && /^mod [a-z_]+ \{/ { in_tests = 1 }
+    { cfg_test = /^#\[cfg\(test\)\]/ }
+    in_tests || /^ *\/\// { next }
+    /^ *(pub(\([a-z]+\))? )?fn [a-z_]/ { match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /thread::(spawn|Builder)/ { print FILENAME ":" FNR ":" fn ":" $0 }
+  '
+}
+spawns="$(spawn_sites)"
+if [ "$(printf '%s\n' "$spawns" | grep -c .)" -ne 2 ] \
+  || ! printf '%s\n' "$spawns" | grep -q '^crates/prrte/src/launcher.rs:[0-9]*:spawn_rank_thread:' \
+  || ! printf '%s\n' "$spawns" | grep -q '^crates/simnet/src/fabric.rs:[0-9]*:schedule:'; then
+  printf '%s\n' "$spawns" >&2
+  echo "expected thread spawns only in prrte's spawn_rank_thread and simnet's lazy pump start (schedule)" >&2
+  exit 1
+fi
+if grep -rn 'run_loop' crates/pmix/src; then
+  echo "a PMIx server thread loop is back: serve the endpoint (PmixServer::new) instead" >&2
+  exit 1
+fi
 echo "== vendored crossbeam shim (wake once per burst, none without a waiter) =="
 cargo test -q --offline -p crossbeam
 

@@ -414,6 +414,11 @@ impl<T: Send + 'static> SetupRequest<T> {
         first: Box<dyn SetupStage<T>>,
         cancel: Option<Box<dyn FnOnce(T) + Send>>,
     ) -> SetupRequest<T> {
+        // The first stage puts its exchange on the wire; the servers handle
+        // it when this thread next tests, waits or parks, so requests
+        // issued back to back are all on the wire before the first is
+        // served (simnet::turn::issue).
+        let _issue = simnet::turn::issue();
         let id = SETUP_REQ_IDS.fetch_add(1, Ordering::Relaxed);
         let core = Arc::new(Mutex::new(SetupCore {
             process,

@@ -376,6 +376,26 @@ pub fn clear_ambient() {
     AMBIENT.with(|a| *a.borrow_mut() = None);
 }
 
+/// Run `f` with this thread's entered spans and ambient context hidden,
+/// then put them back. Work that borrows a thread — a PMIx server handler
+/// run by whichever thread delivered its frame — sees no current context,
+/// so its spans, links and fault notes land exactly where they would on a
+/// thread of its own.
+pub fn detached<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<TlEntry>, Option<TlEntry>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.0));
+            AMBIENT.with(|a| *a.borrow_mut() = self.1.take());
+        }
+    }
+    let _restore = Restore(
+        STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        AMBIENT.with(|a| a.borrow_mut().take()),
+    );
+    f()
+}
+
 /// Annotate the current thread's innermost span with a fault description.
 ///
 /// Called by the fault-injection seam in simnet: the hook runs on the

@@ -110,6 +110,7 @@ impl EventStream {
 
     /// Wait up to `timeout` for an event.
     pub fn next_timeout(&self, timeout: Duration) -> Option<Event> {
+        simnet::turn::catch_up();
         self.rx.recv_timeout(timeout).ok()
     }
 

@@ -98,6 +98,7 @@ impl PmixServer {
         me: &ProcId,
         kvs: HashMap<String, PmixValue>,
     ) -> Result<PendingColl> {
+        let _turn = simnet::turn();
         if members.is_empty() {
             return Err(PmixError::BadParam("empty membership".into()));
         }
@@ -208,6 +209,7 @@ impl PmixServer {
     /// callers: a poll past the deadline aborts the collective everywhere
     /// (the failure surfaces on the next poll, once the Err result posts).
     pub fn coll_poll(&self, pc: &mut PendingColl) -> Option<Result<CollOutcome>> {
+        let _turn = simnet::turn();
         if pc.finished {
             return Some(Err(PmixError::BadParam(format!(
                 "{} polled a finished collective {}",
@@ -271,6 +273,7 @@ impl PmixServer {
         if pc.finished {
             return;
         }
+        simnet::turn::catch_up();
         let shard = &self.ops_shards[pc.si];
         let mut st = shard.state.lock();
         // Re-check under the lock so a completion between the caller's poll

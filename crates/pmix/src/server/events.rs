@@ -66,6 +66,7 @@ impl PmixServer {
     /// Route an event to a set of processes (local delivery + remote
     /// forwarding to their servers).
     pub fn notify_procs(&self, targets: &[ProcId], event: &Event) {
+        let _turn = simnet::turn();
         let mut by_node: HashMap<NodeId, Vec<ProcId>> = HashMap::new();
         for t in targets {
             if let Ok(e) = self.registry.locate(t) {
@@ -108,6 +109,7 @@ impl PmixServer {
     /// notify subscribers, count the process as released in every group it
     /// belonged to here, and mark it dead.
     pub fn on_proc_failed(&self, proc: &ProcId) {
+        let _turn = simnet::turn();
         {
             let mut dead = self.dead.write();
             if !dead.insert(proc.clone()) {

@@ -95,6 +95,7 @@ impl PmixServer {
         invited: &[ProcId],
         directives: &GroupDirectives,
     ) -> Result<()> {
+        let _turn = simnet::turn();
         for target in invited {
             self.registry.locate(target)?;
         }
@@ -121,6 +122,7 @@ impl PmixServer {
 
     /// Invitee side: answer an invitation (routed to the initiator's server).
     pub fn join_reply(&self, name: &str, me: &ProcId, initiator: &ProcId, accept: bool) -> Result<()> {
+        let _turn = simnet::turn();
         let entry = self.registry.locate(initiator)?;
         let msg = ServerMsg::InviteReply { group: name.to_owned(), from: me.clone(), accept };
         if entry.node == self.node {
@@ -249,7 +251,11 @@ impl PmixServer {
     /// grant landing after the wait gave up finds no slot and is repooled.
     fn invite_pgcid(&self, name: &str, timeout: Duration) -> Result<u64> {
         self.ctl.lock().invite_pgcids.insert(name.to_owned(), None);
-        self.acquire_pgcid_for(&PgcidWaiter::Invite(name.to_owned()), None);
+        {
+            // The RM request's handlers run before the wait below parks.
+            let _turn = simnet::turn();
+            self.acquire_pgcid_for(&PgcidWaiter::Invite(name.to_owned()), None);
+        }
         let granted = self.ctl_wait(timeout, |st| match st.invite_pgcids.get(name) {
             Some(None) => None,
             // Filled, or withdrawn because no RM is reachable.
@@ -271,6 +277,7 @@ impl PmixServer {
         timeout: Duration,
         mut ready: impl FnMut(&mut CtlState) -> Option<T>,
     ) -> Option<T> {
+        simnet::turn::catch_up();
         let mut deadline = LogicalDeadline::new(self.sender.fabric(), timeout);
         let mut st = self.ctl.lock();
         loop {

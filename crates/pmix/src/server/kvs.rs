@@ -54,6 +54,7 @@ impl PmixServer {
     /// Commit key-value data for a local client, waking any parked dmodex
     /// requests and local getters.
     pub fn commit_kvs(&self, proc: &ProcId, data: HashMap<String, PmixValue>) {
+        let _turn = simnet::turn();
         let kshard = &self.kvs_shards[Self::kvs_shard_of(proc)];
         let mut ks = kshard.state.lock();
         ks.kvs_local.entry(proc.clone()).or_default().extend(data);
@@ -94,6 +95,7 @@ impl PmixServer {
     /// * a remote owner issues one dmodex round trip whose reply lands in
     ///   the ticket's shard slot.
     pub fn fetch_begin(&self, proc: &ProcId, key: &str) -> Result<FetchTicket> {
+        let _turn = simnet::turn();
         let entry = self.registry.locate(proc)?;
         if self.dead.read().contains(proc) {
             return Err(PmixError::ProcTerminated(proc.clone()));
@@ -191,6 +193,7 @@ impl PmixServer {
         if matches!(ticket.mode, FetchMode::Resolved(_) | FetchMode::Done) {
             return;
         }
+        simnet::turn::catch_up();
         let kshard = &self.kvs_shards[ticket.shard];
         let mut ks = kshard.state.lock();
         let outstanding = match ticket.mode {
@@ -223,6 +226,7 @@ impl PmixServer {
     /// event, so without this call a retired rank's card would sit in the
     /// KVS forever and a lazy get could resolve it to a stale endpoint.
     pub fn purge_kvs_for(&self, proc: &ProcId) {
+        let _turn = simnet::turn();
         let ki = Self::kvs_shard_of(proc);
         let kshard = &self.kvs_shards[ki];
         let mut ks = kshard.state.lock();

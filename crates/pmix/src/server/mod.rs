@@ -32,7 +32,7 @@
 //!
 //! ## Where things live
 //!
-//! This file holds the server's state, construction, message loop and
+//! This file holds the server's state, construction, frame handler and
 //! dispatch ([`PmixServer::handle_ctx`]); each concern is an `impl` block
 //! in its own file: `kvs` (commit, fetch tickets, purge, dmodex), `coll`
 //! (the collective engine above), `pgcid` (id acquisition, group release
@@ -43,6 +43,16 @@
 //! → *park* on one condvar (`fetch_*` on a kvs shard, `coll_*` on an ops
 //! shard, the invite finalize on the control plane); blocking calls are
 //! begin plus a poll/park loop (DESIGN.md §12, "How a pmix call blocks").
+//!
+//! ## No thread of its own
+//!
+//! A server is state plus a served fabric endpoint ([`Endpoint::serve`]):
+//! a frame sent to it is handled by the thread that sent it, when that
+//! thread's turn ends ([`simnet::turn`](mod@simnet::turn)), or by the
+//! fabric's pump when the cost model charges `rpc_processing`. Every entry
+//! point that can send opens a turn first, so handlers never run under a
+//! lock the caller holds here, and every park here first works off what
+//! the parking thread still owes (`simnet::turn::catch_up`).
 //!
 //! ## Sharded hot-path state
 //!
@@ -101,11 +111,11 @@ use crate::wire::{
 use invite::InviteState;
 use parking_lot::{Condvar, Mutex, RwLock};
 use pgcid::{PgcidCtl, PgcidWaiter};
-use simnet::{Endpoint, EndpointId, EndpointSender, NodeId};
+use simnet::{Endpoint, EndpointId, EndpointSender, Envelope, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Number of key-hashed shards the server's ops and KVS tables are split
 /// into. Eight is plenty for the simulated node sizes while keeping the
@@ -421,18 +431,17 @@ pub struct PmixServer {
     pgcid_block: AtomicU64,
     // Resource-manager service: present only on the universe's lead server.
     rm_next_pgcid: Option<AtomicU64>,
-    // Per-RPC processing cost (control-plane software overhead).
-    rpc_processing: Duration,
     metrics: ServerMetrics,
 }
 
 impl PmixServer {
-    /// Create a server bound to `endpoint` (whose mailbox must be drained by
-    /// [`PmixServer::run_loop`]). `is_rm` marks the lead server hosting the
-    /// resource-manager services.
-    pub fn new(endpoint: &Endpoint, registry: NamespaceRegistry, is_rm: bool) -> Arc<Self> {
+    /// Create a server that serves `endpoint`: each frame sent to it is
+    /// decoded and dispatched ([`PmixServer::handle_ctx`]) on the thread
+    /// that delivered it (or the fabric's pump, under a processing cost).
+    /// `is_rm` marks the lead server hosting the resource-manager services.
+    pub fn new(endpoint: Endpoint, registry: NamespaceRegistry, is_rm: bool) -> Arc<Self> {
         registry.register_server(endpoint.node(), endpoint.id());
-        Arc::new(Self {
+        let server = Arc::new(Self {
             node: endpoint.node(),
             registry,
             sender: endpoint.sender(),
@@ -447,17 +456,17 @@ impl PmixServer {
             pgcid_pool: Mutex::new(VecDeque::new()),
             pgcid_block: AtomicU64::new(DEFAULT_PGCID_BLOCK),
             rm_next_pgcid: is_rm.then(|| AtomicU64::new(1)),
-            rpc_processing: Duration::ZERO,
             metrics: ServerMetrics::new(endpoint.obs(), endpoint.node()),
-        })
-    }
-
-    /// Set the per-message RPC processing cost (see
-    /// `simnet::CostModel::rpc_processing`). Call before `run_loop`.
-    pub fn set_rpc_processing(self: &mut Arc<Self>, cost: Duration) {
-        if let Some(me) = Arc::get_mut(self) {
-            me.rpc_processing = cost;
-        }
+        });
+        // Weak: the fabric holds the handler and the server holds the
+        // fabric, so a strong capture would keep both alive forever.
+        let weak = Arc::downgrade(&server);
+        endpoint.serve(move |env| {
+            if let Some(server) = weak.upgrade() {
+                server.handle_frame(env);
+            }
+        });
+        server
     }
 
     /// Set how many PGCIDs to request from the RM per pool miss. `1`
@@ -513,30 +522,25 @@ impl PmixServer {
         self.metrics.obs.clone()
     }
 
-    /// Drain `endpoint` until it is killed; must run on a dedicated thread.
-    pub fn run_loop(self: &Arc<Self>, endpoint: &Endpoint) {
-        while let Ok(env) = endpoint.recv() {
-            let decoded = ServerMsg::decode(&env.payload);
-            // No fault corrupts a payload, so a frame that fails to decode
-            // is a codec bug: loud in debug builds, dropped in release.
-            debug_assert!(
-                decoded.is_some(),
-                "undecodable server frame: tag {:?}, {} bytes",
-                env.payload.first(),
-                env.payload.len()
-            );
-            if let Some(msg) = decoded {
-                // Control-plane software overhead: the server's event loop
-                // processes one RPC at a time, each costing real work in
-                // the reference implementation.
-                let t0 = Instant::now();
-                if !self.rpc_processing.is_zero() {
-                    std::thread::sleep(self.rpc_processing);
-                }
-                self.handle_ctx(msg, env.ctx);
-                self.metrics.rpc_handled.inc();
-                self.metrics.rpc_ns.record(t0.elapsed());
-            }
+    /// Handle one frame from this server's mailbox. The fabric calls it
+    /// for one frame at a time, in mailbox order; the control-plane
+    /// processing cost (`CostModel::rpc_processing`) was charged as the
+    /// frame's due time, so `rpc_ns` is the handler's own time.
+    fn handle_frame(&self, env: Envelope) {
+        let decoded = ServerMsg::decode(&env.payload);
+        // No fault corrupts a payload, so a frame that fails to decode
+        // is a codec bug: loud in debug builds, dropped in release.
+        debug_assert!(
+            decoded.is_some(),
+            "undecodable server frame: tag {:?}, {} bytes",
+            env.payload.first(),
+            env.payload.len()
+        );
+        if let Some(msg) = decoded {
+            let t0 = Instant::now();
+            self.handle_ctx(msg, env.ctx);
+            self.metrics.rpc_handled.inc();
+            self.metrics.rpc_ns.record(t0.elapsed());
         }
     }
 
@@ -616,6 +620,7 @@ impl PmixServer {
     /// piggybacked on its envelope, so collective stage spans can link their
     /// remote causal predecessors.
     pub fn handle_ctx(&self, msg: ServerMsg, ctx: Option<obs::TraceContext>) {
+        let _turn = simnet::turn();
         match msg {
             ServerMsg::CollContrib { op, from_node, contrib } => {
                 self.on_coll_contrib(op, from_node, contrib, ctx)

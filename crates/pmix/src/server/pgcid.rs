@@ -123,6 +123,7 @@ impl PmixServer {
     /// waits on another member. A group this server holds no record of —
     /// never observed here, or already released — is ignored.
     pub(crate) fn group_release(&self, group: &PmixGroup, me: &ProcId) {
+        let _turn = simnet::turn();
         let key = (group.name().to_owned(), membership_hash(group.members()));
         let done = {
             let mut ctl = self.ctl.lock();

@@ -1,5 +1,7 @@
 //! The PMIx universe: one server per node, wired to a simulated fabric,
-//! plus the failure-propagation bridge.
+//! plus the failure-propagation bridge. None of it has a thread: servers
+//! run on the threads that send to them, and the bridge is a fabric death
+//! callback (see [`simnet::turn`](mod@simnet::turn)).
 //!
 //! In the real system this assembly is PRRTE's job (its daemons host the
 //! PMIx servers); the `prrte` crate layers job launch and mapping on top of
@@ -10,11 +12,9 @@ use crate::error::{PmixError, Result};
 use crate::nspace::{NamespaceRegistry, ProcEntry};
 use crate::server::PmixServer;
 use crate::types::ProcId;
-use parking_lot::Mutex;
 use simnet::{Endpoint, EndpointId, Fabric, NodeId, SimTestbed};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Name prefix of the per-namespace *survivors* psets maintained by
 /// [`PmixUniverse::track_faults`]: `mpi://world` minus every failed
@@ -34,7 +34,6 @@ pub struct PmixUniverse {
     registry: NamespaceRegistry,
     servers: Vec<Arc<PmixServer>>,
     server_eps: Vec<EndpointId>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
     testbed: SimTestbed,
     /// Default session-init mode ("eager" | "lazy") for sessions that do
     /// not pass an explicit `init_mode` info key. Runtime-writable through
@@ -57,7 +56,6 @@ impl PmixUniverse {
         registry.attach_obs(&fabric.obs());
         let mut servers = Vec::new();
         let mut server_eps = Vec::new();
-        let mut threads = Vec::new();
 
         // The resource-manager service (PGCID allocator) lives on a
         // dedicated head node, like a batch system's controller: every
@@ -67,21 +65,12 @@ impl PmixUniverse {
         for node in std::iter::once(head).chain(testbed.cluster.node_ids()) {
             let is_rm = node == head;
             let endpoint = fabric.register(node);
-            let mut server = PmixServer::new(&endpoint, registry.clone(), is_rm);
-            server.set_rpc_processing(testbed.cost.rpc_processing);
+            let id = endpoint.id();
+            servers.push(PmixServer::new(endpoint, registry.clone(), is_rm));
             if is_rm {
-                registry.register_rm(endpoint.id());
+                registry.register_rm(id);
             }
-            server_eps.push(endpoint.id());
-            let srv = server.clone();
-            let name = if is_rm { "pmix-rm".into() } else { format!("pmix-server-{node}") };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(name)
-                    .spawn(move || srv.run_loop(&endpoint))
-                    .expect("spawn pmix server thread"),
-            );
-            servers.push(server);
+            server_eps.push(id);
         }
 
         // Pset-change bridge: every registry change becomes a `pset.update`
@@ -133,39 +122,25 @@ impl PmixUniverse {
 
         // Failure bridge: fabric deaths -> `on_proc_failed` at every server,
         // then the dead process's psets shrink around it (so subscribers
-        // rebuilding from the event already see the server-side death).
-        // Exits when a *server* endpoint dies, which only happens at
-        // universe teardown.
-        let mut watcher = fabric.watch_failures();
+        // rebuilding from the event already see the server-side death). A
+        // death callback, run by the killing thread at the end of its turn;
+        // server endpoints die only at teardown and carry no process. It
+        // holds the servers weakly for the reason the listener above does.
         let registry_w = registry.clone();
-        let servers_w = servers.clone();
-        let server_ep_set: std::collections::HashSet<EndpointId> =
-            server_eps.iter().copied().collect();
-        threads.push(
-            std::thread::Builder::new()
-                .name("pmix-failure-bridge".into())
-                .spawn(move || {
-                    while let Some(ev) = watcher.recv() {
-                        if server_ep_set.contains(&ev.endpoint) {
-                            break;
-                        }
-                        if let Some(proc) = registry_w.find_by_endpoint(ev.endpoint) {
-                            for s in &servers_w {
-                                s.on_proc_failed(&proc);
-                            }
-                            let _ = registry_w.remove_from_psets(&proc, None);
-                        }
-                    }
-                })
-                .expect("spawn failure bridge"),
-        );
+        let servers_w: Vec<_> = servers.iter().map(Arc::downgrade).collect();
+        fabric.on_death(move |ev| {
+            let Some(proc) = registry_w.find_by_endpoint(ev.endpoint) else { return };
+            for s in servers_w.iter().filter_map(|s| s.upgrade()) {
+                s.on_proc_failed(&proc);
+            }
+            let _ = registry_w.remove_from_psets(&proc, None);
+        });
 
         let uni = Arc::new(Self {
             fabric,
             registry,
             servers,
             server_eps,
-            threads: Mutex::new(threads),
             testbed,
             lazy_init_default: AtomicBool::new(
                 std::env::var("INIT_MODE").map(|v| v == "lazy").unwrap_or(false),
@@ -357,7 +332,8 @@ impl PmixUniverse {
     /// Whether the universe has observed `proc`'s death. The failure
     /// bridge replicates every death to all servers *synchronously* before
     /// any pset event fires, so any single server's dead set is
-    /// authoritative for the whole universe.
+    /// authoritative for the whole universe; a kill made by this thread has
+    /// reached it by the time [`PmixUniverse::kill_proc`] returns.
     pub fn proc_is_dead(&self, proc: &ProcId) -> bool {
         self.servers[0].proc_is_dead(proc)
     }
@@ -395,25 +371,25 @@ impl PmixUniverse {
         Ok(name)
     }
 
-    /// Kill a registered process (fault injection).
+    /// Kill a registered process (fault injection). Every server has
+    /// handled the death, and the process's psets have shrunk, when this
+    /// returns.
     pub fn kill_proc(&self, proc: &ProcId) -> Result<()> {
         let entry = self.registry.locate(proc)?;
         self.fabric.kill(entry.endpoint);
         Ok(())
     }
 
-    /// Stop the control plane: kill every server endpoint, let each server
-    /// handle what its mailbox still holds, and join the server and
-    /// failure-bridge threads. Idempotent; dropping the universe does the
-    /// same. Counts a server settles only on arrival — a one-way PGCID
-    /// release still queued at its lead when the ranks exit — are final
-    /// once this returns, which is when a harness should read them.
+    /// Stop the control plane: kill every server endpoint, and let each
+    /// server handle what its mailbox still holds (a kill settles a served
+    /// endpoint, waiting out a concurrent runner). Idempotent; dropping the
+    /// universe does the same. Counts a server settles only on arrival — a
+    /// one-way PGCID release still waiting out its processing cost at the
+    /// lead when the ranks exit — are final once this returns, which is
+    /// when a harness should read them.
     pub fn shutdown(&self) {
         for ep in &self.server_eps {
             self.fabric.kill(*ep);
-        }
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
         }
     }
 }

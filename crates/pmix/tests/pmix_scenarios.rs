@@ -154,7 +154,8 @@ fn invite_wait_succeeds_when_invitee_dies() {
     let c0 = uni.client_for(&procs[0]).unwrap();
     c0.group_invite("doomed-invitee", &procs[1..], &GroupDirectives::for_mpi())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    // The invitations and the death have both reached every server when
+    // these calls return: this thread handled them itself.
     uni.kill_proc(&procs[1]).unwrap();
     let g = c0
         .group_invite_wait("doomed-invitee", Duration::from_secs(10))
@@ -176,7 +177,6 @@ fn invite_report_distinguishes_declined_dead_and_timed_out() {
     uni.client_for(&procs[1]).unwrap().group_join("outcomes", &procs[0], true).unwrap();
     uni.client_for(&procs[2]).unwrap().group_join("outcomes", &procs[0], false).unwrap();
     uni.kill_proc(&procs[3]).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
     let (g, outcomes) = c0
         .group_invite_wait_report("outcomes", Duration::from_millis(500))
         .unwrap();
@@ -672,4 +672,30 @@ fn late_pgcid_grant_for_a_timed_out_invite_is_repooled() {
     }
     assert_eq!(server.pgcid_pool_len(), 8, "the late grant's lead id was lost");
     assert_eq!(uni.fabric().obs().sum_counters("pmix", "pgcid_allocated"), 8);
+}
+
+/// Run to completion across three servers: one thread enters a group
+/// construct for every member, nonblocking. The last fan-in sets off the
+/// exchange among the three servers, the RM's PGCID grant and every
+/// fan-out, all handled on this thread — one handler at a time (a nested
+/// one fails a debug assertion in simnet) — before that call returns.
+#[test]
+fn one_thread_drives_a_three_server_construct_to_completion() {
+    let uni = PmixUniverse::new(SimTestbed::tiny(3, 1));
+    let procs = spawn_procs(&uni, "job", 3);
+    let clients: Vec<_> = procs.iter().map(|p| uni.client_for(p).unwrap()).collect();
+    let mut pending: Vec<_> = clients
+        .iter()
+        .map(|c| c.group_construct_nb("chain", &procs, &GroupDirectives::for_mpi()).unwrap())
+        .collect();
+    assert_eq!(simnet::turn::handler_depth(), 0);
+    assert!(simnet::turn::idle());
+    let groups: Vec<_> = pending
+        .iter_mut()
+        .map(|p| p.try_group().expect("completed before the last fan-in returned").unwrap())
+        .collect();
+    assert!(groups.iter().all(|g| g.pgcid() == groups[0].pgcid() && g.size() == 3));
+    let obs = uni.fabric().obs();
+    assert_eq!(obs.sum_counters("pmix", "stage_fanout"), 3);
+    assert_eq!(obs.sum_counters("pmix", "group_construct_completed"), 3);
 }

@@ -39,7 +39,10 @@ pub struct CostModel {
     /// The PMIx/PRRTE path is an event-looped, generality-first software
     /// stack — far slower per message than the MPI fast path. This is what
     /// makes PGCID acquisition "relatively expensive" (paper §III-B3).
-    /// Applied by the PMIx server for each message it handles.
+    /// Charged by the fabric to each frame a served endpoint (a PMIx
+    /// server) handles: the frame is due this long after the later of its
+    /// arrival and the endpoint's previous frame, and the delivery pump
+    /// runs its handler then (see [`crate::turn`](mod@crate::turn)).
     pub rpc_processing: Duration,
     /// One-time cost charged when a simulated process is spawned.
     ///

@@ -131,11 +131,13 @@ impl Endpoint {
     /// Blocking receive. Returns `Disconnected` once this endpoint is killed
     /// (and its queue fully drained) or the fabric is gone.
     pub fn recv(&self) -> Result<Envelope, RecvError> {
+        crate::turn::catch_up();
         self.rx.recv().map_err(|_| RecvError::Disconnected)
     }
 
     /// Receive with a deadline.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+        crate::turn::catch_up();
         self.rx.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => RecvError::Timeout,
             RecvTimeoutError::Disconnected => RecvError::Disconnected,
@@ -153,6 +155,18 @@ impl Endpoint {
     /// Number of messages currently queued in the mailbox.
     pub fn queued(&self) -> usize {
         self.rx.len()
+    }
+
+    /// Serve this endpoint: from now on no thread receives on it. Each
+    /// frame that lands in its mailbox is passed to `handler` by the thread
+    /// that delivered it, when that thread's turn ends — or, when the cost
+    /// model charges `rpc_processing`, by the fabric's pump once the frame
+    /// is due (see [`crate::turn`](mod@crate::turn)). At most one thread
+    /// runs `handler` at a time, in mailbox order. Frames already queued
+    /// are handled too. Take a [`Endpoint::sender`] first to send as it.
+    pub fn serve(self, handler: impl Fn(Envelope) + Send + Sync + 'static) {
+        let Endpoint { id, rx, fabric, .. } = self;
+        fabric.serve(id, rx, Box::new(handler));
     }
 
     /// A cloneable send-only handle for this endpoint, usable from threads

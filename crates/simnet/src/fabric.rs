@@ -5,10 +5,16 @@
 //! the destination mailbox by the sending thread — one registry read, then a
 //! move into the mailbox; the pump is untouched unless something is
 //! scheduled on it. That is the path paper Fig. 5 exercises. Delayed messages
-//! go through a single pump thread that sleeps until each delivery time.
-//! Per-(src,dst) FIFO holds because no delivery is scheduled before the
-//! pair's previous one and a zero-delay message queues behind its pair's
-//! held traffic — the ordered delivery MPI point-to-point relies on.
+//! go through a single pump thread that sleeps until each delivery time; the
+//! fabric starts it when the first delayed item is scheduled, so a zero-cost
+//! fabric never has one. Per-(src,dst) FIFO holds because no delivery is
+//! scheduled before the pair's previous one and a zero-delay message queues
+//! behind its pair's held traffic — the ordered delivery MPI point-to-point
+//! relies on.
+//!
+//! A served endpoint ([`Endpoint::serve`]) is drained by the thread that
+//! delivered to it, at the end of that thread's turn (see [`crate::turn`](mod@crate::turn));
+//! with a processing cost, by the pump when each frame is due.
 
 use crate::cost::CostModel;
 use crate::endpoint::{Endpoint, EndpointId, SendError};
@@ -16,11 +22,12 @@ use crate::failure::{FailureEvent, FailureWatcher};
 use crate::inject::{FaultAction, FaultHook, MsgView};
 use crate::message::Envelope;
 use crate::topology::NodeId;
-use crossbeam::channel::{unbounded, Sender};
+use crate::turn::{self, DeathCallback, Served, Work};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,6 +46,8 @@ pub struct FabricStats {
 struct Entry {
     tx: Sender<Envelope>,
     node: NodeId,
+    // Set once the endpoint is served: whoever fills the mailbox drains it.
+    served: Option<Arc<Served>>,
 }
 
 struct Registry {
@@ -53,12 +62,26 @@ struct Registry {
 /// simulated universes coexist (e.g. parallel tests).
 static NEXT_ENDPOINT_ID: AtomicU64 = AtomicU64::new(1);
 
-#[derive(Eq, PartialEq)]
 struct Scheduled {
     deliver_at: Instant,
     seq: u64,
-    env: Envelope,
+    item: Item,
 }
+
+/// What the pump does when a scheduled instant comes.
+enum Item {
+    /// Hand a delayed message to its destination.
+    Deliver(Envelope),
+    /// Handle a costly served endpoint's next frame.
+    Run(Arc<Served>),
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.deliver_at, self.seq) == (other.deliver_at, other.seq)
+    }
+}
+impl Eq for Scheduled {}
 
 // BinaryHeap is a max-heap; invert so the earliest delivery pops first.
 impl Ord for Scheduled {
@@ -103,9 +126,12 @@ struct Pump {
     // decrement locks that mailbox after the pump did (coherence orders the
     // two locks), and a receiver that took the message reads it lowered.
     scheduled: AtomicUsize,
-    // Test-only pause point between a pop and its hand-off.
+    // Test-only pause point between a pop and its hand-off, and the
+    // pump's exit: `Some(clean)` once its thread has left `pump_loop`.
     #[cfg(test)]
-    gate: tests::PumpGate,
+    gate: turn::Gate,
+    #[cfg(test)]
+    exit: (Mutex<Option<bool>>, Condvar),
 }
 
 impl Pump {
@@ -156,10 +182,13 @@ pub struct FabricCore {
     registry: Registry,
     pump: Arc<Pump>,
     cost: CostModel,
-    watchers: Mutex<Vec<Sender<FailureEvent>>>,
+    watchers: Mutex<Watchers>,
     obs: Arc<obs::Registry>,
     metrics: FabricMetrics,
-    pump_thread: Mutex<Option<JoinHandle<()>>>,
+    // Started by the first delayed item (see `schedule`).
+    pump_thread: OnceLock<JoinHandle<()>>,
+    // This core, for the pump thread to hold weakly.
+    me: Weak<FabricCore>,
     // Fault injection: optional per-message hook plus the per-(src,dst)
     // sequence counters it keys decisions on. Counters advance only while a
     // hook is installed, so fault-free runs pay nothing but one RwLock read.
@@ -176,6 +205,13 @@ pub struct FabricCore {
     activity: AtomicU64,
 }
 
+/// Who hears of deaths: channel subscribers and top-level callbacks.
+#[derive(Default)]
+struct Watchers {
+    channels: Vec<Sender<FailureEvent>>,
+    callbacks: Vec<DeathCallback>,
+}
+
 impl FabricCore {
     /// The observability registry every layer running on this fabric
     /// shares.
@@ -184,6 +220,9 @@ impl FabricCore {
     }
 
     pub(crate) fn send(&self, env: Envelope) -> Result<(), SendError> {
+        // Declared first, dropped last: a served destination is drained
+        // after the registry guard below is released.
+        let _turn = turn::turn();
         self.activity.fetch_add(1, Ordering::Relaxed);
         if !self.cost.send_overhead.is_zero() {
             std::thread::sleep(self.cost.send_overhead);
@@ -243,9 +282,16 @@ impl FabricCore {
         // Zero delay: hand off directly, unless the pump still holds this
         // pair's delayed traffic — then queue behind it (per-pair FIFO).
         if delay.is_zero() && !self.pump.holds(&pair) {
+            let mut handed = 0;
             for env in copies {
                 let _ = dst.tx.send(env);
                 self.activity.fetch_add(1, Ordering::Relaxed);
+                handed += 1;
+            }
+            let served = dst.served.clone();
+            drop(map);
+            if let Some(served) = served {
+                self.arrived(served, handed);
             }
             return Ok(());
         }
@@ -260,14 +306,62 @@ impl FabricCore {
         }
         st.pair_last.insert(pair, at);
         for env in copies {
-            let seq = st.seq;
-            st.seq += 1;
-            st.queue.push(Scheduled { deliver_at: at, seq, env });
             self.pump.scheduled.fetch_add(1, Ordering::Relaxed);
+            self.schedule(&mut st, at, Item::Deliver(env));
         }
-        drop(st);
-        self.pump.cv.notify_one();
         Ok(())
+    }
+
+    /// Queue `item` on the pump for `at`, starting the pump if this is the
+    /// first delayed item the fabric has seen.
+    fn schedule(&self, st: &mut PumpState, at: Instant, item: Item) {
+        let seq = st.seq;
+        st.seq += 1;
+        st.queue.push(Scheduled { deliver_at: at, seq, item });
+        self.pump_thread.get_or_init(|| {
+            let (pump, core) = (self.pump.clone(), self.me.clone());
+            std::thread::Builder::new()
+                .name("simnet-pump".into())
+                .spawn(move || pump_loop(pump, core))
+                .expect("failed to spawn fabric pump thread")
+        });
+        self.pump.cv.notify_one();
+    }
+
+    /// `n` frames just landed in `served`'s mailbox: drain it at the end of
+    /// this thread's turn, or, with a processing cost, have the pump handle
+    /// each frame when it is due.
+    fn arrived(&self, served: Arc<Served>, n: usize) {
+        if served.cost.is_zero() {
+            turn::defer(Work::Drain(served));
+            return;
+        }
+        for _ in 0..n {
+            let due = served.next_due();
+            let mut st = self.pump.state.lock();
+            self.schedule(&mut st, due, Item::Run(served.clone()));
+        }
+    }
+
+    /// Make `id` a served endpoint draining `rx` through `handler`.
+    pub(crate) fn serve(
+        &self,
+        id: EndpointId,
+        rx: Receiver<Envelope>,
+        handler: Box<dyn Fn(Envelope) + Send + Sync>,
+    ) {
+        let _turn = turn::turn();
+        let served = Arc::new(Served::new(rx, handler, self.cost.rpc_processing));
+        let waiting = {
+            let mut map = self.registry.map.write();
+            let Some(entry) = map.get_mut(&id) else { return };
+            entry.served = Some(served.clone());
+            entry.tx.len()
+        };
+        // Frames that arrived before the endpoint was served.
+        if waiting > 0 {
+            self.arrived(served, waiting);
+        }
     }
 
     /// Run the hook and its verdict's kills (no registry lock held: kills
@@ -323,6 +417,9 @@ impl FabricCore {
     }
 
     pub(crate) fn kill(&self, id: EndpointId) {
+        // Death callbacks and a served victim's last frames run when this
+        // thread's turn ends, with no fabric lock held.
+        let _turn = turn::turn();
         let removed = self.registry.map.write().remove(&id);
         let Some(entry) = removed else { return };
         let event = FailureEvent { endpoint: id, node: entry.node };
@@ -332,7 +429,28 @@ impl FabricCore {
         // the live broadcast, never both.
         let mut watchers = self.watchers.lock();
         self.registry.dead.write().insert(id, entry.node);
-        watchers.retain(|w| w.send(event).is_ok());
+        watchers.channels.retain(|w| w.send(event).is_ok());
+        for callback in &watchers.callbacks {
+            turn::defer(Work::Death(callback.clone(), event));
+        }
+        drop(watchers);
+        if let Some(served) = entry.served {
+            turn::defer(Work::Settle(served));
+        }
+    }
+
+    /// Deaths so far, in endpoint-id order (the fabric does not record kill
+    /// order, and replay order must at least be deterministic).
+    fn past_deaths(&self) -> Vec<FailureEvent> {
+        let mut past: Vec<FailureEvent> = self
+            .registry
+            .dead
+            .read()
+            .iter()
+            .map(|(ep, node)| FailureEvent { endpoint: *ep, node: *node })
+            .collect();
+        past.sort_by_key(|e| e.endpoint);
+        past
     }
 }
 
@@ -341,7 +459,8 @@ impl FabricCore {
 pub struct Fabric(Arc<FabricCore>);
 
 impl Fabric {
-    /// Create a fabric with the given cost model and start its delivery pump.
+    /// Create a fabric with the given cost model. No thread starts until
+    /// the first delayed item needs the delivery pump.
     pub fn new(cost: CostModel) -> Self {
         let pump = Arc::new(Pump {
             state: Mutex::new(PumpState {
@@ -354,33 +473,28 @@ impl Fabric {
             scheduled: AtomicUsize::new(0),
             #[cfg(test)]
             gate: Default::default(),
+            #[cfg(test)]
+            exit: Default::default(),
         });
         let obs = Arc::new(obs::Registry::new());
         let metrics = FabricMetrics::new(&obs);
-        let core = Arc::new(FabricCore {
+        Fabric(Arc::new_cyclic(|me| FabricCore {
             registry: Registry {
                 map: RwLock::new(HashMap::new()),
                 dead: RwLock::new(HashMap::new()),
             },
-            pump: pump.clone(),
+            pump,
             cost,
-            watchers: Mutex::new(Vec::new()),
+            watchers: Mutex::new(Watchers::default()),
             obs,
             metrics,
-            pump_thread: Mutex::new(None),
+            pump_thread: OnceLock::new(),
+            me: me.clone(),
             hook: RwLock::new(None),
             hook_seq: Mutex::new(HashMap::new()),
             base_endpoint: AtomicU64::new(0),
             activity: AtomicU64::new(0),
-        });
-
-        let pump_core = Arc::downgrade(&core);
-        let handle = std::thread::Builder::new()
-            .name("simnet-pump".into())
-            .spawn(move || pump_loop(pump, pump_core))
-            .expect("failed to spawn fabric pump thread");
-        *core.pump_thread.lock() = Some(handle);
-        Fabric(core)
+        }))
     }
 
     /// Create a fabric with the default (Aries-like) cost model.
@@ -407,7 +521,7 @@ impl Fabric {
             Ordering::Relaxed,
         );
         let (tx, rx) = unbounded();
-        self.0.registry.map.write().insert(id, Entry { tx, node });
+        self.0.registry.map.write().insert(id, Entry { tx, node, served: None });
         Endpoint::new(id, node, rx, self.0.clone())
     }
 
@@ -446,20 +560,27 @@ impl Fabric {
         // under the same lock, so a concurrent death is either already in
         // `dead` (replayed here) or broadcast after this watcher registers.
         let mut watchers = self.0.watchers.lock();
-        let mut past: Vec<FailureEvent> = self
-            .0
-            .registry
-            .dead
-            .read()
-            .iter()
-            .map(|(ep, node)| FailureEvent { endpoint: *ep, node: *node })
-            .collect();
-        past.sort_by_key(|e| e.endpoint);
-        for ev in past {
+        for ev in self.0.past_deaths() {
             let _ = tx.send(ev);
         }
-        watchers.push(tx);
+        watchers.channels.push(tx);
         FailureWatcher::new(rx)
+    }
+
+    /// Call `f` on every endpoint death, past ones first (replayed as
+    /// [`Fabric::watch_failures`] replays them). `f` runs on the thread
+    /// that killed the endpoint — the killer's or a fault-injecting
+    /// sender's — when that thread's turn ends (see [`crate::turn`](mod@crate::turn)), with
+    /// no fabric lock held and the thread's trace context hidden. This is
+    /// how a layer without threads of its own learns of deaths.
+    pub fn on_death(&self, f: impl Fn(FailureEvent) + Send + Sync + 'static) {
+        let _turn = turn::turn();
+        let f: DeathCallback = Arc::new(f);
+        let mut watchers = self.0.watchers.lock();
+        for ev in self.0.past_deaths() {
+            turn::defer(Work::Death(f.clone(), ev));
+        }
+        watchers.callbacks.push(f);
     }
 
     /// Install (or replace) the fault-injection hook consulted for every
@@ -514,16 +635,23 @@ impl Drop for FabricCore {
             st.shutdown = true;
         }
         self.pump.cv.notify_all();
-        if let Some(h) = self.pump_thread.lock().take() {
-            let _ = h.join();
+        if let Some(h) = self.pump_thread.take() {
+            // The pump may hold the last reference itself (it upgrades its
+            // weak one per delivery): it cannot join itself, and it sees
+            // `shutdown` on its next look, so let it go.
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
         }
     }
 }
 
-fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
+fn pump_loop(pump: Arc<Pump>, core: Weak<FabricCore>) {
+    #[cfg(test)]
+    let _exit = tests::PumpExit(pump.clone());
     loop {
-        // Pull the next due message, or sleep until one is due.
-        let env = {
+        // Pull the next due item, or sleep until one is due.
+        let item = {
             let mut st = pump.state.lock();
             loop {
                 if st.shutdown {
@@ -536,7 +664,7 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
                     Some(next) => {
                         let now = Instant::now();
                         if next.deliver_at <= now {
-                            break st.queue.pop().expect("peeked").env;
+                            break st.queue.pop().expect("peeked").item;
                         }
                         let at = next.deliver_at;
                         pump.cv.wait_until(&mut st, at);
@@ -544,32 +672,47 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
                 }
             }
         };
+        let Some(core) = core.upgrade() else { return };
         #[cfg(test)]
         pump.gate.pass();
-        // Deliver outside the pump lock. Dead destinations drop silently:
-        // the failure event already told interested parties. Either way the
-        // message leaves the in-flight set, which is an activity tick. The
-        // count drops inside the mailbox's push critical section, after the
-        // push: until then `in_flight` counts it and a zero-delay send on
-        // its pair queues behind it, and a receiver holding it reads the
-        // count already lowered.
-        if let Some(core) = core.upgrade() {
-            let retire = || {
-                pump.scheduled.fetch_sub(1, Ordering::Relaxed);
-            };
-            {
-                let map = core.registry.map.read();
-                match map.get(&env.dst) {
-                    Some(entry) => {
-                        let _ = entry.tx.send_then(env, retire);
+        // Handlers this item makes runnable run when the turn ends, before
+        // the pump looks at its queue again.
+        let turn = turn::turn();
+        match item {
+            // Deliver outside the pump lock. Dead destinations drop
+            // silently: the failure event already told interested parties.
+            // Either way the message leaves the in-flight set, which is an
+            // activity tick. The count drops inside the mailbox's push
+            // critical section, after the push: until then `in_flight`
+            // counts it and a zero-delay send on its pair queues behind it,
+            // and a receiver holding it reads the count already lowered.
+            Item::Deliver(env) => {
+                let retire = || {
+                    pump.scheduled.fetch_sub(1, Ordering::Relaxed);
+                };
+                let served = {
+                    let map = core.registry.map.read();
+                    match map.get(&env.dst) {
+                        Some(entry) => {
+                            let _ = entry.tx.send_then(env, retire);
+                            entry.served.clone()
+                        }
+                        None => {
+                            retire();
+                            None
+                        }
                     }
-                    None => retire(),
+                };
+                core.activity.fetch_add(1, Ordering::Relaxed);
+                if let Some(served) = served {
+                    core.arrived(served, 1);
                 }
             }
-            core.activity.fetch_add(1, Ordering::Relaxed);
-        } else {
-            return;
+            Item::Run(served) => served.drain(Some(1)),
         }
+        drop(turn);
+        // Possibly the last reference: `FabricCore::drop` then runs here.
+        drop(core);
     }
 }
 
@@ -595,51 +738,15 @@ mod tests {
         pump.cv.notify_one();
     }
 
-    /// A pause point between the pump's pop and its hand-off. Armed, the
-    /// pump parks there holding the message it just popped until the test
-    /// releases it: the interleaving is forced, not raced for.
-    #[derive(Default)]
-    pub(super) struct PumpGate {
-        state: Mutex<GateState>,
-        cv: Condvar,
-    }
+    /// Marks the pump thread's exit for tests that must see it leave
+    /// cleanly (not by a panic).
+    pub(super) struct PumpExit(pub(super) Arc<Pump>);
 
-    #[derive(Default)]
-    struct GateState {
-        armed: bool,
-        paused: bool,
-    }
-
-    impl PumpGate {
-        /// The pump's side: park here while armed.
-        pub(super) fn pass(&self) {
-            let mut st = self.state.lock();
-            if !st.armed {
-                return;
-            }
-            st.paused = true;
-            self.cv.notify_all();
-            while st.armed {
-                self.cv.wait(&mut st);
-            }
-            st.paused = false;
-        }
-
-        fn arm(&self) {
-            self.state.lock().armed = true;
-        }
-
-        /// Wait until the pump has popped a message and parked with it.
-        fn await_pause(&self) {
-            let mut st = self.state.lock();
-            while !st.paused {
-                self.cv.wait(&mut st);
-            }
-        }
-
-        fn release(&self) {
-            self.state.lock().armed = false;
-            self.cv.notify_all();
+    impl Drop for PumpExit {
+        fn drop(&mut self) {
+            let mut st = self.0.exit.0.lock();
+            *st = Some(!std::thread::panicking());
+            self.0.exit.1.notify_all();
         }
     }
 
@@ -866,6 +973,239 @@ mod tests {
         let fabric = Fabric::new(CostModel::zero());
         let a = fabric.register(NodeId(0));
         assert!(a.send(EndpointId(9999), payload(1)).is_err());
+    }
+
+    /// A regression: the pump can hold the last reference to the fabric
+    /// (it upgrades its weak one per item), and then `FabricCore::drop`
+    /// runs on the pump thread, which must not join itself.
+    #[test]
+    fn the_pump_outliving_every_handle_exits_cleanly() {
+        struct HoldAll;
+        impl FaultHook for HoldAll {
+            fn on_message(&self, _: &MsgView) -> crate::inject::FaultVerdict {
+                let action = FaultAction::Delay(Duration::from_secs(3600));
+                crate::inject::FaultVerdict { action, kills: Vec::new() }
+            }
+        }
+        let fabric = Fabric::new(CostModel::zero());
+        let a = fabric.register(NodeId(0));
+        let b = fabric.register(NodeId(0));
+        fabric.set_fault_hook(Some(Arc::new(HoldAll)));
+        a.send(b.id(), payload(1)).unwrap();
+        let pump = fabric.0.pump.clone();
+        pump.gate.arm();
+        release_pump(&fabric);
+        // Parked after upgrading its reference, before the hand-off.
+        pump.gate.await_pause();
+        drop((a, b, fabric));
+        pump.gate.release();
+        let mut exit = pump.exit.0.lock();
+        while exit.is_none() {
+            if pump.exit.1.wait_for(&mut exit, Duration::from_secs(60)).timed_out() {
+                break;
+            }
+        }
+        assert_eq!(*exit, Some(true), "the pump thread panicked or never left");
+    }
+
+    /// Run-to-completion contract of served endpoints.
+    mod served {
+        use super::*;
+        use crate::turn::handler_depth;
+        use crossbeam::channel::Sender;
+
+        /// A served endpoint that reports every frame it handles: the
+        /// frame's head, the handler depth and the handling thread.
+        fn recorder(
+            fabric: &Fabric,
+            node: u32,
+        ) -> (EndpointId, crossbeam::channel::Receiver<(Vec<u8>, u32, std::thread::ThreadId)>)
+        {
+            let (tx, rx) = unbounded();
+            let ep = fabric.register(NodeId(node));
+            let id = ep.id();
+            ep.serve(move |env| {
+                let seen = (env.payload.to_vec(), handler_depth(), std::thread::current().id());
+                let _ = tx.send(seen);
+            });
+            (id, rx)
+        }
+
+        /// Everything queued in `rx` right now.
+        fn taken<T>(rx: &crossbeam::channel::Receiver<T>) -> std::vec::IntoIter<T> {
+            std::iter::from_fn(|| rx.try_recv().ok()).collect::<Vec<_>>().into_iter()
+        }
+
+        fn served_of(fabric: &Fabric, id: EndpointId) -> Arc<Served> {
+            fabric.0.registry.map.read()[&id].served.clone().expect("served")
+        }
+
+        /// Two threads deliver to one endpoint at once. The first holds the
+        /// run token, parked between its empty look and the release; the
+        /// second finds the token taken and leaves its frames. The holder
+        /// looks again after the release and handles them: every frame
+        /// once, on the holder's thread, in per-pair FIFO order.
+        #[test]
+        fn a_second_deliverer_leaves_its_frames_to_the_token_holder() {
+            let fabric = Fabric::new(CostModel::zero());
+            let (x, seen) = recorder(&fabric, 0);
+            let a = fabric.register(NodeId(0)).sender();
+            let b = fabric.register(NodeId(0));
+            let gate = &served_of(&fabric, x).gate;
+            gate.arm();
+            let first = {
+                let a = a.clone();
+                std::thread::spawn(move || {
+                    a.send(x, Bytes::from_static(b"a0")).unwrap();
+                    std::thread::current().id()
+                })
+            };
+            gate.await_pause();
+            b.send(x, Bytes::from_static(b"b0")).unwrap();
+            b.send(x, Bytes::from_static(b"b1")).unwrap();
+            a.send(x, Bytes::from_static(b"a1")).unwrap();
+            let early: Vec<_> = taken(&seen).collect();
+            gate.release();
+            let holder = first.join().unwrap();
+            let late: Vec<_> = taken(&seen).collect();
+            assert_eq!(early.len(), 1, "a second runner handled frames under the held token");
+            let heads: Vec<_> = early.iter().chain(&late).map(|s| s.0.clone()).collect();
+            let want: Vec<&[u8]> = vec![b"a0", b"b0", b"b1", b"a1"];
+            assert_eq!(heads, want, "not exactly once in mailbox order");
+            assert!(early.iter().chain(&late).all(|s| s.1 == 1 && s.2 == holder));
+        }
+
+        /// A chain A → B → C, each handler forwarding to the next, runs
+        /// entirely inside the sender's call, one handler at a time: no
+        /// handler runs inside another.
+        #[test]
+        fn a_handler_chain_runs_at_depth_one() {
+            let fabric = Fabric::new(CostModel::zero());
+            let (c, seen) = recorder(&fabric, 2);
+            let hops: Arc<Mutex<Vec<u32>>> = Arc::default();
+            let forward = |node: u32, to: EndpointId| {
+                let ep = fabric.register(NodeId(node));
+                let (sender, hops) = (ep.sender(), hops.clone());
+                let id = sender.id();
+                ep.serve(move |env| {
+                    hops.lock().push(handler_depth());
+                    sender.send(to, env.payload).unwrap();
+                    hops.lock().push(handler_depth());
+                });
+                id
+            };
+            let b = forward(1, c);
+            let a = forward(0, b);
+            let src = fabric.register(NodeId(0));
+            src.send(a, Bytes::from_static(b"fan-in")).unwrap();
+            assert_eq!(*hops.lock(), vec![1; 4], "a handler ran inside another");
+            let (head, depth, thread) = seen.try_recv().expect("the chain ran before send returned");
+            assert_eq!((head, depth), (b"fan-in".to_vec(), 1));
+            assert_eq!(thread, std::thread::current().id());
+            assert_eq!(turn::handler_depth(), 0);
+            assert!(turn::idle());
+        }
+
+        /// A handler run by a rank thread inside an entered span (and with
+        /// an ambient context) records the same span parent, links and
+        /// fault notes as the same handler on a thread of its own.
+        #[test]
+        fn a_borrowed_thread_lends_no_trace_context() {
+            fn handler(obs: Arc<obs::Registry>, out: Sender<bool>) -> impl Fn(Envelope) {
+                move |env| {
+                    let mut span = obs.span("server:0", "handle", "");
+                    if let Some(ctx) = env.ctx {
+                        span.link(ctx);
+                    }
+                    let noted = obs::trace::fault_current("fault:probe");
+                    span.end();
+                    let _ = out.send(noted);
+                }
+            }
+            let fabric = Fabric::new(CostModel::zero());
+            let obs = fabric.obs();
+            let (note, noted) = unbounded();
+            // The same handler twice: served, and on a dedicated thread.
+            let served = fabric.register(NodeId(0));
+            let served_id = served.id();
+            served.serve(handler(obs.clone(), note.clone()));
+            let own = fabric.register(NodeId(0));
+            let own_id = own.id();
+            let on_own_thread = handler(obs.clone(), note);
+            let server = std::thread::spawn(move || on_own_thread(own.recv().unwrap()));
+            let rank = fabric.register(NodeId(1));
+            let root = obs.span("p0", "rank.main", "");
+            obs::trace::set_ambient(&root);
+            let op = obs.span("p0", "op", "");
+            let op_id = op.id();
+            let entered = op.enter();
+            rank.send(served_id, payload(1)).unwrap();
+            rank.send(own_id, payload(1)).unwrap();
+            drop(entered);
+            obs::trace::clear_ambient();
+            server.join().unwrap();
+            assert_eq!(taken(&noted).collect::<Vec<_>>(), vec![false, false]);
+            op.end();
+            root.end();
+            let spans = obs.spans_snapshot();
+            let handled: Vec<_> = spans.iter().filter(|s| s.name == "handle").collect();
+            assert_eq!(handled.len(), 2);
+            for rec in &handled {
+                assert_eq!(rec.parent, None, "the rank's span parented a handler span");
+                assert_eq!(rec.links.len(), 1);
+                assert_eq!(rec.links[0].span, op_id);
+                assert!(rec.faults.is_empty());
+            }
+            assert!(spans.iter().all(|s| s.faults.is_empty()));
+        }
+
+        /// With a processing cost the sender pays nothing: its send returns
+        /// before the handler runs, and the pump runs it once it is due.
+        #[test]
+        fn a_processing_cost_is_a_pump_delay_not_the_senders_sleep() {
+            let hour = Duration::from_secs(3600);
+            let fabric = Fabric::new(CostModel { rpc_processing: hour, ..CostModel::zero() });
+            let (x, seen) = recorder(&fabric, 0);
+            let a = fabric.register(NodeId(0));
+            a.send(x, Bytes::from_static(b"first")).unwrap();
+            a.send(x, Bytes::from_static(b"second")).unwrap();
+            assert!(seen.try_recv().is_err(), "the sender ran the handler");
+            assert_eq!(fabric.in_flight(), 0, "a due frame is delivered, not in flight");
+            release_pump(&fabric);
+            let first = seen.recv_timeout(Duration::from_secs(60)).expect("the pump ran it");
+            let second = seen.recv_timeout(Duration::from_secs(60)).expect("the pump ran it");
+            assert_eq!((first.0, second.0), (b"first".to_vec(), b"second".to_vec()));
+            assert_ne!(first.2, std::thread::current().id());
+            assert_eq!(first.2, second.2);
+        }
+
+        /// A death callback runs on the killing thread before `kill`
+        /// returns, after deaths that happened before it subscribed.
+        #[test]
+        fn death_callbacks_run_when_the_killers_turn_ends() {
+            let fabric = Fabric::new(CostModel::zero());
+            let a = fabric.register(NodeId(0));
+            let b = fabric.register(NodeId(1));
+            fabric.kill(b.id());
+            let deaths: Arc<Mutex<Vec<EndpointId>>> = Arc::default();
+            let sink = deaths.clone();
+            fabric.on_death(move |ev| sink.lock().push(ev.endpoint));
+            assert_eq!(*deaths.lock(), vec![b.id()], "a past death was not replayed");
+            fabric.kill(a.id());
+            assert_eq!(*deaths.lock(), vec![b.id(), a.id()]);
+        }
+
+        /// Frames left in a killed served endpoint are handled by the kill.
+        #[test]
+        fn a_kill_settles_a_served_endpoints_mailbox() {
+            let fabric = Fabric::new(CostModel { rpc_processing: Duration::from_secs(3600), ..CostModel::zero() });
+            let (x, seen) = recorder(&fabric, 0);
+            let a = fabric.register(NodeId(0));
+            a.send(x, payload(1)).unwrap();
+            fabric.kill(x);
+            assert_eq!(taken(&seen).count(), 1);
+            assert!(a.send(x, payload(1)).is_err());
+        }
     }
 
     mod fault_hooks {

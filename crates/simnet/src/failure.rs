@@ -32,11 +32,13 @@ impl FailureWatcher {
 
     /// Block until the next failure event (or the fabric shuts down).
     pub fn recv(&mut self) -> Option<FailureEvent> {
+        crate::turn::catch_up();
         self.rx.recv().ok()
     }
 
     /// Wait up to `timeout` for a failure event.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<FailureEvent> {
+        crate::turn::catch_up();
         match self.rx.recv_timeout(timeout) {
             Ok(ev) => Some(ev),
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,

@@ -30,6 +30,7 @@ pub mod inject;
 pub mod message;
 pub mod testbed;
 pub mod topology;
+pub mod turn;
 
 pub use cost::CostModel;
 pub use endpoint::{Endpoint, EndpointId, EndpointSender, RecvError, SendError};
@@ -39,3 +40,4 @@ pub use inject::{FaultAction, FaultHook, FaultVerdict, MsgView};
 pub use message::Envelope;
 pub use testbed::SimTestbed;
 pub use topology::{ClusterSpec, NodeId};
+pub use turn::{turn, Turn};
