@@ -381,29 +381,16 @@ fn run_recover() -> Value {
         let sum = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).expect("allreduce")[0];
         tx.send((ctx.rank(), sum)).expect("ack");
         if ctx.rank() == 3 {
-            // Victim: park (registry reads only) until the kill lands.
-            for _ in 0..1000 {
-                let sg = session.surviving_group(mpi_sessions::session::PSET_WORLD).unwrap();
-                if sg.iter().all(|m| m.proc.rank() != 3) {
-                    comm.abandon();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            panic!("victim never observed its own failure");
+            // Victim: park until the runtime has absorbed the kill.
+            ctx.park_until_killed();
+            comm.abandon();
+            return;
         }
+        // The bridge pruned the corpse before the death event was yielded:
+        // repair one-shot at the settled epoch, with no re-entry or Timeout
+        // retries, so the message counts stay protocol-fixed.
         let dead = faults.next_timeout(Duration::from_secs(30)).expect("death event");
         assert_eq!(dead.rank(), 3);
-        let registry = mpi_sessions::instance::MpiProcess::obtain(&ctx)
-            .universe()
-            .registry()
-            .clone();
-        // Wait for the bridge to prune the corpse, then repair one-shot at
-        // the settled epoch: no re-entry or Timeout retries, so the message
-        // counts stay protocol-fixed.
-        while registry.pset_members(&pset).expect("survivors pset").len() != 3 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
         let repaired =
             mpi_sessions::ElasticComm::establish(&session, &pset, Duration::from_secs(30))
                 .expect("repair");

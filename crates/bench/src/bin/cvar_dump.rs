@@ -19,8 +19,7 @@ use obs::{CvarInfo, ENV_KNOBS};
 use prrte::{JobSpec, Launcher};
 use simnet::SimTestbed;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 /// Collapse a scope key to its class: per-process scopes are ProcId
@@ -46,22 +45,21 @@ fn scope_rank(class: &str) -> u8 {
 fn enumerate_live() -> Vec<CvarInfo> {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     let (tx, rx) = mpsc::channel::<u32>();
-    let hold = Arc::new(AtomicBool::new(false));
-    let release = Arc::clone(&hold);
+    // Both ranks and this thread, once the cvars have been read.
+    let read = Arc::new(Barrier::new(3));
+    let release = Arc::clone(&read);
     let handle = launcher.spawn(JobSpec::new(2), move |ctx| {
         let session = Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &Info::new())
             .expect("session init");
         tx.send(ctx.rank()).unwrap();
-        while !release.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        release.wait();
         session.finalize().expect("session fini");
     });
     for _ in 0..2 {
         rx.recv_timeout(Duration::from_secs(30)).expect("rank up");
     }
     let rows = launcher.universe().fabric().obs().cvars();
-    hold.store(true, Ordering::Release);
+    read.wait();
     handle.join().expect("dump job");
     rows
 }

@@ -202,13 +202,11 @@ mod tests {
         let world = ChaosWorld::new(SimTestbed::tiny(2, 1), FaultPlan::quiet(1));
         let handle = world.launcher().spawn(JobSpec::new(2), |ctx| {
             if ctx.rank() == 1 {
-                std::thread::sleep(std::time::Duration::from_millis(400));
+                ctx.park_until_killed();
             }
             ctx.rank()
         });
-        let victim = ProcId::new(handle.nspace(), 1);
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        world.kill_proc(&victim);
+        world.kill_proc(&ProcId::new(handle.nspace(), 1));
         let _ = handle.join();
         world.finish(None, Vec::new()).assert_clean();
     }
@@ -241,13 +239,11 @@ mod tests {
         let world = ChaosWorld::new(SimTestbed::tiny(2, 1), FaultPlan::quiet(8));
         let handle = world.launcher().spawn(JobSpec::new(2), |ctx| {
             if ctx.rank() == 1 {
-                std::thread::sleep(std::time::Duration::from_millis(400));
+                ctx.park_until_killed();
             }
             ctx.rank()
         });
-        let victim = ProcId::new(handle.nspace(), 1);
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        world.kill_proc(&victim);
+        world.kill_proc(&ProcId::new(handle.nspace(), 1));
         let _ = handle.join();
         let report = world.finish(None, Vec::new());
         report.assert_clean();

@@ -76,7 +76,6 @@ use crate::hook::FaultRecord;
 use crate::plan::FaultClass;
 use simnet::{EndpointId, Fabric};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
 
 /// One invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,9 +308,9 @@ impl InvariantChecker {
         // guarantee means its replay IS the fabric's failure knowledge.
         let mut watcher = ctx.fabric.watch_failures();
         let mut seen: BTreeSet<EndpointId> = BTreeSet::new();
-        // Replay is synchronous at subscription; drain with a short grace
-        // period in case a verdict kill is still being broadcast.
-        while let Some(ev) = watcher.recv_timeout(Duration::from_millis(50)) {
+        // Outside a turn the replay has landed when `watch_failures`
+        // returns, and every kill has finished its turn: nothing is late.
+        while let Some(ev) = watcher.try_recv() {
             seen.insert(ev.endpoint);
         }
         let expected: BTreeSet<EndpointId> = ctx.expected_dead.iter().copied().collect();

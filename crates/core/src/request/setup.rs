@@ -647,9 +647,7 @@ mod tests {
         let job = launcher.spawn(prrte::JobSpec::new(2), |ctx| {
             let victim = pmix::ProcId::new(ctx.proc().nspace(), 1);
             if ctx.rank() == 1 {
-                while !ctx.universe().proc_is_dead(&victim) {
-                    std::thread::yield_now();
-                }
+                ctx.park_until_killed();
                 return None;
             }
             let stage = Box::new(Probe {

@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::run;
+use common::{await_state, run};
 use mpi_sessions::{coll, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 
 fn world_comm(ctx: &prrte::ProcCtx, tag: &str) -> (Session, Comm) {
@@ -120,17 +120,21 @@ fn scan_inclusive_prefix() {
 
 #[test]
 fn ibarrier_completes_via_test_polling() {
-    run(1, 4, 4, |ctx| {
+    let entered = std::sync::Barrier::new(4);
+    run(1, 4, 4, move |ctx| {
         let (s, c) = world_comm(&ctx, "ib");
-        // Stagger entry so test() must poll a while on early ranks.
-        std::thread::sleep(std::time::Duration::from_millis(20 * ctx.rank() as u64));
-        let mut req = coll::ibarrier(&c).unwrap();
-        let mut polls = 0u32;
-        while !req.test().unwrap() {
-            polls += 1;
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            assert!(polls < 1_000_000);
+        // The last rank enters only after the others have issued theirs and
+        // seen it incomplete, so test() must poll a while on early ranks.
+        let last = ctx.rank() == 3;
+        if last {
+            entered.wait();
         }
+        let mut req = coll::ibarrier(&c).unwrap();
+        if !last {
+            assert!(!req.test().unwrap(), "the barrier completed without the last rank");
+            entered.wait();
+        }
+        await_state(|| req.test().unwrap());
         c.free().unwrap();
         s.finalize().unwrap();
     });

@@ -5,7 +5,9 @@ mod common;
 
 use mpi_sessions::{coll, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 use prrte::{JobSpec, Launcher};
+use common::{await_ranks, await_state};
 use simnet::SimTestbed;
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn new_session(ctx: &prrte::ProcCtx) -> Session {
@@ -17,7 +19,8 @@ fn reinit_after_failure_with_survivors() {
     // §II-C(a): after a process failure, finalize and re-initialize MPI
     // over the surviving processes, then continue computing.
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    let handle = launcher.spawn(JobSpec::new(4), |ctx| {
+    let (phase1, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(4), move |ctx| {
         let session = new_session(&ctx);
         let mut notifier = session.failure_notifier().unwrap();
         // Phase 1: all four ranks communicate.
@@ -26,9 +29,10 @@ fn reinit_after_failure_with_survivors() {
         let sum1 = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(sum1, 4);
         comm.free().unwrap();
+        phase1.send(()).unwrap();
         if ctx.rank() == 3 {
             // The victim: lingers after phase 1 until killed.
-            std::thread::sleep(Duration::from_secs(5));
+            ctx.park_until_killed();
             return 0;
         }
 
@@ -47,8 +51,7 @@ fn reinit_after_failure_with_survivors() {
         session2.finalize().unwrap();
         sum2
     });
-    // Let phase 1 complete, then kill rank 3.
-    std::thread::sleep(Duration::from_millis(600));
+    await_ranks(&done, 4);
     handle.kill_rank(3);
     let out = handle.join().unwrap();
     assert_eq!(out[0], 3);
@@ -61,7 +64,7 @@ fn comm_create_from_group_fails_cleanly_when_member_dies() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 1));
     let handle = launcher.spawn(JobSpec::new(2), |ctx| {
         if ctx.rank() == 1 {
-            std::thread::sleep(Duration::from_secs(3));
+            ctx.park_until_killed();
             return None;
         }
         let session = new_session(&ctx);
@@ -71,7 +74,9 @@ fn comm_create_from_group_fails_cleanly_when_member_dies() {
         session.finalize().unwrap();
         Some(err.class)
     });
-    std::thread::sleep(Duration::from_millis(300));
+    // Kill once rank 0's construct is in flight at its server.
+    let servers = launcher.universe().servers();
+    await_state(|| servers.iter().any(|s| s.shard_occupancy().ops_live.iter().any(|&n| n > 0)));
     handle.kill_rank(1);
     let out = handle.join().unwrap();
     assert_eq!(out[0], Some(mpi_sessions::ErrClass::ProcFailed));
@@ -82,14 +87,16 @@ fn failure_scope_isolated_to_affected_session() {
     // §II-C(b): a failure among "client" processes must not poison the
     // "server"-internal session of the survivors.
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    let handle = launcher.spawn(JobSpec::new(4), |ctx| {
+    let (subscribed, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(4), move |ctx| {
         // Ranks 0,1 = servers; ranks 2,3 = clients. Rank 3 will die.
         if ctx.rank() == 3 {
-            std::thread::sleep(Duration::from_secs(5));
+            ctx.park_until_killed();
             return 0u32;
         }
         let session = new_session(&ctx);
         let mut notifier = session.failure_notifier().unwrap();
+        subscribed.send(()).unwrap();
         if ctx.rank() >= 2 {
             // Surviving client: nothing else to do.
             let _ = notifier.next_timeout(Duration::from_secs(10));
@@ -109,7 +116,7 @@ fn failure_scope_isolated_to_affected_session() {
         session.finalize().unwrap();
         sum
     });
-    std::thread::sleep(Duration::from_millis(500));
+    await_ranks(&done, 3);
     handle.kill_rank(3);
     let out = handle.join().unwrap();
     assert_eq!(out[0], 42);
@@ -119,7 +126,8 @@ fn failure_scope_isolated_to_affected_session() {
 #[test]
 fn group_member_failure_event_carries_group_name() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-    let handle = launcher.spawn(JobSpec::new(2), |ctx| {
+    let (joined, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(2), move |ctx| {
         if ctx.rank() == 1 {
             // Join the PMIx group, then die.
             let members: Vec<pmix::ProcId> =
@@ -128,7 +136,8 @@ fn group_member_failure_event_carries_group_name() {
                 .pmix()
                 .group_construct("watched", &members, &pmix::GroupDirectives::for_mpi())
                 .unwrap();
-            std::thread::sleep(Duration::from_secs(5));
+            joined.send(()).unwrap();
+            ctx.park_until_killed();
             return None;
         }
         let events = ctx
@@ -140,13 +149,14 @@ fn group_member_failure_event_carries_group_name() {
             .pmix()
             .group_construct("watched", &members, &pmix::GroupDirectives::for_mpi())
             .unwrap();
+        joined.send(()).unwrap();
         let ev = events.next_timeout(Duration::from_secs(10)).expect("member-failed event");
         Some((
             ev.source.clone().unwrap().rank(),
             ev.get("group").unwrap().as_str().unwrap().to_owned(),
         ))
     });
-    std::thread::sleep(Duration::from_millis(500));
+    await_ranks(&done, 2);
     handle.kill_rank(1);
     let out = handle.join().unwrap();
     assert_eq!(out[0], Some((1, "watched".to_owned())));
@@ -160,20 +170,23 @@ fn sender_errors_when_receiver_dies_mid_handshake() {
     // `ProcFailed` on its next send in bounded time — not spin in extended
     // mode retrying a handshake that can never complete.
     let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-    let handle = launcher.spawn(JobSpec::new(2), |ctx| {
+    let (ready, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(2), move |ctx| {
         let session = new_session(&ctx);
         let g = session.group_from_pset("mpi://world").unwrap();
         let comm = Comm::create_from_group(&g, "torn-handshake").unwrap();
         if ctx.rank() == 1 {
             // Participates in comm creation, then goes silent: never posts
             // a receive, never progresses, never acks — and dies.
-            std::thread::sleep(Duration::from_secs(5));
+            ready.send(()).unwrap();
+            ctx.park_until_killed();
             return None;
         }
         let mut notifier = session.failure_notifier().unwrap();
         // Initiate the handshake. Buffered-eager semantics: the send itself
         // completes locally even though the ACK will never arrive.
         comm.send(1, 1, b"ext-opener").unwrap();
+        ready.send(()).unwrap();
         // Wait until the runtime has observed rank 1's death.
         let victim = notifier.next_timeout(Duration::from_secs(10)).expect("failure event");
         assert_eq!(victim.rank(), 1);
@@ -184,7 +197,7 @@ fn sender_errors_when_receiver_dies_mid_handshake() {
         session.finalize().unwrap();
         Some(class)
     });
-    std::thread::sleep(Duration::from_millis(500));
+    await_ranks(&done, 2);
     handle.kill_rank(1);
     let out = handle.join().unwrap();
     assert_eq!(out[0], Some(mpi_sessions::ErrClass::ProcFailed));
@@ -203,20 +216,22 @@ fn sender_errors_when_receiver_dies_mid_handshake() {
 #[test]
 fn surviving_group_shrinks_only_after_failure() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 3));
-    let handle = launcher.spawn(JobSpec::new(3), |ctx| {
+    let (subscribed, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(3), move |ctx| {
         if ctx.rank() == 2 {
-            std::thread::sleep(Duration::from_secs(3));
+            ctx.park_until_killed();
             return (0, 0);
         }
         let session = new_session(&ctx);
         let before = session.surviving_group("mpi://world").unwrap().size();
         let mut notifier = session.failure_notifier().unwrap();
+        subscribed.send(()).unwrap();
         let _ = notifier.next_timeout(Duration::from_secs(10)).expect("event");
         let after = session.surviving_group("mpi://world").unwrap().size();
         session.finalize().unwrap();
         (before, after)
     });
-    std::thread::sleep(Duration::from_millis(400));
+    await_ranks(&done, 2);
     handle.kill_rank(2);
     let out = handle.join().unwrap();
     assert_eq!(out[0], (3, 2));

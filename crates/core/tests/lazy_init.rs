@@ -12,6 +12,8 @@
 //!   a later lazy resolve fails with a typed error instead of handing out
 //!   a stale endpoint.
 
+mod common;
+
 use mpi_sessions::info::keys;
 use mpi_sessions::session::PSET_WORLD;
 use mpi_sessions::{coll, CidOrigin, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
@@ -295,7 +297,8 @@ fn killed_peer_card_is_evicted_from_resolver_cache() {
     // fix, `PeerResolver::lookup` cross-checks the dead set and evicts the
     // entry, so the cache converges to a miss once the death has landed.
     let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-    let handle = launcher.spawn(JobSpec::new(2), |ctx| {
+    let (primed, done) = std::sync::mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(2), move |ctx| {
         let session = lazy_session(&ctx);
         let group = session.group_from_pset(PSET_WORLD).unwrap();
         let comm = Comm::create_from_group(&group, "evict").unwrap();
@@ -307,26 +310,21 @@ fn killed_peer_card_is_evicted_from_resolver_cache() {
             comm.recv(0, 7).unwrap();
             comm.send(0, 8, b"pong").unwrap();
             // Victim: hold the endpoint open until the driver kills it.
-            std::thread::sleep(Duration::from_secs(5));
+            primed.send(()).unwrap();
+            ctx.park_until_killed();
             return None;
         }
         let peer = pmix::ProcId::new(ctx.proc().nspace(), 1);
         let process = mpi_sessions::instance::MpiProcess::obtain(&ctx);
         let resolver = process.pml().resolver().expect("lazy session has a resolver");
         assert!(resolver.lookup(&peer).is_some(), "cache is primed before the kill");
+        primed.send(()).unwrap();
         let mut faults = session.watch_faults().unwrap();
         let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
         assert_eq!(victim.rank(), 1);
-        // The fault has landed: the cached card must converge to a miss
-        // (the bridge marks server dead sets asynchronously, so poll).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while resolver.lookup(&peer).is_some() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "resolver cache still serves the dead peer's card"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // The servers absorbed the death before the fault was yielded: the
+        // cached card is already a miss.
+        assert!(resolver.lookup(&peer).is_none(), "resolver cache still serves the dead peer's card");
         // And a fresh send to the corpse fails typed, not with a dangling
         // route from the stale card.
         let err = comm.send(1, 9, b"to-the-dead").unwrap_err();
@@ -340,7 +338,7 @@ fn killed_peer_card_is_evicted_from_resolver_cache() {
         session.finalize().unwrap();
         Some(err.class)
     });
-    std::thread::sleep(Duration::from_millis(400));
+    common::await_ranks(&done, 2);
     handle.kill_rank(1);
     let out = handle.join().unwrap();
     assert!(out[0].is_some());

@@ -3,11 +3,11 @@
 
 mod common;
 
-use common::run;
+use common::{await_ranks, await_state, run};
 use mpi_sessions::{
     Comm, ErrClass, ErrHandler, Info, Request, Session, ThreadLevel, ANY_SOURCE, ANY_TAG,
 };
-use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 fn world_comm(ctx: &prrte::ProcCtx, tag: &str) -> (Session, Comm) {
@@ -45,8 +45,13 @@ fn rendezvous_large_message() {
         if ctx.rank() == 0 {
             c.send(1, 0, &big).unwrap();
         } else {
-            // Post the receive late so the RTS waits in the unexpected queue.
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            // Post the receive late: only once the RTS waits in the
+            // unexpected queue.
+            let pml = mpi_sessions::instance::MpiProcess::obtain(&ctx).pml().clone();
+            await_state(|| {
+                pml.progress(None);
+                pml.unexpected_count(c.local_cid()) > 0
+            });
             let (data, st) = c.recv(0, 0).unwrap();
             assert_eq!(st.len, big.len());
             assert_eq!(data, big);
@@ -58,15 +63,17 @@ fn rendezvous_large_message() {
 
 #[test]
 fn rendezvous_with_preposted_receive() {
-    run(1, 2, 2, |ctx| {
+    let posted = Barrier::new(2);
+    run(1, 2, 2, move |ctx| {
         let (s, c) = world_comm(&ctx, "rdv-pre");
         let big = vec![0x5au8; 150_000];
         if ctx.rank() == 1 {
             let req = c.irecv(0, 3).unwrap();
+            posted.wait();
             let (data, _) = req.wait_data().unwrap();
             assert_eq!(data.len(), big.len());
         } else {
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            posted.wait();
             c.send(1, 3, &big).unwrap();
         }
         c.free().unwrap();
@@ -153,10 +160,9 @@ fn excid_handshake_switches_to_compact_header() {
         if ctx.rank() == 0 {
             assert!(!pml.peer_switched(c.local_cid(), 1));
             c.send(1, 0, b"first").unwrap(); // extended
-            let _ = c.recv(1, 0).unwrap(); // peer's reply arrives w/ our ACK absorbed
-            // Give the ACK time to come back, then progress it in.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            pml.progress(None);
+            // The peer acked "first" before it replied: per-pair FIFO hands
+            // us the ACK ahead of the reply.
+            let _ = c.recv(1, 0).unwrap();
             assert!(pml.peer_switched(c.local_cid(), 1), "ACK should have switched the peer");
             c.send(1, 0, b"second").unwrap(); // compact
         } else {
@@ -348,11 +354,13 @@ fn invalid_rank_and_tag_are_rejected() {
 #[test]
 fn send_to_dead_peer_fails_with_proc_failed() {
     let launcher = prrte::Launcher::new(simnet::SimTestbed::tiny(1, 2));
-    let handle = launcher.spawn(prrte::JobSpec::new(2), |ctx| {
+    let (ready, done) = mpsc::channel();
+    let handle = launcher.spawn(prrte::JobSpec::new(2), move |ctx| {
         let (s, c) = world_comm(&ctx, "dead");
         if ctx.rank() == 0 {
             // Wait until the runtime killed rank 1.
             let mut notifier = s.failure_notifier().unwrap();
+            ready.send(()).unwrap();
             let victim = notifier
                 .next_timeout(std::time::Duration::from_secs(10))
                 .expect("failure event");
@@ -362,13 +370,14 @@ fn send_to_dead_peer_fails_with_proc_failed() {
             // The session itself remains usable for local work.
             assert!(s.pset_names().is_ok());
         } else {
-            std::thread::sleep(std::time::Duration::from_secs(2));
+            ready.send(()).unwrap();
+            ctx.park_until_killed();
         }
         drop(c);
         s.finalize().ok();
         ctx.rank()
     });
-    std::thread::sleep(std::time::Duration::from_millis(400));
+    await_ranks(&done, 2);
     handle.kill_rank(1);
     handle.join().unwrap();
 }
@@ -377,7 +386,7 @@ fn send_to_dead_peer_fails_with_proc_failed() {
 /// [`with_last_rank_killed`] job: after every rank called `ready`.
 struct KillPoint {
     ready: Barrier,
-    killed: (Mutex<bool>, Condvar),
+    fabric: simnet::Fabric,
 }
 
 impl KillPoint {
@@ -386,33 +395,30 @@ impl KillPoint {
         self.ready.wait();
     }
 
-    /// Returns once the kill has been issued.
+    /// Returns once the kill has landed (the job's only death).
     fn killed(&self) {
-        let (flag, cv) = &self.killed;
-        drop(cv.wait_while(flag.lock().unwrap(), |k| !*k).unwrap());
+        self.fabric.watch_failures().recv();
     }
 }
 
 /// Run `body` on every rank of an `np`-rank job whose last rank is killed
 /// at a point the test names, with no wall clock involved: every `body`
 /// calls `kill.ready()` once, the test thread then kills the last rank (held
-/// after its `body` until then), and `kill.killed()` returns once it has.
+/// after its `body` until then), and `kill.killed()` returns once it died.
 /// The job is joined on a helper thread and awaited with a bound, so a
 /// wait that never returns fails the test instead of hanging the suite.
 /// Returns the survivors' results in rank order.
 fn with_last_rank_killed<T: Send + 'static>(np: u32, body: fn(&Comm, &KillPoint) -> T) -> Vec<T> {
-    let kill = Arc::new(KillPoint {
-        ready: Barrier::new(np as usize + 1),
-        killed: (Mutex::new(false), Condvar::new()),
-    });
     let launcher = prrte::Launcher::new(simnet::SimTestbed::tiny(1, np));
+    let fabric = launcher.universe().fabric().clone();
+    let kill = Arc::new(KillPoint { ready: Barrier::new(np as usize + 1), fabric });
     let handle = launcher.spawn(prrte::JobSpec::new(np), {
         let kill = kill.clone();
         move |ctx| {
             let (s, c) = world_comm(&ctx, "doomed");
             let out = body(&c, &kill);
             if ctx.rank() == np - 1 {
-                kill.killed();
+                ctx.park_until_killed();
                 return None;
             }
             // The comm still names the dead rank: dropped, not freed.
@@ -423,8 +429,6 @@ fn with_last_rank_killed<T: Send + 'static>(np: u32, body: fn(&Comm, &KillPoint)
     });
     kill.ready.wait();
     handle.kill_rank(np - 1);
-    *kill.killed.0.lock().unwrap() = true;
-    kill.killed.1.notify_all();
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(handle.join());

@@ -13,13 +13,17 @@
 //!   member that died after the pin, instead of consuming the death's own
 //!   membership event and rebuilding at the newer epoch.
 
+mod common;
+
+use common::await_ranks;
 use mpi_sessions::session::PSET_WORLD;
 use mpi_sessions::{
     coll, Comm, ElasticComm, ErrClass, ErrHandler, Info, Rebuild, ReduceOp, Session, ThreadLevel,
 };
 use prrte::{JobSpec, Launcher};
 use simnet::SimTestbed;
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn new_session(ctx: &prrte::ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
@@ -28,26 +32,34 @@ fn new_session(ctx: &prrte::ProcCtx) -> Session {
 #[test]
 fn watch_faults_replays_to_late_subscriber_exactly_once() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 3));
-    let handle = launcher.spawn(JobSpec::new(3), |ctx| {
+    let (subscribed, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(3), move |ctx| {
         if ctx.rank() == 2 {
-            std::thread::sleep(Duration::from_secs(5));
+            ctx.park_until_killed();
             return;
         }
         let session = new_session(&ctx);
-        // Early subscriber: sees the death live.
+        let pset = session.track_faults().unwrap();
+        // Early subscriber: sees the death live...
         let mut early = session.watch_faults().unwrap();
+        subscribed.send(()).unwrap();
         let v = early.next_timeout(Duration::from_secs(10)).expect("live fault");
         assert_eq!(v.rank(), 2);
         assert!(early.try_next().is_none(), "no duplicate on the live path");
-        // Late subscriber, attached well after the death: the fabric's
-        // dead set is replayed on attach, exactly once.
+        // ...once the runtime has absorbed it: the servers, the survivors
+        // pset and `surviving_group` all exclude it, read once, no poll.
+        assert!(ctx.universe().proc_is_dead(&v), "a server has not marked the death");
+        assert!(!ctx.universe().registry().pset_members(&pset).unwrap().contains(&v));
+        assert_eq!(session.surviving_group(PSET_WORLD).unwrap().size(), 2);
+        // Late subscriber, attached after the death: the fabric's dead set
+        // is replayed on attach, exactly once, before `watch_faults` returns.
         let mut late = session.watch_faults().unwrap();
-        let r = late.next_timeout(Duration::from_secs(5)).expect("replayed fault");
+        let r = late.try_next().expect("replayed fault");
         assert_eq!(r.rank(), 2);
         assert!(late.try_next().is_none(), "replay is exactly-once");
         session.finalize().unwrap();
     });
-    std::thread::sleep(Duration::from_millis(300));
+    await_ranks(&done, 2);
     handle.kill_rank(2);
     handle.join().unwrap();
 }
@@ -86,10 +98,11 @@ fn dead_remote_member_fails_group_fanin_typed() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let handle = launcher.spawn(JobSpec::new(4), |ctx| {
         if ctx.rank() == 3 {
-            std::thread::sleep(Duration::from_secs(5));
+            ctx.park_until_killed();
             return None;
         }
         let session = new_session(&ctx);
+        // Replayed if the kill came first: no ordering to wait for.
         let mut faults = session.watch_faults().unwrap();
         let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
         assert_eq!(victim.rank(), 3);
@@ -105,7 +118,6 @@ fn dead_remote_member_fails_group_fanin_typed() {
         session.finalize().unwrap();
         Some(err.class)
     });
-    std::thread::sleep(Duration::from_millis(400));
     handle.kill_rank(3);
     let out = handle.join().unwrap();
     assert_eq!(out[0], Some(ErrClass::ProcFailed), "typed fast failure, not a stall");
@@ -115,7 +127,8 @@ fn dead_remote_member_fails_group_fanin_typed() {
 #[test]
 fn faults_pset_shrinks_and_supports_repair() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    let handle = launcher.spawn(JobSpec::new(4), |ctx| {
+    let (warmed, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(4), move |ctx| {
         let session = new_session(&ctx);
         let pset = session.track_faults().unwrap();
         assert!(pset.starts_with(pmix::SURVIVORS_PSET_PREFIX));
@@ -128,15 +141,15 @@ fn faults_pset_shrinks_and_supports_repair() {
         let warm = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(warm, 4);
         if ctx.rank() == 3 {
-            std::thread::sleep(Duration::from_secs(5));
+            warmed.send(()).unwrap();
+            ctx.park_until_killed();
             return 0u32;
         }
         let mut faults = session.watch_faults().unwrap();
         let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
         assert_eq!(victim.rank(), 3);
         // The repair is a collective over the three survivors: the failure
-        // bridge prunes the faults pset just after the death lands, and a
-        // rebuild that still names the corpse re-enters onto the prune.
+        // bridge pruned the faults pset before the fault was yielded.
         let repaired = ElasticComm::establish(&session, &pset, Duration::from_secs(10)).unwrap();
         assert!(repaired.epoch() > epoch0, "the shrink bumped the pset epoch");
         let rebuilt = repaired.comm().unwrap();
@@ -152,7 +165,7 @@ fn faults_pset_shrinks_and_supports_repair() {
         session.finalize().unwrap();
         sum
     });
-    std::thread::sleep(Duration::from_millis(500));
+    await_ranks(&done, 1);
     handle.kill_rank(3);
     let out = handle.join().unwrap();
     for r in &out[..3] {
@@ -170,14 +183,16 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
     // terminal error.
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let spec = JobSpec::new(4).with_pset("app://crew", vec![0, 1, 2, 3]);
-    let handle = launcher.spawn_named("cascade", spec, |ctx| {
+    let (warmed, done) = mpsc::channel();
+    let handle = launcher.spawn_named("cascade", spec, move |ctx| {
         let session = new_session(&ctx);
         let mut ec =
             ElasticComm::establish(&session, "app://crew", Duration::from_secs(10)).unwrap();
         let warm = coll::allreduce_t(ec.comm().unwrap(), ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(warm, 4);
         if ctx.rank() >= 2 {
-            std::thread::sleep(Duration::from_secs(5));
+            warmed.send(()).unwrap();
+            ctx.park_until_killed();
             return 0u32;
         }
         // Hold the rebuild until BOTH deaths are known, so the cascade is
@@ -201,7 +216,7 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
         session.finalize().unwrap();
         sum
     });
-    std::thread::sleep(Duration::from_millis(600));
+    await_ranks(&done, 2);
     handle.kill_rank(3);
     handle.kill_rank(2);
     let out = handle.join().unwrap();
@@ -239,16 +254,12 @@ fn graceful_retire_prunes_faults_pset_without_fault_events() {
             return pset;
         }
         let mut faults = session.watch_faults().unwrap();
-        let process = mpi_sessions::instance::MpiProcess::obtain(&ctx);
-        let registry = process.universe().registry();
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut psets = session.watch_psets().unwrap();
         loop {
-            let (_, m) = registry.pset_members_versioned(&pset).unwrap();
-            if m.len() == 2 {
+            let u = psets.next_timeout(Duration::from_secs(10)).expect("faults pset never followed the retire");
+            if u.pset == pset && u.members.len() == 2 {
                 break;
             }
-            assert!(Instant::now() < deadline, "faults pset never followed the retire");
-            std::thread::sleep(Duration::from_millis(10));
         }
         assert!(faults.try_next().is_none(), "a graceful retire is not a fault");
         session.finalize().unwrap();

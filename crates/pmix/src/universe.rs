@@ -547,14 +547,17 @@ mod tests {
         let procs = spawn_procs(&uni, "job", 2);
         let (p0, _) = &procs[0];
         let (p1, _) = &procs[1];
-        let c0 = uni.client_for(p0).unwrap();
         let c1 = uni.client_for(p1).unwrap();
-        let p1c = p1.clone();
-        let h = std::thread::spawn(move || c0.get_timeout(&p1c, "late", Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(100));
+        // The request reaches p1's server before `fetch_begin` returns, and
+        // parks there: no answer until the commit.
+        let server = uni.client_for(p0).unwrap().server().clone();
+        let mut ticket = server.fetch_begin(p1, "late").unwrap();
+        assert!(server.fetch_poll(&mut ticket).is_none());
         c1.put("late", PmixValue::Bool(true));
         c1.commit();
-        assert_eq!(h.join().unwrap().unwrap().as_bool(), Some(true));
+        server.fetch_park(&ticket, Duration::from_secs(5));
+        let got = server.fetch_poll(&mut ticket).expect("the commit answered it").unwrap();
+        assert_eq!(got.as_bool(), Some(true));
     }
 
     #[test]
@@ -574,19 +577,11 @@ mod tests {
         let procs = spawn_procs(&uni, "job", 2);
         let members: Vec<ProcId> = procs.iter().map(|(p, _)| p.clone()).collect();
         let victim = members[1].clone();
-        let uni2 = uni.clone();
-        let h = {
-            let members = members.clone();
-            let me = members[0].clone();
-            std::thread::spawn(move || {
-                let c = uni2.client_for(&me).unwrap();
-                c.group_construct("doomed", &members, &GroupDirectives::for_mpi())
-            })
-        };
-        std::thread::sleep(Duration::from_millis(100));
+        // The construct is in flight at its server when the member dies.
+        let c = uni.client_for(&members[0]).unwrap();
+        let pending = c.group_construct_nb("doomed", &members, &GroupDirectives::for_mpi()).unwrap();
         uni.kill_proc(&victim).unwrap();
-        let err = h.join().unwrap().unwrap_err();
-        assert_eq!(err, PmixError::ProcTerminated(victim));
+        assert_eq!(pending.wait().unwrap_err(), PmixError::ProcTerminated(victim));
     }
 
     #[test]
@@ -598,12 +593,15 @@ mod tests {
 
         // Invitees wait for the invitation event, then join (one declines).
         let mut hs = Vec::new();
+        let (subscribed, listening) = std::sync::mpsc::channel();
         for (i, m) in members[1..].iter().enumerate() {
             let uni2 = uni.clone();
             let m = m.clone();
+            let subscribed = subscribed.clone();
             hs.push(std::thread::spawn(move || {
                 let c = uni2.client_for(&m).unwrap();
                 let events = c.register_events(Some(vec![crate::event::EventCode::GroupInvited]));
+                subscribed.send(()).unwrap();
                 let ev = events.next_timeout(Duration::from_secs(5)).expect("invited");
                 let inviter = ev.source.clone().unwrap();
                 let name = ev.get("group").unwrap().as_str().unwrap().to_owned();
@@ -611,7 +609,9 @@ mod tests {
                 c.group_join(&name, &inviter, accept).unwrap();
             }));
         }
-        std::thread::sleep(Duration::from_millis(50));
+        for _ in &hs {
+            listening.recv().unwrap();
+        }
         let c = uni.client_for(&initiator).unwrap();
         c.group_invite("async-g", &members[1..], &GroupDirectives::for_mpi())
             .unwrap();
@@ -643,8 +643,9 @@ mod tests {
             events.next_timeout(Duration::from_secs(5))
         });
         let c = uni.client_for(&members[0]).unwrap();
+        // The construct completes only once both members arrived, so the
+        // peer has subscribed by now.
         let g = c.group_construct("lg", &members, &GroupDirectives::for_mpi()).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
         c.group_leave(&g).unwrap();
         let ev = h.join().unwrap().expect("leave event");
         assert_eq!(ev.source, Some(members[0].clone()));

@@ -567,7 +567,10 @@ fn blocking_get_and_hand_driven_ticket_reach_the_same_verdict() {
                 }
                 "local late commit" => {
                     late_commit = Some(std::thread::spawn(move || {
-                        std::thread::sleep(Duration::from_millis(30));
+                        // Models the owner's compute before it publishes,
+                        // so the get usually waits for the commit; the
+                        // verdict is the same if the commit wins.
+                        std::thread::sleep(Duration::from_millis(30)); // sleep-ok: owner compute
                         owner_client.put("k", 12u64);
                         owner_client.commit();
                     }));
@@ -581,12 +584,8 @@ fn blocking_get_and_hand_driven_ticket_reach_the_same_verdict() {
                     owner_client.commit();
                 }
                 "dead owner" => {
+                    // Every server has handled the death when this returns.
                     uni.kill_proc(&owner_proc).unwrap();
-                    let t0 = std::time::Instant::now();
-                    while !uni.proc_is_dead(&owner_proc) {
-                        assert!(t0.elapsed() < Duration::from_secs(5), "death never observed");
-                        std::thread::yield_now();
-                    }
                 }
                 "retired owner" => {
                     uni.registry().deregister_proc(&owner_proc);
@@ -665,11 +664,10 @@ fn late_pgcid_grant_for_a_timed_out_invite_is_repooled() {
     c1.group_join("late-grant", &procs[0], true).unwrap();
     let err = c0.group_invite_wait("late-grant", Duration::from_millis(20)).unwrap_err();
     assert_eq!(err, PmixError::Timeout);
+    // Shutdown settles every server's mailbox, the RM's first: the grant
+    // is handled, wherever it was on its way, before this returns.
     let server = c0.server();
-    let t0 = std::time::Instant::now();
-    while server.pgcid_pool_len() < 8 && t0.elapsed() < Duration::from_secs(5) {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    uni.shutdown();
     assert_eq!(server.pgcid_pool_len(), 8, "the late grant's lead id was lost");
     assert_eq!(uni.fabric().obs().sum_counters("pmix", "pgcid_allocated"), 8);
 }

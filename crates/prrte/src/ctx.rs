@@ -69,6 +69,14 @@ impl ProcCtx {
     pub fn universe(&self) -> &Arc<PmixUniverse> {
         &self.universe
     }
+
+    /// Block until this process is killed (at once if it already was). The
+    /// death arrives behind the failure bridge, so the servers have marked
+    /// it and its psets have shrunk around it when this returns.
+    pub fn park_until_killed(&self) {
+        let mut deaths = self.universe.fabric().watch_failures();
+        while deaths.recv().is_some_and(|ev| ev.endpoint != self.endpoint.id()) {}
+    }
 }
 
 impl std::fmt::Debug for ProcCtx {

@@ -591,9 +591,10 @@ mod tests {
         let launcher = Launcher::new(SimTestbed::tiny(2, 1));
         let handle = launcher.spawn(JobSpec::new(2), |ctx| {
             if ctx.rank() == 1 {
-                // Do no PMIx work; linger briefly so the kill lands while
-                // rank 0 is blocked in the fence.
-                std::thread::sleep(Duration::from_secs(2));
+                // Do no PMIx work: stay alive until killed. Parked again
+                // once dead, the rank returns at once.
+                ctx.park_until_killed();
+                ctx.park_until_killed();
                 return Ok(());
             }
             let members: Vec<ProcId> = (0..ctx.size())
@@ -601,7 +602,14 @@ mod tests {
                 .collect();
             ctx.pmix().fence_timeout(&members, false, Duration::from_secs(10))
         });
-        std::thread::sleep(Duration::from_millis(200));
+        // Kill once rank 0's fence is in flight at its server.
+        let servers = launcher.universe().servers();
+        let fencing = || servers.iter().any(|s| s.shard_occupancy().ops_live.iter().any(|&n| n > 0));
+        let cap = std::time::Instant::now() + Duration::from_secs(60);
+        while !fencing() {
+            assert!(std::time::Instant::now() < cap, "rank 0 never entered the fence");
+            std::thread::yield_now();
+        }
         handle.kill_rank(1);
         let joined = handle.join().unwrap();
         match &joined[0] {

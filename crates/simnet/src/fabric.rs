@@ -182,7 +182,8 @@ pub struct FabricCore {
     registry: Registry,
     pump: Arc<Pump>,
     cost: CostModel,
-    watchers: Mutex<Watchers>,
+    // Who hears of deaths, in subscription order.
+    subscribers: Mutex<Vec<DeathCallback>>,
     obs: Arc<obs::Registry>,
     metrics: FabricMetrics,
     // Started by the first delayed item (see `schedule`).
@@ -203,13 +204,6 @@ pub struct FabricCore {
     // Protocol-level deadlines poll it together with `in_flight` to decide
     // "the fabric has quiesced" without consulting the wall clock.
     activity: AtomicU64,
-}
-
-/// Who hears of deaths: channel subscribers and top-level callbacks.
-#[derive(Default)]
-struct Watchers {
-    channels: Vec<Sender<FailureEvent>>,
-    callbacks: Vec<DeathCallback>,
 }
 
 impl FabricCore {
@@ -423,34 +417,38 @@ impl FabricCore {
         let removed = self.registry.map.write().remove(&id);
         let Some(entry) = removed else { return };
         let event = FailureEvent { endpoint: id, node: entry.node };
-        // Take the watcher list lock *before* recording the death: a
-        // concurrently subscribing watcher (which holds the same lock across
-        // its replay) then sees this death exactly once — via replay or via
-        // the live broadcast, never both.
-        let mut watchers = self.watchers.lock();
+        // Lock the subscribers *before* recording the death: a concurrent
+        // subscriber (locked across its replay) hears of it exactly once.
+        let subscribers = self.subscribers.lock();
         self.registry.dead.write().insert(id, entry.node);
-        watchers.channels.retain(|w| w.send(event).is_ok());
-        for callback in &watchers.callbacks {
-            turn::defer(Work::Death(callback.clone(), event));
+        for subscriber in subscribers.iter() {
+            turn::defer(Work::Death(self.me.clone(), subscriber.clone(), event));
         }
-        drop(watchers);
+        drop(subscribers);
         if let Some(served) = entry.served {
             turn::defer(Work::Settle(served));
         }
     }
 
-    /// Deaths so far, in endpoint-id order (the fabric does not record kill
-    /// order, and replay order must at least be deterministic).
-    fn past_deaths(&self) -> Vec<FailureEvent> {
-        let mut past: Vec<FailureEvent> = self
-            .registry
-            .dead
-            .read()
-            .iter()
-            .map(|(ep, node)| FailureEvent { endpoint: *ep, node: *node })
-            .collect();
+    /// Add `subscriber` to the death list, replaying past deaths to it in
+    /// endpoint-id order (the fabric does not record kill order, and replay
+    /// order must at least be deterministic).
+    fn subscribe(&self, subscriber: DeathCallback) {
+        let _turn = turn::turn();
+        let mut subscribers = self.subscribers.lock();
+        let dead = self.registry.dead.read();
+        let mut past: Vec<_> = dead.iter().map(|(&endpoint, &node)| FailureEvent { endpoint, node }).collect();
+        drop(dead);
         past.sort_by_key(|e| e.endpoint);
-        past
+        for ev in past {
+            turn::defer(Work::Death(self.me.clone(), subscriber.clone(), ev));
+        }
+        subscribers.push(subscriber);
+    }
+
+    /// Drop a subscriber that has gone (see [`DeathCallback`]).
+    pub(crate) fn unsubscribe(&self, gone: &DeathCallback) {
+        self.subscribers.lock().retain(|s| !Arc::ptr_eq(s, gone));
     }
 }
 
@@ -485,7 +483,7 @@ impl Fabric {
             },
             pump,
             cost,
-            watchers: Mutex::new(Watchers::default()),
+            subscribers: Mutex::new(Vec::new()),
             obs,
             metrics,
             pump_thread: OnceLock::new(),
@@ -541,46 +539,35 @@ impl Fabric {
     }
 
     /// Kill an endpoint: its mailbox is closed (readers see `Disconnected`
-    /// after draining), future sends to it fail, and failure watchers are
-    /// notified. Idempotent.
+    /// after draining), future sends to it fail, and every death subscriber
+    /// hears of it when this thread's turn ends. Idempotent.
     pub fn kill(&self, id: EndpointId) {
         self.0.kill(id);
     }
 
-    /// Subscribe to failure events.
-    ///
-    /// Deaths that happened *before* the subscription are replayed into the
-    /// watcher immediately (in endpoint-id order — the fabric does not record
-    /// kill order, and replay order must at least be deterministic), so a
-    /// late subscriber converges on the same failure knowledge as one that
-    /// watched from the start.
+    /// Subscribe to failure events: an [`Fabric::on_death`] subscriber that
+    /// queues each death for the returned watcher, so it hears of a death
+    /// after every earlier subscriber (the PMIx failure bridge first). Past
+    /// deaths are replayed; called outside a turn, the replay has landed
+    /// when this returns. A dropped watcher is unsubscribed at the next
+    /// death.
     pub fn watch_failures(&self) -> FailureWatcher {
         let (tx, rx) = unbounded();
-        // Hold the watcher list lock across the replay: `kill` broadcasts
-        // under the same lock, so a concurrent death is either already in
-        // `dead` (replayed here) or broadcast after this watcher registers.
-        let mut watchers = self.0.watchers.lock();
-        for ev in self.0.past_deaths() {
-            let _ = tx.send(ev);
-        }
-        watchers.channels.push(tx);
+        self.0.subscribe(Arc::new(move |ev| tx.send(ev).is_ok()));
         FailureWatcher::new(rx)
     }
 
-    /// Call `f` on every endpoint death, past ones first (replayed as
-    /// [`Fabric::watch_failures`] replays them). `f` runs on the thread
-    /// that killed the endpoint — the killer's or a fault-injecting
-    /// sender's — when that thread's turn ends (see [`crate::turn`](mod@crate::turn)), with
-    /// no fabric lock held and the thread's trace context hidden. This is
-    /// how a layer without threads of its own learns of deaths.
+    /// Call `f` on every endpoint death, past ones first, each once. `f`
+    /// runs on the thread that killed the endpoint — the killer's or a
+    /// fault-injecting sender's — when that thread's turn ends (see
+    /// [`crate::turn`](mod@crate::turn)), with no fabric lock held and the
+    /// thread's trace context hidden, after every earlier subscriber. This
+    /// is how a layer without threads of its own learns of deaths.
     pub fn on_death(&self, f: impl Fn(FailureEvent) + Send + Sync + 'static) {
-        let _turn = turn::turn();
-        let f: DeathCallback = Arc::new(f);
-        let mut watchers = self.0.watchers.lock();
-        for ev in self.0.past_deaths() {
-            turn::defer(Work::Death(f.clone(), ev));
-        }
-        watchers.callbacks.push(f);
+        self.0.subscribe(Arc::new(move |ev| {
+            f(ev);
+            true
+        }));
     }
 
     /// Install (or replace) the fault-injection hook consulted for every
@@ -590,7 +577,7 @@ impl Fabric {
     }
 
     /// Id of the first endpoint registered on this fabric — the base that
-    /// [`MsgView`](crate::inject::MsgView) normalizes `rel_src`/`rel_dst`
+    /// [`MsgView`] normalizes `rel_src`/`rel_dst`
     /// against. Returns 0 before the first registration.
     pub fn base_endpoint_id(&self) -> u64 {
         self.0.base_endpoint.load(Ordering::Relaxed)
@@ -1193,6 +1180,51 @@ mod tests {
             assert_eq!(*deaths.lock(), vec![b.id()], "a past death was not replayed");
             fabric.kill(a.id());
             assert_eq!(*deaths.lock(), vec![b.id(), a.id()]);
+        }
+
+        /// One subscriber list: a watcher hears of a death at the end of
+        /// the killer's turn, after every subscriber registered before it
+        /// has run — never inside the turn that killed.
+        #[test]
+        fn a_watcher_hears_of_a_death_after_earlier_subscribers() {
+            let fabric = Fabric::new(CostModel::zero());
+            let b = fabric.register(NodeId(0));
+            let watcher: Arc<Mutex<Option<FailureWatcher>>> = Arc::default();
+            let heard_first: Arc<Mutex<Vec<bool>>> = Arc::default();
+            let (w, heard) = (watcher.clone(), heard_first.clone());
+            fabric.on_death(move |_| {
+                heard.lock().push(w.lock().as_mut().is_some_and(|w| w.try_recv().is_some()));
+            });
+            *watcher.lock() = Some(fabric.watch_failures());
+            let killers_turn = turn::turn();
+            fabric.kill(b.id());
+            let inside = watcher.lock().as_mut().unwrap().try_recv();
+            drop(killers_turn);
+            assert_eq!(inside, None, "heard inside the killer's turn");
+            assert_eq!(*heard_first.lock(), vec![false], "heard before an earlier subscriber ran");
+            let after = watcher.lock().as_mut().unwrap().try_recv().map(|e| e.endpoint);
+            assert_eq!(after, Some(b.id()));
+        }
+
+        /// A dropped watcher is called once more, fails its send and is
+        /// unsubscribed: no closure outlives its watcher by more than one
+        /// death.
+        #[test]
+        fn a_dropped_watcher_is_unsubscribed() {
+            let fabric = Fabric::new(CostModel::zero());
+            let a = fabric.register(NodeId(0));
+            let b = fabric.register(NodeId(0));
+            fabric.on_death(|_| {});
+            drop(fabric.watch_failures());
+            let mut kept = fabric.watch_failures();
+            let subscribed = || fabric.0.subscribers.lock().len();
+            assert_eq!(subscribed(), 3);
+            fabric.kill(a.id());
+            assert_eq!(subscribed(), 2, "the dropped watcher is still called");
+            fabric.kill(b.id());
+            assert_eq!(subscribed(), 2);
+            let heard: Vec<_> = std::iter::from_fn(|| kept.try_recv()).map(|e| e.endpoint).collect();
+            assert_eq!(heard, vec![a.id(), b.id()]);
         }
 
         /// Frames left in a killed served endpoint are handled by the kill.

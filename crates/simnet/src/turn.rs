@@ -29,17 +29,20 @@
 //! sender's sleep: each frame becomes due at max(now, the endpoint's
 //! busy-until) + cost, and the fabric's pump runs its handler then.
 
+use crate::fabric::FabricCore;
 use crate::failure::FailureEvent;
 use crate::message::Envelope;
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// A fabric-death callback (see [`Fabric::on_death`](crate::Fabric::on_death)).
-pub(crate) type DeathCallback = Arc<dyn Fn(FailureEvent) + Send + Sync>;
+/// A fabric-death subscriber (see [`Fabric::on_death`](crate::Fabric::on_death)):
+/// told of each death once; returns false once it has gone (a dropped
+/// watcher), and is then unsubscribed.
+pub(crate) type DeathCallback = Arc<dyn Fn(FailureEvent) -> bool + Send + Sync>;
 
 /// What a turn owes before it ends.
 pub(crate) enum Work {
@@ -48,8 +51,8 @@ pub(crate) enum Work {
     /// Handle everything a killed served endpoint still holds, waiting for
     /// a concurrent runner if there is one.
     Settle(Arc<Served>),
-    /// Tell a death watcher.
-    Death(DeathCallback, FailureEvent),
+    /// Tell a death subscriber of the fabric it subscribed to.
+    Death(Weak<FabricCore>, DeathCallback, FailureEvent),
 }
 
 #[derive(Default)]
@@ -141,7 +144,13 @@ fn run_queue() {
         match work {
             Work::Drain(served) => served.drain(None),
             Work::Settle(served) => served.settle(),
-            Work::Death(callback, event) => callback(event),
+            Work::Death(fabric, subscriber, event) => {
+                if !subscriber(event) {
+                    if let Some(fabric) = fabric.upgrade() {
+                        fabric.unsubscribe(&subscriber);
+                    }
+                }
+            }
         }
     }
 }

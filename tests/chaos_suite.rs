@@ -255,17 +255,11 @@ fn run_kill(seed: u64) -> RunReport {
             // outcome is acceptable here — the invariants below are not.
             let _ = ctx.pmix().fence_timeout(&all, false, Duration::from_secs(5));
             if ctx.rank() == 3 {
-                // The victim: its endpoint is dead. Wait until the failure
-                // is globally visible, then bow out (no finalize — the
-                // process is gone as far as the runtime is concerned).
-                for _ in 0..500 {
-                    let sg = session.surviving_group("mpi://world").unwrap();
-                    if sg.iter().all(|m| m.proc.rank() != 3) {
-                        return 0;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                panic!("victim never observed its own failure");
+                // The victim: wait until the runtime has absorbed the own
+                // death, then bow out (no finalize — the process is gone as
+                // far as the runtime is concerned).
+                ctx.park_until_killed();
+                return 0;
             }
             let victim = notifier.next_timeout(Duration::from_secs(10)).expect("failure event");
             assert_eq!(victim.rank(), 3);
@@ -463,16 +457,11 @@ fn run_soak(seed: u64) -> RunReport {
             let session = new_session(&ctx);
             if wave == KILL_WAVE + 1 {
                 // Synchronize on the kill: every thread (including the
-                // victim's) waits until the death is globally visible so
-                // the next wave agrees on its membership.
-                for i in 0..1000 {
-                    let sg = session.surviving_group("mpi://world").unwrap();
-                    if sg.iter().all(|m| m.proc.rank() != VICTIM) {
-                        break;
-                    }
-                    assert!(i < 999, "kill never became visible");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                // victim's) waits for the death so the next wave agrees on
+                // its membership.
+                let mut faults = session.watch_faults().unwrap();
+                let dead = faults.next_timeout(Duration::from_secs(10));
+                assert_eq!(dead.expect("kill never became visible").rank(), VICTIM);
             }
             let group = session.surviving_group("mpi://world").unwrap();
             if group.iter().all(|m| m.proc.rank() != ctx.rank()) {
@@ -633,18 +622,13 @@ fn run_async_setup(seed: u64) -> RunReport {
                 .collect()
         };
         tx.send((ctx.rank(), "issued")).unwrap();
-        for i in 0..1000 {
-            let sg = session.surviving_group("mpi://world").unwrap();
-            if sg.iter().all(|m| m.proc.rank() != VICTIM) {
-                break;
-            }
-            assert!(i < 999, "kill never became visible");
-            std::thread::sleep(Duration::from_millis(10));
-        }
         if ctx.rank() == VICTIM {
-            // The victim: its endpoint is dead; bow out without finalize.
+            // The victim: bow out without finalize once it is dead.
+            ctx.park_until_killed();
             return 0;
         }
+        let dead = session.watch_faults().unwrap().next_timeout(Duration::from_secs(10));
+        assert_eq!(dead.expect("kill never became visible").rank(), VICTIM);
         // One in-flight request is dropped — cancellation must drive it to
         // its (Failed) terminal state; the rest surface the abort on wait.
         drop(reqs.pop());
@@ -700,8 +684,7 @@ fn run_async_setup(seed: u64) -> RunReport {
 /// `end` with outcome `resolved` or `failed`.
 fn run_lazy_init(seed: u64) -> RunReport {
     use mpi_sessions_repro::mpi::info::keys;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Arc};
+    use std::sync::mpsc;
 
     const PSET: &str = "app://chaos-lazy";
     const RETIREE: u32 = 3;
@@ -717,8 +700,9 @@ fn run_lazy_init(seed: u64) -> RunReport {
     let world = ChaosWorld::new(SimTestbed::tiny(2, 2), plan);
     let nspace = format!("chaos-lazy-{seed}");
     let (tx, rx) = mpsc::channel::<u32>();
-    let retired_flag = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&retired_flag);
+    // The three stayers and the driver, once the retire has returned.
+    let retired = Arc::new(Barrier::new(4));
+    let stayers = Arc::clone(&retired);
     let ns = nspace.clone();
     let handle = world.launcher().spawn_named(
         &nspace,
@@ -751,9 +735,7 @@ fn run_lazy_init(seed: u64) -> RunReport {
                 session.finalize().unwrap();
                 return 1u32;
             }
-            while !flag.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            stayers.wait();
             if ctx.rank() == 1 {
                 // First contact with the departed rank: the lazy resolve
                 // must fail typed — card purged, no dangling endpoint.
@@ -773,9 +755,8 @@ fn run_lazy_init(seed: u64) -> RunReport {
     for _ in 0..4 {
         rx.recv_timeout(Duration::from_secs(30)).expect("ring ack");
     }
-    let retired = ctl.retire_ranks(&[RETIREE], Some(PSET)).unwrap();
-    assert_eq!(retired, vec![1]);
-    retired_flag.store(true, Ordering::Release);
+    assert_eq!(ctl.retire_ranks(&[RETIREE], Some(PSET)).unwrap(), vec![1]);
+    retired.wait();
     let out = handle.join().unwrap();
     assert_eq!(out, vec![1, 1, 1], "all survivors complete the lazy run");
 
@@ -815,7 +796,6 @@ fn run_correlated_kills(seed: u64) -> RunReport {
     use mpi_sessions_repro::mpi::instance::MpiProcess;
     use mpi_sessions_repro::mpi::ElasticComm;
     use std::sync::mpsc;
-    use std::time::Instant;
 
     let plan = FaultPlan::new(
         seed,
@@ -844,15 +824,9 @@ fn run_correlated_kills(seed: u64) -> RunReport {
         tx.send(ctx.rank()).unwrap();
         if ctx.rank() % 2 == 1 {
             // The victims (rank 1 on node 0, rank 3 on node 1): wait for
-            // the own death to become globally visible, then bow out.
-            for i in 0..1000 {
-                let sg = session.surviving_group("mpi://world").unwrap();
-                if sg.iter().all(|m| m.proc.rank() != ctx.rank()) {
-                    return 0;
-                }
-                assert!(i < 999, "victim never observed its own failure");
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // the own death, then bow out.
+            ctx.park_until_killed();
+            return 0;
         }
         // Survivors: the correlated burst arrives on the live watcher...
         let mut dead = vec![
@@ -870,15 +844,11 @@ fn run_correlated_kills(seed: u64) -> RunReport {
         replay.sort_unstable();
         assert_eq!(replay, vec![1, 3]);
         assert!(late.try_next().is_none(), "replay is exactly-once");
-        // The faults pset settles on the two survivors; repair the broken
-        // communicator over it. Waiting for the prune keeps the rebuild
-        // off the bridge's abort path, so the fault trace stays fixed.
+        // The bridge pruned the faults pset before either fault was
+        // yielded, so it has settled on the two survivors and the repair
+        // stays off the bridge's abort path.
         let registry = MpiProcess::obtain(&ctx).universe().registry().clone();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while registry.pset_members(&pset).unwrap().len() != 2 {
-            assert!(Instant::now() < deadline, "faults pset never settled on the survivors");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        assert_eq!(registry.pset_members(&pset).unwrap().len(), 2, "faults pset not settled");
         let repaired = ElasticComm::establish(&session, &pset, Duration::from_secs(10)).unwrap();
         let comm = repaired.comm().unwrap();
         assert_eq!(comm.size(), 2);
@@ -1036,14 +1006,8 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
         if ctx.rank() == VICTIM {
             // The victim: wait out the own death, then bow out (no
             // finalize — the runtime already considers this process gone).
-            for i in 0..1000 {
-                let sg = session.surviving_group("mpi://world").unwrap();
-                if sg.iter().all(|m| m.proc.rank() != VICTIM) {
-                    return 0u32;
-                }
-                assert!(i < 999, "victim never observed its own failure");
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            ctx.park_until_killed();
+            return 0u32;
         }
         // Survivors: the death arrives live, and a late watcher replays it
         // exactly once.
@@ -1059,19 +1023,12 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
         );
         assert!(late.try_next().is_none(), "replay is exactly-once");
         if ctx.rank() == 1 {
-            // Deterministically exercise the server-side dead set (the
-            // fabric watcher can outrun the failure bridge): wait until
-            // the servers know, then probe. The fresh lazy resolution must
-            // end `failed` with a typed error, not hand out a dead card.
+            // Exercise the server-side dead set, which the fault watcher
+            // hears of only after the servers: the fresh lazy resolution
+            // must end `failed` with a typed error, not hand out a dead card.
             let universe = MpiProcess::obtain(&ctx).universe().clone();
             let victim = mpi_sessions_repro::pmix::ProcId::new(ns.as_str(), VICTIM);
-            for i in 0..1000 {
-                if universe.proc_is_dead(&victim) {
-                    break;
-                }
-                assert!(i < 999, "servers never marked the victim dead");
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            assert!(universe.proc_is_dead(&victim), "servers never marked the victim dead");
             let err = c.send(VICTIM, 9, b"late").unwrap_err();
             assert!(
                 matches!(err.class, ErrClass::ProcFailed | ErrClass::ProcTerminated),
@@ -1148,23 +1105,14 @@ fn run_cascade_rebuild(seed: u64) -> RunReport {
             assert_eq!(coll::allreduce_t(ec.comm().unwrap(), ReduceOp::Sum, &[1u32]).unwrap()[0], 4);
             tx.send(ctx.rank()).unwrap();
             if ctx.rank() >= 2 {
-                // The victims: wait out the own death, then bow out — only
-                // once the own server has marked it too. Dropping the
-                // communicator releases it; released earlier, the pair of
-                // frees could beat the server's death handling and put a
-                // release where the failure notification goes, so the
-                // fault trace would not reproduce.
-                let server = ctx.universe().server(ctx.node()).unwrap();
-                for i in 0..1000 {
-                    let sg = session.surviving_group("mpi://world").unwrap();
-                    if sg.iter().all(|m| m.proc.rank() != ctx.rank())
-                        && server.proc_is_dead(ctx.proc())
-                    {
-                        return 0u32;
-                    }
-                    assert!(i < 999, "victim never observed its own failure");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                // The victims: wait out the own death, then bow out — the
+                // servers have marked it by then. Dropping the communicator
+                // releases it; released earlier, the pair of frees could
+                // beat the server's death handling and put a release where
+                // the failure notification goes, so the fault trace would
+                // not reproduce.
+                ctx.park_until_killed();
+                return 0u32;
             }
             // Hold the rebuild until BOTH deaths are known, so the cascade
             // is guaranteed: the epoch pinned by the first membership event

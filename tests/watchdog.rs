@@ -275,13 +275,15 @@ fn cvar_writes_round_trip_to_live_state() {
 fn wait_on_dead_peer_fails_proc_terminated_fast() {
     let world = ChaosWorld::new(SimTestbed::tiny(1, 3), FaultPlan::quiet(0xDEADBEE));
     let nspace = "watchdog-dead";
-    let handle = world.launcher().spawn_named(nspace, JobSpec::new(3), |ctx| {
+    let (built, done) = std::sync::mpsc::channel();
+    let handle = world.launcher().spawn_named(nspace, JobSpec::new(3), move |ctx| {
         let session = new_session(&ctx);
         let group = session.group_from_pset("mpi://world").unwrap();
         let comm = Comm::create_from_group(&group, "wd-dead").unwrap();
+        built.send(()).unwrap();
         if ctx.rank() == 2 {
             // Victim: hold the endpoint open until the driver kills it.
-            std::thread::sleep(Duration::from_secs(5));
+            ctx.park_until_killed();
             return None;
         }
         let mut faults = session.watch_faults().unwrap();
@@ -311,7 +313,9 @@ fn wait_on_dead_peer_fails_proc_terminated_fast() {
         session.finalize().unwrap();
         Some(err.class)
     });
-    std::thread::sleep(Duration::from_millis(400));
+    for _ in 0..3 {
+        done.recv_timeout(Duration::from_secs(60)).expect("a rank never built the comm");
+    }
     world.kill_proc(&mpi_sessions_repro::pmix::ProcId::new(nspace, 2));
     let out = handle.join().unwrap();
     assert_eq!(out[0], Some(ErrClass::ProcTerminated));
