@@ -222,6 +222,15 @@ if grep -rn 'run_loop' crates/pmix/src; then
   echo "a PMIx server thread loop is back: serve the endpoint (PmixServer::new) instead" >&2
   exit 1
 fi
+# Allocation gate: one op of the sessions lifecycle (the session_churn
+# sequence: init, group, create, derived dup, PGCID dup, first allreduce,
+# frees, finalize) on a warm np = 2 universe stays under the committed
+# allocations-per-op ceilings, both with room in the obs span buffer and
+# with it full. tests/alloc_budget.rs counts with a global allocator, so it
+# is its own test binary; it already ran in the workspace pass above and
+# runs again here by name, in release, printing its per-step table.
+echo "== allocation budget (session_churn allocations per op: span buffer with room, and full) =="
+cargo test -q --offline --release --test alloc_budget -- --nocapture
 # Sleep gate: no test or gate depends on a wall-clock sleep to pass. A
 # kill is an event: a victim parks in `ProcCtx::park_until_killed`, a
 # driver kills when the test's own channels say the phase is over, and a

@@ -94,7 +94,7 @@ fn dump_chaos_fail(out: Option<String>) {
         "canary",
         "request",
         "req.stalled",
-        vec![("id".into(), 1u64.into()), ("stage".into(), "group".into())],
+        vec![("id", 1u64.into()), ("stage", "group".into())],
     );
     let report = world.finish(None, Vec::new());
     assert!(

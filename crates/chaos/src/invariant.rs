@@ -609,9 +609,9 @@ mod tests {
         let obs = fabric.obs();
         let attrs = || {
             vec![
-                ("pgcid".into(), 5u64.into()),
-                ("derivation".into(), 0u64.into()),
-                ("peer".into(), 1u64.into()),
+                ("pgcid", 5u64.into()),
+                ("derivation", 0u64.into()),
+                ("peer", 1u64.into()),
             ]
         };
         obs.event("ep1", "pml", "pml.handshake", attrs());
@@ -630,10 +630,10 @@ mod tests {
         let obs = fabric.obs();
         let attrs = |generation: u64| {
             vec![
-                ("pgcid".into(), 5u64.into()),
-                ("derivation".into(), 0u64.into()),
-                ("peer".into(), 1u64.into()),
-                ("cache_gen".into(), generation.into()),
+                ("pgcid", 5u64.into()),
+                ("derivation", 0u64.into()),
+                ("peer", 1u64.into()),
+                ("cache_gen", generation.into()),
             ]
         };
         // Same (process, exCID, peer) twice — legal because an eviction
@@ -657,7 +657,7 @@ mod tests {
         let fabric = Fabric::new(CostModel::zero());
         let obs = fabric.obs();
         let refill = || {
-            obs.event("r0", "cid", "cid.refill", vec![("pgcid".into(), 9u64.into())]);
+            obs.event("r0", "cid", "cid.refill", vec![("pgcid", 9u64.into())]);
         };
         obs.counter("server:0", "pmix", "pgcid_allocated").inc();
         refill();
@@ -667,10 +667,7 @@ mod tests {
         assert_eq!(v.len(), 1, "got: {v:?}");
         assert_eq!(v[0].invariant, "pgcid-accounting");
         // The lead's recycle legitimizes the reuse.
-        obs.event("server:0", "pmix", "pgcid.recycled", vec![(
-            "pgcid".into(),
-            9u64.into(),
-        )]);
+        obs.event("server:0", "pmix", "pgcid.recycled", vec![("pgcid", 9u64.into())]);
         let v = InvariantChecker::standard().check(&ctx_for(&obs, &fabric, &[]));
         assert!(v.is_empty(), "got: {v:?}");
     }
@@ -681,20 +678,20 @@ mod tests {
         let obs = fabric.obs();
         let base = || {
             vec![
-                ("op".into(), "g".into()),
-                ("kind".into(), "group_construct".into()),
-                ("epoch".into(), 1u64.into()),
+                ("op", "g".into()),
+                ("kind", "group_construct".into()),
+                ("epoch", 1u64.into()),
             ]
         };
         obs.event("server:0", "pmix", "group.abort", {
             let mut a = base();
-            a.push(("reason".into(), "timeout".into()));
+            a.push(("reason", "timeout".into()));
             a
         });
         obs.event("server:0", "pmix", "group.fanout", {
             let mut a = base();
-            a.push(("members".into(), 2u64.into()));
-            a.push(("pgcid".into(), 0u64.into()));
+            a.push(("members", 2u64.into()));
+            a.push(("pgcid", 0u64.into()));
             a
         });
         let v = InvariantChecker::standard().check(&ctx_for(&obs, &fabric, &[]));
@@ -710,11 +707,11 @@ mod tests {
         // RM never allocated anything.
         for (srv, pgcid) in [("server:0", 11u64), ("server:1", 12u64)] {
             obs.event(srv, "pmix", "group.fanout", vec![
-                ("op".into(), "g".into()),
-                ("kind".into(), "group_construct".into()),
-                ("epoch".into(), 1u64.into()),
-                ("members".into(), 2u64.into()),
-                ("pgcid".into(), pgcid.into()),
+                ("op", "g".into()),
+                ("kind", "group_construct".into()),
+                ("epoch", 1u64.into()),
+                ("members", 2u64.into()),
+                ("pgcid", pgcid.into()),
             ]);
         }
         let v = InvariantChecker::standard().check(&ctx_for(&obs, &fabric, &[]));
@@ -762,10 +759,10 @@ mod tests {
         let obs = fabric.obs();
         let update = |epoch: u64| {
             obs.event("registry", "pmix", "pset.update", vec![
-                ("pset".into(), "app://x".into()),
-                ("epoch".into(), epoch.into()),
-                ("kind".into(), "membership".into()),
-                ("members".into(), 2u64.into()),
+                ("pset", "app://x".into()),
+                ("epoch", epoch.into()),
+                ("kind", "membership".into()),
+                ("members", 2u64.into()),
             ]);
         };
         update(1);
@@ -773,8 +770,8 @@ mod tests {
         update(3); // duplicate epoch: monotonicity broken
         // A rebuild against an epoch nobody published.
         obs.event("ep9", "session", "session.rebuild", vec![
-            ("pset".into(), "app://x".into()),
-            ("epoch".into(), 7u64.into()),
+            ("pset", "app://x".into()),
+            ("epoch", 7u64.into()),
         ]);
         let v = InvariantChecker::standard().check(&ctx_for(&obs, &fabric, &[]));
         let names: Vec<&str> = v.iter().map(|x| x.invariant).collect();
@@ -789,9 +786,9 @@ mod tests {
         let obs = fabric.obs();
         let retire = |stale: u64| {
             obs.event("ep4", "session", "elastic.retire", vec![
-                ("pset".into(), "app://x".into()),
-                ("epoch".into(), 2u64.into()),
-                ("stale_unexpected".into(), stale.into()),
+                ("pset", "app://x".into()),
+                ("epoch", 2u64.into()),
+                ("stale_unexpected", stale.into()),
             ]);
         };
         retire(0);
@@ -808,10 +805,10 @@ mod tests {
     fn stranded_setup_request_is_flagged() {
         let fabric = Fabric::new(CostModel::zero());
         let obs = fabric.obs();
-        let ev = |name: &str, id: u64| {
+        let ev = |name: &'static str, id: u64| {
             obs.event("ns:0", "req", name, vec![
-                ("op".into(), "comm_create_from_group".into()),
-                ("id".into(), id.into()),
+                ("op", "comm_create_from_group".into()),
+                ("id", id.into()),
             ]);
         };
         ev("req.issued", 1);
@@ -832,10 +829,9 @@ mod tests {
         let fabric = Fabric::new(CostModel::zero());
         let obs = fabric.obs();
         let ev = |phase: &str, outcome: Option<&str>| {
-            let mut attrs: Vec<(String, obs::AttrValue)> =
-                vec![("peer".into(), "job:1".into()), ("phase".into(), phase.into())];
+            let mut attrs: obs::Attrs = vec![("peer", "job:1".into()), ("phase", phase.into())];
             if let Some(o) = outcome {
-                attrs.push(("outcome".into(), o.into()));
+                attrs.push(("outcome", o.into()));
             }
             obs.event("job:0", "pml", "pml.lazy_resolve", attrs);
         };

@@ -1,7 +1,7 @@
 //! Collective constructors. Every fresh PGCID comes from one stage machine,
 //! `begin` → `group` → `commit`; blocking callers `wait` on it (quiet).
 
-use super::{count_cid, CidOrigin, Comm, FIRST_DYNAMIC_CID};
+use super::{CidOrigin, Comm, FIRST_DYNAMIC_CID};
 use crate::cid::ExCid;
 use crate::coll;
 use crate::error::{ErrClass, MpiError, Result};
@@ -45,8 +45,8 @@ impl Comm {
         process.require_active()?;
         // Outer span, entered for every step: the PMIx construct issued in
         // `begin` becomes its child, exactly as in the blocking call.
-        let span =
-            process.obs().span(&process.proc().to_string(), "comm.create_from_group", stringtag);
+        let m = process.metrics();
+        let span = m.obs.span(m.key, "comm.create_from_group", stringtag);
         let dense = group.to_dense();
         let first = if group.is_lazy() {
             // Lazy sessions path (DESIGN.md §14): no PMIx group construct,
@@ -68,7 +68,7 @@ impl Comm {
                     CidOrigin::Lazy,
                     None,
                 )?;
-                count_cid(&process, "lazy_hashed");
+                process.metrics().cid.lazy_hashed.inc();
                 Ok(SetupStep::Done(comm))
             })
         } else {
@@ -104,8 +104,8 @@ impl Comm {
             Some(e) => format!("mpi-dup:{e}:{n}"),
             None => format!("mpi-dup:cid{}:{n}", self.inner.local_cid),
         };
-        let span =
-            self.process.obs().span(&self.process.proc().to_string(), "comm.dup_group", &name);
+        let m = self.process.metrics();
+        let span = m.obs.span(m.key, "comm.dup_group", &name);
         let first = begin_stage(self.process.clone(), name, self.inner.group.clone());
         Ok(issue_comm(self.process.clone(), "comm_dup_via_group", Some(span), quiet, first))
     }

@@ -1,7 +1,7 @@
 //! `MPI_Comm_dup`: local exCID derivation, the refill of an exhausted pool,
 //! and the legacy consensus.
 
-use super::{count_cid, CidOrigin, Comm, FIRST_DYNAMIC_CID};
+use super::{CidOrigin, Comm, FIRST_DYNAMIC_CID};
 use crate::cid::Subfield;
 use crate::coll;
 use crate::error::{MpiError, Result};
@@ -29,9 +29,9 @@ impl Comm {
             Some(Err(why)) => why.as_str(),
             None => "no-pool",
         };
-        let (obs, p) = (self.process.obs(), self.process.proc().to_string());
-        obs.counter(&p, "cid", "subfield_exhausted").inc();
-        obs.event(&p, "cid", "cid.subfield_exhausted", vec![("reason".into(), why.into())]);
+        let m = self.process.metrics();
+        m.cid.subfield_exhausted.inc();
+        m.obs.event(m.key, "cid", "cid.subfield_exhausted", vec![("reason", obs::AttrValue::name(why))]);
         // Block exhausted: every participant hits this at the same dup
         // index (derivation is deterministic), so the group collectively
         // acquires a fresh PGCID. The parent's pool is then *refilled in
@@ -46,7 +46,7 @@ impl Comm {
         if let Some(Ok(sub)) = self.inner.derive.take() {
             // Someone refilled (or freed a sibling) while we waited:
             // coalesce.
-            count_cid(&self.process, "refill_coalesced");
+            self.process.metrics().cid.refill_coalesced.inc();
             return self.build_derived(sub);
         }
         let child = self.dup_via_group()?;
@@ -60,11 +60,8 @@ impl Comm {
     /// recycled from a freed sibling), and records the parent pool so a
     /// later free can return the subfield.
     fn build_derived(&self, sub: Subfield) -> Result<Comm> {
-        let mut span = self.process.obs().span(
-            &self.process.proc().to_string(),
-            "comm.dup_derived",
-            &format!("{}", sub.excid),
-        );
+        let m = self.process.metrics();
+        let mut span = m.obs.span(m.key, "comm.dup_derived", sub.excid);
         span.add_work(1);
         let local_cid = self.process.claim_lowest_cid(FIRST_DYNAMIC_CID)?;
         let comm = Comm::build(
@@ -78,9 +75,9 @@ impl Comm {
         )?;
         let recycled = sub.recycled;
         comm.inner.derive.seat(sub);
-        count_cid(&self.process, "derivations");
+        self.process.metrics().cid.derivations.inc();
         if recycled {
-            count_cid(&self.process, "subfields_recycled");
+            self.process.metrics().cid.subfields_recycled.inc();
         }
         Ok(comm)
     }
@@ -90,12 +87,13 @@ impl Comm {
     /// either derive locally from it from now on).
     fn adopt_refill(&self, child: &Comm) {
         self.inner.derive.adopt(&child.inner.derive);
-        count_cid(&self.process, "derivations");
-        self.process.obs().event(
-            &self.process.proc().to_string(),
+        let m = self.process.metrics();
+        m.cid.derivations.inc();
+        m.obs.event(
+            m.key,
             "cid",
             "cid.refill",
-            vec![("pgcid".into(), child.excid().map(|e| e.pgcid).unwrap_or(0).into())],
+            vec![("pgcid", child.excid().map(|e| e.pgcid).unwrap_or(0).into())],
         );
     }
 
@@ -119,15 +117,13 @@ impl Comm {
     /// `participants` (ranks of this comm). Returns the agreed CID,
     /// claimed locally.
     fn consensus_cid(&self, participants: &[u32]) -> Result<u16> {
-        let obs = self.process.obs();
-        let p = self.process.proc().to_string();
-        let rounds_ctr = obs.counter(&p, "cid", "consensus_rounds");
+        let m = self.process.metrics();
         // Entered for the whole agreement, so the allreduce traffic below
         // carries this span's context; work = rounds to convergence.
-        let mut span = obs.span(
-            &p,
+        let mut span = m.obs.span(
+            m.key,
             "cid.consensus",
-            &format!("cid{}@{}", self.inner.local_cid, self.inner.coll_seq.load(Ordering::Relaxed)),
+            format_args!("cid{}@{}", self.inner.local_cid, self.inner.coll_seq.load(Ordering::Relaxed)),
         );
         let _entered = span.enter();
         // Claim may race with a local interleaved creation; the rounds go
@@ -135,8 +131,8 @@ impl Comm {
         let (cid, rounds) = self
             .consensus_rounds(participants, |max| self.process.claim_cid(max).is_ok())?
             .ok_or_else(|| MpiError::intern("CID consensus did not converge in 4096 rounds"))?;
-        rounds_ctr.add(rounds);
-        obs.counter(&p, "cid", "consensus_agreements").inc();
+        m.cid.consensus_rounds.add(rounds);
+        m.cid.consensus_agreements.inc();
         span.add_work(rounds);
         Ok(cid)
     }

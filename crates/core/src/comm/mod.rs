@@ -134,7 +134,7 @@ impl Comm {
             _ => DerivePool::default(),
         };
         if origin == CidOrigin::Pgcid {
-            count_cid(&process, "refills");
+            process.metrics().cid.refills.inc();
         }
         // Every exCID communicator holds a reference on its PGCID family;
         // the PMIx group handle (if we own one) parks there so the *last*
@@ -343,12 +343,4 @@ impl std::fmt::Debug for Comm {
             .field("origin", &self.inner.origin)
             .finish()
     }
-}
-
-/// Bump one of the process's `cid/*` counters. `derivations` — one per
-/// exCID handed out by dup-derivation, including the dup that triggered a
-/// refill — is the "zero agreement traffic" currency of the sessions
-/// design.
-fn count_cid(process: &MpiProcess, name: &str) {
-    process.obs().counter(&process.proc().to_string(), "cid", name).inc();
 }

@@ -1,6 +1,6 @@
 //! Retiring a communicator: `MPI_Comm_free` and `abandon`.
 
-use super::{count_cid, CidOrigin, Comm};
+use super::{CidOrigin, Comm};
 use crate::error::Result;
 use std::sync::atomic::Ordering;
 
@@ -27,7 +27,7 @@ impl Comm {
     fn retire_local(&self) {
         self.process.pml().unregister_comm(self.inner.local_cid);
         self.process.release_cid(self.inner.local_cid);
-        count_cid(&self.process, "released");
+        self.process.metrics().cid.released.inc();
         let Some(pgcid) = self.inner.excid.map(|e| e.pgcid).filter(|p| *p != 0) else {
             return;
         };
@@ -51,7 +51,7 @@ impl Comm {
         self.retire_local();
         if let (CidOrigin::Derived, Some(excid)) = (self.inner.origin, self.inner.excid) {
             if self.inner.derive.give_back(excid, self.inner.incarnation) {
-                count_cid(&self.process, "subfields_returned");
+                self.process.metrics().cid.subfields_returned.inc();
             }
         }
         Ok(())

@@ -255,13 +255,13 @@ impl ElasticComm {
             };
             let process = self.session.process().clone();
             let obs = process.obs();
-            let p = process.proc().to_string();
+            let p = process.metrics().key;
             let me = process.proc().clone();
 
             // Retire the old communicator first, whatever happens next: any
             // message still unexpected-queued on it was addressed to a stale
             // epoch and must never be delivered to the rebuilt communicator.
-            stale_unexpected += self.retire_current(&update, &obs, &p);
+            stale_unexpected += self.retire_current(&update, &obs, p);
 
             match update.kind {
                 PsetUpdateKind::Deleted => {
@@ -278,9 +278,9 @@ impl ElasticComm {
             }
             let comm = loop {
                 let mut span = obs.span(
-                    &p,
+                    p,
                     "session.rebuild",
-                    &format!("{}@{}", self.pset, update.epoch),
+                    format_args!("{}@{}", self.pset, update.epoch),
                 );
                 if let Some(ctx) = update.ctx {
                     span.link(ctx);
@@ -316,15 +316,15 @@ impl ElasticComm {
                         // so this pset's next membership event is already
                         // queued (or imminent) on our watcher: consume it
                         // and rebuild at the newer epoch.
-                        obs.counter(&p, "session", "rebuild_reentered").inc();
+                        obs.counter(p, "session", "rebuild_reentered").inc();
                         obs.event(
-                            &p,
+                            p,
                             "session",
                             "rebuild.reenter",
                             vec![
-                                ("pset".into(), self.pset.as_str().into()),
-                                ("epoch".into(), update.epoch.into()),
-                                ("error".into(), e.to_string().into()),
+                                ("pset", self.pset.as_str().into()),
+                                ("epoch", update.epoch.into()),
+                                ("error", e.to_string().into()),
                             ],
                         );
                         continue 'events;
@@ -337,7 +337,7 @@ impl ElasticComm {
                         // on every participant, so a retry at the same
                         // epoch is well-formed. Keep trying while the
                         // caller's budget lasts.
-                        obs.counter(&p, "session", "rebuild_retries").inc();
+                        obs.counter(p, "session", "rebuild_retries").inc();
                         continue;
                     }
                     Err(e) => return Err(e),
@@ -347,16 +347,16 @@ impl ElasticComm {
             self.comm = Some(comm);
             self.epoch = update.epoch;
             self.members = update.members;
-            obs.counter(&p, "session", "rebuilds").inc();
+            obs.counter(p, "session", "rebuilds").inc();
             obs.event(
-                &p,
+                p,
                 "session",
                 "session.rebuild",
                 vec![
-                    ("pset".into(), self.pset.as_str().into()),
-                    ("epoch".into(), self.epoch.into()),
-                    ("pgcid".into(), pgcid.into()),
-                    ("stale_unexpected".into(), stale_unexpected.into()),
+                    ("pset", self.pset.as_str().into()),
+                    ("epoch", self.epoch.into()),
+                    ("pgcid", pgcid.into()),
+                    ("stale_unexpected", stale_unexpected.into()),
                 ],
             );
             return Ok(Rebuild::Rebuilt { epoch: self.epoch });
@@ -370,7 +370,7 @@ impl ElasticComm {
         &mut self,
         update: &PsetUpdate,
         obs: &std::sync::Arc<obs::Registry>,
-        p: &str,
+        p: obs::ProcKey,
     ) -> u64 {
         let Some(old) = self.comm.take() else { return 0 };
         let stale_unexpected = old.unexpected_queued() as u64;
@@ -388,10 +388,10 @@ impl ElasticComm {
             "session",
             "elastic.retire",
             vec![
-                ("pset".into(), self.pset.as_str().into()),
-                ("epoch".into(), update.epoch.into()),
-                ("stale_unexpected".into(), stale_unexpected.into()),
-                ("departed_invalidated".into(), departed.into()),
+                ("pset", self.pset.as_str().into()),
+                ("epoch", update.epoch.into()),
+                ("stale_unexpected", stale_unexpected.into()),
+                ("departed_invalidated", departed.into()),
             ],
         );
         stale_unexpected

@@ -17,12 +17,13 @@ use crate::cid::CidTable;
 use crate::error::{ErrClass, MpiError, Result};
 use crate::pml::Pml;
 use crate::request::{LazyResolveStage, ProgressEngine, SetupRequest};
+use obs::{Counter, Gauge, Histogram};
 use parking_lot::Mutex;
 use pmix::{PmixClient, PmixUniverse, ProcId};
 use prrte::ProcCtx;
 use simnet::{EndpointId, NodeId};
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Subsystems the library knows about, in canonical init order.
 pub const SUBSYSTEMS: &[&str] = &["opal", "mca", "info", "errh", "attr", "grp", "pml", "coll", "comm"];
@@ -65,9 +66,113 @@ pub(crate) struct ProcState {
     pub full_cycles: u64,
 }
 
+/// The `cid/*` counters (see [`ProcMetrics::cid`]).
+pub(crate) struct CidCounters {
+    /// One per exCID handed out by dup-derivation, including the dup that
+    /// triggered a refill — the "zero agreement traffic" currency of the
+    /// sessions design.
+    pub derivations: Counter,
+    pub refills: Counter,
+    pub refill_coalesced: Counter,
+    pub subfield_exhausted: Counter,
+    pub subfields_recycled: Counter,
+    pub subfields_returned: Counter,
+    pub released: Counter,
+    pub lazy_hashed: Counter,
+    pub consensus_rounds: Counter,
+    pub consensus_agreements: Counter,
+}
+
+/// The `req/*` lifecycle tallies of setup requests, each beside the
+/// `req.{what}` event of the same name.
+pub(crate) struct ReqCounters {
+    pub issued: Counter,
+    pub completed: Counter,
+    pub failed: Counter,
+    pub cancelled: Counter,
+}
+
+/// This process's instruments, resolved once when the process object is
+/// built (as `PmlMetrics` is for the PML): the per-operation paths touch
+/// nothing but atomics. `session_churn`-style workloads rebuild the process
+/// object on every full init/finalize cycle, so a rebuild's resolutions are
+/// registry hits, which allocate nothing.
+pub(crate) struct ProcMetrics {
+    pub obs: Arc<obs::Registry>,
+    /// The process as interned in `obs`: events and spans key on it.
+    pub key: obs::ProcKey,
+    pub subsystem_init_ns: Histogram,
+    pub subsystems_initialized: Counter,
+    pub instances_acquired: Counter,
+    pub subsystem_cleanup_ns: Histogram,
+    pub subsystems_cleaned: Counter,
+    pub cids_leaked_at_teardown: Counter,
+    pub init_resources_ns: Histogram,
+    pub init_handle_ns: Histogram,
+    pub lazy_inits: Counter,
+    pub sessions_initialized: Counter,
+    pub cid: CidCounters,
+    pub req: ReqCounters,
+    /// `cid/table_used`, resolved on first write: a gauge is exported from
+    /// the moment it exists, so it must not exist before the process
+    /// publishes a value.
+    table_used: OnceLock<Gauge>,
+}
+
+impl ProcMetrics {
+    fn new(obs: Arc<obs::Registry>, key: obs::ProcKey) -> Self {
+        let c = |component, name| obs.counter(key, component, name);
+        let h = |component, name| obs.histogram(key, component, name);
+        let cid = |name| c("cid", name);
+        let req = |name| c("req", name);
+        Self {
+            subsystem_init_ns: h("instance", "subsystem_init_ns"),
+            subsystems_initialized: c("instance", "subsystems_initialized"),
+            instances_acquired: c("instance", "instances_acquired"),
+            subsystem_cleanup_ns: h("instance", "subsystem_cleanup_ns"),
+            subsystems_cleaned: c("instance", "subsystems_cleaned"),
+            cids_leaked_at_teardown: c("instance", "cids_leaked_at_teardown"),
+            init_resources_ns: h("session", "init_resources_ns"),
+            init_handle_ns: h("session", "init_handle_ns"),
+            lazy_inits: c("session", "lazy_inits"),
+            sessions_initialized: c("session", "sessions_initialized"),
+            cid: CidCounters {
+                derivations: cid("derivations"),
+                refills: cid("refills"),
+                refill_coalesced: cid("refill_coalesced"),
+                subfield_exhausted: cid("subfield_exhausted"),
+                subfields_recycled: cid("subfields_recycled"),
+                subfields_returned: cid("subfields_returned"),
+                released: cid("released"),
+                lazy_hashed: cid("lazy_hashed"),
+                consensus_rounds: cid("consensus_rounds"),
+                consensus_agreements: cid("consensus_agreements"),
+            },
+            req: ReqCounters {
+                issued: req("issued"),
+                completed: req("completed"),
+                failed: req("failed"),
+                cancelled: req("cancelled"),
+            },
+            table_used: OnceLock::new(),
+            key,
+            obs,
+        }
+    }
+
+    /// Publish the CID-table occupancy (its high-water mark is the "CID
+    /// pool occupancy" column of the soak report).
+    pub fn set_table_used(&self, used: usize) {
+        self.table_used
+            .get_or_init(|| self.obs.gauge(self.key, "cid", "table_used"))
+            .set(used as i64);
+    }
+}
+
 /// Per-process MPI library state.
 pub struct MpiProcess {
     proc: ProcId,
+    metrics: ProcMetrics,
     node: NodeId,
     pml: Arc<Pml>,
     pmix: PmixClient,
@@ -117,6 +222,7 @@ impl MpiProcess {
         }
         let process = Arc::new(MpiProcess {
             proc: ctx.proc().clone(),
+            metrics: ProcMetrics::new(ctx.universe().fabric().obs(), ctx.pmix().obs_key()),
             node: ctx.node(),
             pml: Pml::new(ctx.endpoint_arc()),
             pmix: ctx.pmix().clone(),
@@ -145,11 +251,11 @@ impl MpiProcess {
     /// subject reads as `None` and the entry is pruned lazily.
     fn register_cvars(self: &Arc<Self>) {
         let obs = self.obs();
-        let scope = self.proc.to_string();
+        let scope = self.metrics.key;
         let r = Arc::downgrade(self);
         let w = Arc::downgrade(self);
         obs.cvar_register(
-            &scope,
+            scope,
             "pml.handshake_cache_cap",
             "LRU bound on the PML handshake cache (peer endpoints)",
             move || {
@@ -164,7 +270,7 @@ impl MpiProcess {
         let r = Arc::downgrade(self);
         let w = Arc::downgrade(self);
         obs.cvar_register(
-            &scope,
+            scope,
             "core.stall_ticks",
             "engine sweeps without progress before a setup request is declared stalled",
             move || r.upgrade().map(|p| obs::CvarValue::U64(p.engine.stall_ticks())),
@@ -278,7 +384,12 @@ impl MpiProcess {
 
     /// The fabric-wide observability registry this process reports into.
     pub fn obs(&self) -> Arc<obs::Registry> {
-        self.universe.fabric().obs()
+        self.metrics.obs.clone()
+    }
+
+    /// This process's resolved instruments and interned obs key.
+    pub(crate) fn metrics(&self) -> &ProcMetrics {
+        &self.metrics
     }
 
     /// Bring up `names`, incrementing refcounts; first use of a subsystem
@@ -308,11 +419,10 @@ impl MpiProcess {
         if fresh > 0 && !per.is_zero() {
             std::thread::sleep(per * fresh);
         }
-        let obs = self.obs();
-        let p = self.proc.to_string();
-        obs.histogram(&p, "instance", "subsystem_init_ns").record(t0.elapsed());
-        obs.counter(&p, "instance", "subsystems_initialized").add(fresh as u64);
-        obs.counter(&p, "instance", "instances_acquired").inc();
+        let m = &self.metrics;
+        m.subsystem_init_ns.record(t0.elapsed());
+        m.subsystems_initialized.add(fresh as u64);
+        m.instances_acquired.inc();
         id
     }
 
@@ -346,22 +456,20 @@ impl MpiProcess {
                 st.cid_table = CidTable::new();
                 st.pgcid_users.clear();
                 drop(st);
-                let obs = self.obs();
-                let p = self.proc.to_string();
+                let m = &self.metrics;
                 if leaked > 0 || leaked_families > 0 {
-                    obs.counter(&p, "instance", "cids_leaked_at_teardown")
-                        .add(leaked as u64);
-                    obs.event(
-                        &p,
+                    m.cids_leaked_at_teardown.add(leaked as u64);
+                    m.obs.event(
+                        m.key,
                         "instance",
                         "instance.teardown_leak",
                         vec![
-                            ("leaked_cids".into(), (leaked as u64).into()),
-                            ("leaked_pgcid_families".into(), (leaked_families as u64).into()),
+                            ("leaked_cids", (leaked as u64).into()),
+                            ("leaked_pgcid_families", (leaked_families as u64).into()),
                         ],
                     );
                 }
-                obs.gauge(&p, "cid", "table_used").set(0);
+                m.set_table_used(0);
             }
         }
         if !cleanups.is_empty() {
@@ -370,10 +478,8 @@ impl MpiProcess {
             for c in cleanups {
                 c(self);
             }
-            let obs = self.obs();
-            let p = self.proc.to_string();
-            obs.histogram(&p, "instance", "subsystem_cleanup_ns").record(t0.elapsed());
-            obs.counter(&p, "instance", "subsystems_cleaned").add(n);
+            self.metrics.subsystem_cleanup_ns.record(t0.elapsed());
+            self.metrics.subsystems_cleaned.add(n);
         }
     }
 
@@ -431,14 +537,6 @@ impl MpiProcess {
             .collect()
     }
 
-    /// Publish the current CID-table occupancy as a gauge (its high-water
-    /// mark is the "CID pool occupancy" column of the soak report).
-    fn publish_cid_gauge(&self, used: usize) {
-        self.obs()
-            .gauge(&self.proc.to_string(), "cid", "table_used")
-            .set(used as i64);
-    }
-
     /// Claim a specific local CID (built-in communicators).
     pub(crate) fn claim_cid(&self, idx: u16) -> Result<u16> {
         let used = {
@@ -446,7 +544,7 @@ impl MpiProcess {
             st.cid_table.claim(idx)?;
             st.cid_table.count_used()
         };
-        self.publish_cid_gauge(used);
+        self.metrics.set_table_used(used);
         Ok(idx)
     }
 
@@ -457,7 +555,7 @@ impl MpiProcess {
             let idx = st.cid_table.claim_lowest(from)?;
             (idx, st.cid_table.count_used())
         };
-        self.publish_cid_gauge(used);
+        self.metrics.set_table_used(used);
         Ok(idx)
     }
 
@@ -473,7 +571,7 @@ impl MpiProcess {
             st.cid_table.release(idx);
             st.cid_table.count_used()
         };
-        self.publish_cid_gauge(used);
+        self.metrics.set_table_used(used);
     }
 
     /// Add one reference to `pgcid`'s family, parking the PMIx group handle

@@ -69,15 +69,13 @@ impl Pml {
     /// Emit the `pml.lazy_resolve` lifecycle event the chaos invariant
     /// checker keys on: every `begin` must be paired with an `end` whose
     /// outcome is `resolved` or `failed` — never a silent eager fallback.
-    fn lazy_resolve_event(&self, peer: &pmix::ProcId, phase: &str, outcome: Option<&str>) {
-        let mut attrs: Vec<(String, obs::AttrValue)> = vec![
-            ("peer".into(), peer.to_string().into()),
-            ("phase".into(), phase.into()),
-        ];
+    fn lazy_resolve_event(&self, peer: &pmix::ProcId, phase: &'static str, outcome: Option<&'static str>) {
+        let mut attrs = Vec::with_capacity(3);
+        attrs.extend([("peer", peer.to_string().into()), ("phase", obs::AttrValue::name(phase))]);
         if let Some(o) = outcome {
-            attrs.push(("outcome".into(), o.into()));
+            attrs.push(("outcome", obs::AttrValue::name(o)));
         }
-        self.metrics.obs.event(&self.metrics.process, "pml", "pml.lazy_resolve", attrs);
+        self.metrics.obs.event(self.metrics.process, "pml", "pml.lazy_resolve", attrs);
     }
 
     /// A send found `peer` unresolved. A resolver cache hit costs zero
@@ -110,9 +108,9 @@ impl Pml {
         match resolver.begin(&peer) {
             Ok(fetch) => {
                 let span = self.metrics.obs.span(
-                    &self.metrics.process,
+                    self.metrics.process,
                     "pml.lazy_resolve",
-                    &peer.to_string(),
+                    &peer,
                 );
                 lz.resolving
                     .insert(peer.clone(), LazyResolving { fetch, queued: vec![qs], span });

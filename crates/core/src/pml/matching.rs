@@ -98,7 +98,7 @@ impl Pml {
                 *addr = PeerAddr::Known(msg.src_ep);
                 self.metrics
                     .obs
-                    .counter(&self.metrics.process, "pml", "lazy_passive_resolves")
+                    .counter(self.metrics.process, "pml", "lazy_passive_resolves")
                     .inc();
             }
         }
@@ -113,9 +113,9 @@ impl Pml {
                     // sender's trace via the link to the extended
                     // send's context.
                     let mut hs = self.metrics.obs.span_with_parent(
-                        &self.metrics.process,
+                        self.metrics.process,
                         "pml.handshake_recv",
-                        &format!("{}.{}<-{}", ext.excid.pgcid, ext.excid.derivation, src),
+                        format_args!("{}.{}<-{}", ext.excid.pgcid, ext.excid.derivation, src),
                         None,
                     );
                     if let Some(c) = msg.ctx {

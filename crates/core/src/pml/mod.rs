@@ -338,14 +338,14 @@ struct PmlMetrics {
     /// Registry + process scope retained so handshake transitions can emit
     /// a structured event (the chaos invariant checker keys on it).
     obs: Arc<obs::Registry>,
-    process: String,
+    process: obs::ProcKey,
 }
 
 impl PmlMetrics {
     fn new(endpoint: &Endpoint) -> Self {
         let obs = endpoint.obs();
-        let process = endpoint.id().to_string();
-        let c = |name| obs.counter(&process, "pml", name);
+        let process = obs.intern(&endpoint.id().to_string());
+        let c = |name| obs.counter(process, "pml", name);
         Self {
             eager_sent: c("eager_sent"),
             ext_sent: c("ext_sent"),
@@ -359,7 +359,7 @@ impl PmlMetrics {
             stale_incarnation: c("stale_incarnation"),
             cache_invalidated: c("cache_invalidated"),
             cache_evicted: c("cache_evicted"),
-            cache_entries: obs.gauge(&process, "pml", "cache_entries"),
+            cache_entries: obs.gauge(process, "pml", "cache_entries"),
             obs,
             process,
         }
@@ -370,18 +370,18 @@ impl PmlMetrics {
     /// external checker can assert the exactly-once property per
     /// (process, excid, peer, generation) — a repeat is legal only after a
     /// cache removal bumped the generation.
-    fn handshake(&self, excid: ExCid, peer: u32, via: &str, cache_gen: u64) {
+    fn handshake(&self, excid: ExCid, peer: u32, via: &'static str, cache_gen: u64) {
         self.handshakes.inc();
         self.obs.event(
-            &self.process,
+            self.process,
             "pml",
             "pml.handshake",
             vec![
-                ("pgcid".into(), excid.pgcid.into()),
-                ("derivation".into(), excid.derivation.into()),
-                ("peer".into(), (peer as u64).into()),
-                ("via".into(), via.into()),
-                ("cache_gen".into(), cache_gen.into()),
+                ("pgcid", excid.pgcid.into()),
+                ("derivation", excid.derivation.into()),
+                ("peer", (peer as u64).into()),
+                ("via", obs::AttrValue::name(via)),
+                ("cache_gen", cache_gen.into()),
             ],
         );
     }

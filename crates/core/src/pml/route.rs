@@ -230,9 +230,9 @@ impl Pml {
                     }
                     let hs = peer.handshake.get_or_insert_with(|| {
                         self.metrics.obs.span(
-                            &self.metrics.process,
+                            self.metrics.process,
                             "pml.handshake",
-                            &format!("{}.{}->{}", e.excid.pgcid, e.excid.derivation, dst_rank),
+                            format_args!("{}.{}->{}", e.excid.pgcid, e.excid.derivation, dst_rank),
                         )
                     });
                     hs.add_work(1);
@@ -243,9 +243,9 @@ impl Pml {
                         self.metrics.eager_sent.inc();
                         let eg = peer.eager.get_or_insert_with(|| {
                             self.metrics.obs.span(
-                                &self.metrics.process,
+                                self.metrics.process,
                                 "pml.eager",
-                                &format!("cid{local_cid}->{dst_rank}"),
+                                format_args!("cid{local_cid}->{dst_rank}"),
                             )
                         });
                         eg.add_work(1);
@@ -270,9 +270,9 @@ impl Pml {
                 let send_req = st.rdv.fresh_id();
                 RtsInfo { size: payload.len() as u64, send_req }.encode(&mut head);
                 let mut span = self.metrics.obs.span(
-                    &self.metrics.process,
+                    self.metrics.process,
                     "pml.rdv",
-                    &format!("cid{local_cid}:{send_req}"),
+                    format_args!("cid{local_cid}:{send_req}"),
                 );
                 span.add_work(1);
                 st.rdv.sends.insert(

@@ -258,7 +258,7 @@ fn cache_eviction_bounds_entries_and_keys_rehandshakes_by_generation() {
             let g = |k: &str| {
                 e.attrs
                     .iter()
-                    .find(|(n, _)| n == k)
+                    .find(|(n, _)| *n == k)
                     .and_then(|(_, v)| v.as_u64())
                     .unwrap()
             };

@@ -123,6 +123,16 @@ enum SetupPhase<T> {
 
 static SETUP_REQ_IDS: AtomicU64 = AtomicU64::new(1);
 
+/// A setup-request lifecycle event that is also tallied (`req.{what}`
+/// event, `req/{what}` counter).
+#[derive(Clone, Copy)]
+enum Tally {
+    Issued,
+    Completed,
+    Failed,
+    Cancelled,
+}
+
 struct SetupCore<T> {
     process: Arc<MpiProcess>,
     /// Operation label (`icomm_create_from_group`, …) for telemetry.
@@ -165,29 +175,32 @@ impl<T> SetupCore<T> {
         }
     }
 
-    fn emit(&self, name: &str, extra: Vec<(String, obs::AttrValue)>) {
+    fn emit<const N: usize>(&self, name: &'static str, extra: [(&'static str, obs::AttrValue); N]) {
         if self.quiet {
             return;
         }
-        let obs = self.process.obs();
-        let p = self.process.proc().to_string();
-        let mut attrs: Vec<(String, obs::AttrValue)> = vec![
-            ("op".into(), self.op.into()),
-            ("id".into(), self.id.into()),
-        ];
+        let m = self.process.metrics();
+        let mut attrs = Vec::with_capacity(2 + N);
+        attrs.extend([("op", obs::AttrValue::name(self.op)), ("id", self.id.into())]);
         attrs.extend(extra);
-        obs.event(&p, "req", name, attrs);
+        m.obs.event(m.key, "req", name, attrs);
     }
 
     /// [`SetupCore::emit`] for the lifecycle events that are also tallied:
     /// `req.{what}` plus the `req/{what}` counter.
-    fn emit_counted(&self, what: &str, extra: Vec<(String, obs::AttrValue)>) {
+    fn emit_counted<const N: usize>(&self, what: Tally, extra: [(&'static str, obs::AttrValue); N]) {
         if self.quiet {
             return;
         }
-        self.emit(&format!("req.{what}"), extra);
-        let p = self.process.proc().to_string();
-        self.process.obs().counter(&p, "req", what).inc();
+        let req = &self.process.metrics().req;
+        let (name, counter) = match what {
+            Tally::Issued => ("req.issued", &req.issued),
+            Tally::Completed => ("req.completed", &req.completed),
+            Tally::Failed => ("req.failed", &req.failed),
+            Tally::Cancelled => ("req.cancelled", &req.cancelled),
+        };
+        self.emit(name, extra);
+        counter.inc();
     }
 
     /// Run at most one stage poll (and so at most one stage transition).
@@ -214,7 +227,7 @@ impl<T> SetupCore<T> {
                 self.note_progress(from);
                 self.emit(
                     "req.progressed",
-                    vec![("from".into(), from.into()), ("to".into(), to.into())],
+                    [("from", obs::AttrValue::name(from)), ("to", obs::AttrValue::name(to))],
                 );
                 true
             }
@@ -224,7 +237,7 @@ impl<T> SetupCore<T> {
                 if let Some(span) = self.span.take() {
                     span.end();
                 }
-                self.emit_counted("completed", vec![("stage".into(), from.into())]);
+                self.emit_counted(Tally::Completed, [("stage", obs::AttrValue::name(from))]);
                 true
             }
             Err(e) => {
@@ -243,7 +256,7 @@ impl<T> SetupCore<T> {
         self.ticks = 0;
         if self.stalled {
             self.stalled = false;
-            self.emit("req.unstalled", vec![("stage".into(), from.into())]);
+            self.emit("req.unstalled", [("stage", obs::AttrValue::name(from))]);
         }
     }
 
@@ -263,11 +276,11 @@ impl<T> SetupCore<T> {
         };
         self.emit(
             "req.stalled",
-            vec![
-                ("stage".into(), stage.into()),
-                ("waiting_on".into(), waiting.into()),
-                ("steps".into(), self.steps.into()),
-                ("ticks".into(), self.ticks.into()),
+            [
+                ("stage", obs::AttrValue::name(stage)),
+                ("waiting_on", waiting.into()),
+                ("steps", self.steps.into()),
+                ("ticks", self.ticks.into()),
             ],
         );
     }
@@ -360,8 +373,8 @@ impl<T> Waitable for SetupCore<T> {
         let from = self.stage_name();
         self.note_progress(from);
         self.emit_counted(
-            "failed",
-            vec![("stage".into(), from.into()), ("error".into(), e.to_string().into())],
+            Tally::Failed,
+            [("stage", obs::AttrValue::name(from)), ("error", e.to_string().into())],
         );
         self.phase = SetupPhase::Failed(e);
         if let Some(span) = self.span.take() {
@@ -434,7 +447,7 @@ impl<T: Send + 'static> SetupRequest<T> {
         }));
         {
             let mut c = core.lock();
-            c.emit_counted("issued", vec![("stage".into(), c.stage_name().into())]);
+            c.emit_counted(Tally::Issued, [("stage", obs::AttrValue::name(c.stage_name()))]);
             if !quiet {
                 let weak: Weak<Mutex<SetupCore<T>>> = Arc::downgrade(&core);
                 c.process.progress_engine().register(weak);
@@ -523,7 +536,7 @@ impl<T: Send + 'static> Drop for SetupRequest<T> {
         let mut core = self.core.lock();
         if let Ok(v) = drive(&mut *core, Duration::MAX) {
             let cancel = core.cancel.take();
-            core.emit_counted("cancelled", Vec::new());
+            core.emit_counted(Tally::Cancelled, []);
             drop(core);
             if let Some(c) = cancel {
                 c(v);

@@ -117,9 +117,8 @@ impl Session {
         quiet: bool,
     ) -> SetupRequest<Session> {
         let process = MpiProcess::obtain(ctx);
-        let obs = process.obs();
-        let p = process.proc().to_string();
-        let init_span = obs.span(&p, "session.init", "");
+        let m = process.metrics();
+        let init_span = m.obs.span(m.key, "session.init", "");
         let info = info.dup();
         // The info object overrides the universe-wide default (the
         // `pmix.init_mode` cvar, seeded from `INIT_MODE`).
@@ -130,24 +129,22 @@ impl Session {
         let first = stage("resources", {
             let process = process.clone();
             move || {
-                let obs = process.obs();
-                let p = process.proc().to_string();
+                let m = process.metrics();
                 let t_resources = std::time::Instant::now();
-                let mut res_span = obs.span(&p, "session.resources", "");
+                let mut res_span = m.obs.span(m.key, "session.resources", "");
                 let id = process.acquire_instance(SESSION_MIN_SUBSYSTEMS);
                 res_span.add_work(SESSION_MIN_SUBSYSTEMS.len() as u64);
                 res_span.end();
                 let resources = t_resources.elapsed();
-                obs.histogram(&p, "session", "init_resources_ns").record(resources);
+                m.init_resources_ns.record(resources);
                 if lazy {
                     // Fence-free init: one extra local stage that publishes
                     // this rank's business card (put + commit, NO fence) and
                     // installs the on-demand peer resolver. Still zero
                     // synchronization with any peer.
                     Ok(SetupStep::Next(stage("publish", move || {
-                        let obs = process.obs();
-                        let p = process.proc().to_string();
-                        let mut pub_span = obs.span(&p, "session.publish", "");
+                        let m = process.metrics();
+                        let mut pub_span = m.obs.span(m.key, "session.publish", "");
                         let pmix = process.pmix();
                         pmix.put(
                             pmix::value::keys::ENDPOINT,
@@ -157,7 +154,7 @@ impl Session {
                         process.pml().install_resolver(pmix::PeerResolver::new(pmix));
                         pub_span.add_work(1);
                         pub_span.end();
-                        obs.counter(&p, "session", "lazy_inits").inc();
+                        m.lazy_inits.inc();
                         Ok(SetupStep::Next(Self::handle_stage(
                             process, requested, errh, info, id, true,
                         )))
@@ -192,10 +189,9 @@ impl Session {
         lazy: bool,
     ) -> Box<dyn crate::request::SetupStage<Session>> {
         stage("handle", move || {
-            let obs = process.obs();
-            let p = process.proc().to_string();
             let t_handle = std::time::Instant::now();
-            let mut handle_span = obs.span(&p, "session.handle", "");
+            let m = process.metrics();
+            let mut handle_span = m.obs.span(m.key, "session.handle", "");
             handle_span.add_work(1);
             // Honor PML tuning from the info object.
             if let Some(limit) = info.get_int(keys::EAGER_LIMIT) {
@@ -220,8 +216,9 @@ impl Session {
                 }),
             };
             handle_span.end();
-            obs.histogram(&p, "session", "init_handle_ns").record(t_handle.elapsed());
-            obs.counter(&p, "session", "sessions_initialized").inc();
+            let m = process.metrics();
+            m.init_handle_ns.record(t_handle.elapsed());
+            m.sessions_initialized.inc();
             Ok(SetupStep::Done(session))
         })
     }

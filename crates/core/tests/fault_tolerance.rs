@@ -3,7 +3,8 @@
 
 mod common;
 
-use mpi_sessions::{coll, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
+use mpi_sessions::info::keys;
+use mpi_sessions::{coll, Comm, ErrClass, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 use prrte::{JobSpec, Launcher};
 use common::{await_ranks, await_state};
 use simnet::SimTestbed;
@@ -12,6 +13,14 @@ use std::time::Duration;
 
 fn new_session(ctx: &prrte::ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
+}
+
+/// A session pinned to one init mode (`"eager"` or `"lazy"`), whatever
+/// the universe default (`INIT_MODE`) is.
+fn session_in(ctx: &prrte::ProcCtx, mode: &str) -> Session {
+    let info = Info::new();
+    info.set(keys::INIT_MODE, mode);
+    Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap()
 }
 
 #[test]
@@ -61,13 +70,16 @@ fn reinit_after_failure_with_survivors() {
 
 #[test]
 fn comm_create_from_group_fails_cleanly_when_member_dies() {
+    // Eager construct semantics: the group construct fans in at the
+    // servers and fails when a member dies. Pinned, so the INIT_MODE=lazy
+    // sweep (where the construct is local) does not change what it tests.
     let launcher = Launcher::new(SimTestbed::tiny(2, 1));
     let handle = launcher.spawn(JobSpec::new(2), |ctx| {
         if ctx.rank() == 1 {
             ctx.park_until_killed();
             return None;
         }
-        let session = new_session(&ctx);
+        let session = session_in(&ctx, "eager");
         let g = session.group_from_pset("mpi://world").unwrap();
         // rank 1 never joins and is killed mid-construct.
         let err = Comm::create_from_group(&g, "doomed").unwrap_err();
@@ -79,7 +91,40 @@ fn comm_create_from_group_fails_cleanly_when_member_dies() {
     await_state(|| servers.iter().any(|s| s.shard_occupancy().ops_live.iter().any(|&n| n > 0)));
     handle.kill_rank(1);
     let out = handle.join().unwrap();
-    assert_eq!(out[0], Some(mpi_sessions::ErrClass::ProcFailed));
+    assert_eq!(out[0], Some(ErrClass::ProcFailed));
+}
+
+#[test]
+fn lazy_comm_create_is_local_and_the_first_send_to_a_dead_member_fails() {
+    // The lazy twin: creation asks no server and no peer, so it succeeds
+    // with a member that never joins; the first operation that needs the
+    // dead member — a send — fails typed instead.
+    let launcher = Launcher::new(SimTestbed::tiny(2, 1));
+    let (created, done) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(2), move |ctx| {
+        if ctx.rank() == 1 {
+            ctx.park_until_killed();
+            return None;
+        }
+        let session = session_in(&ctx, "lazy");
+        let g = session.group_from_pset("mpi://world").unwrap();
+        let comm = Comm::create_from_group(&g, "doomed").unwrap();
+        let mut faults = session.watch_faults().unwrap();
+        created.send(()).unwrap();
+        let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
+        assert_eq!(victim.rank(), 1);
+        let err = comm.send(1, 7, b"to-the-dead").unwrap_err();
+        session.finalize().unwrap();
+        Some(err.class)
+    });
+    await_ranks(&done, 1);
+    handle.kill_rank(1);
+    let out = handle.join().unwrap();
+    assert!(
+        matches!(out[0], Some(ErrClass::ProcFailed | ErrClass::ProcTerminated)),
+        "send to a dead member must fail typed, got {:?}",
+        out[0]
+    );
 }
 
 #[test]

@@ -29,6 +29,14 @@ fn new_session(ctx: &prrte::ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
 }
 
+/// A session pinned to one init mode (`"eager"` or `"lazy"`), whatever
+/// the universe default (`INIT_MODE`) is.
+fn session_in(ctx: &prrte::ProcCtx, mode: &str) -> Session {
+    let info = Info::new();
+    info.set(mpi_sessions::info::keys::INIT_MODE, mode);
+    Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap()
+}
+
 #[test]
 fn watch_faults_replays_to_late_subscriber_exactly_once() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 3));
@@ -94,14 +102,15 @@ fn dead_remote_member_fails_group_fanin_typed() {
     // a local arrival for the construct, so the old local-only dead scan
     // could not fire anywhere and ranks 0/1 stalled until the timeout.
     // With the full-membership scan, each server reaches the verdict at
-    // its own first arrival and the construct fails typed, fast.
+    // its own first arrival and the construct fails typed, fast. Eager
+    // construct semantics, pinned against the INIT_MODE=lazy sweep.
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let handle = launcher.spawn(JobSpec::new(4), |ctx| {
         if ctx.rank() == 3 {
             ctx.park_until_killed();
             return None;
         }
-        let session = new_session(&ctx);
+        let session = session_in(&ctx, "eager");
         // Replayed if the kill came first: no ordering to wait for.
         let mut faults = session.watch_faults().unwrap();
         let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
@@ -122,6 +131,44 @@ fn dead_remote_member_fails_group_fanin_typed() {
     let out = handle.join().unwrap();
     assert_eq!(out[0], Some(ErrClass::ProcFailed), "typed fast failure, not a stall");
     assert_eq!(out[1], Some(ErrClass::ProcFailed), "typed fast failure, not a stall");
+}
+
+#[test]
+fn dead_remote_member_fails_the_first_lazy_send_typed() {
+    // The lazy twin, same topology: the construct is a local hash, so it
+    // completes at once despite the dead remote member; the first send
+    // that needs that member (comm rank 2 = proc 3) fails typed.
+    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
+    let handle = launcher.spawn(JobSpec::new(4), |ctx| {
+        if ctx.rank() == 3 {
+            ctx.park_until_killed();
+            return None;
+        }
+        let session = session_in(&ctx, "lazy");
+        let mut faults = session.watch_faults().unwrap();
+        let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
+        assert_eq!(victim.rank(), 3);
+        if ctx.rank() == 2 {
+            session.finalize().unwrap();
+            return None;
+        }
+        let world = session.group_from_pset(PSET_WORLD).unwrap();
+        let doomed = world.incl(&[0, 1, 3]).unwrap();
+        let mut req = Comm::icomm_create_from_group(&doomed, "dead-remote").unwrap();
+        let comm = req.wait_timeout(Duration::from_secs(5)).expect("a lazy create is local");
+        let err = comm.send(2, 7, b"to-the-dead").unwrap_err();
+        session.finalize().unwrap();
+        Some(err.class)
+    });
+    handle.kill_rank(3);
+    let out = handle.join().unwrap();
+    for r in [0, 1] {
+        assert!(
+            matches!(out[r], Some(ErrClass::ProcFailed | ErrClass::ProcTerminated)),
+            "rank {r}: a send to the dead member must fail typed, got {:?}",
+            out[r]
+        );
+    }
 }
 
 #[test]

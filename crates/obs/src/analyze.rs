@@ -59,11 +59,11 @@ pub fn analyze(spans: &[SpanRecord], dropped: u64) -> Value {
 
     // Canonical ids, with occurrence suffixes for repeated (process, name,
     // key) triples.
-    let mut occ: HashMap<(String, String, String), u64> = HashMap::new();
+    let mut occ: HashMap<(&str, &str, &str), u64> = HashMap::new();
     let mut nodes: Vec<Node> = order
         .into_iter()
         .map(|rec| {
-            let triple = (rec.process.clone(), rec.name.clone(), rec.key.clone());
+            let triple = (rec.process.as_str(), rec.name, rec.key.as_str());
             let n = occ.entry(triple).or_insert(0);
             let mut canon = if rec.key.is_empty() {
                 format!("{}/{}", rec.process, rec.name)
@@ -290,7 +290,7 @@ pub fn analyze(spans: &[SpanRecord], dropped: u64) -> Value {
                 let mut m = Map::new();
                 m.insert("span".into(), Value::Str(nodes[i].canon.clone()));
                 m.insert("process".into(), Value::Str(nodes[i].rec.process.clone()));
-                m.insert("name".into(), Value::Str(nodes[i].rec.name.clone()));
+                m.insert("name".into(), Value::Str(nodes[i].rec.name.into()));
                 m.insert("exclusive".into(), Value::U64(exclusive(nodes[i].rec)));
                 Value::Object(m)
             })
@@ -307,7 +307,7 @@ pub fn analyze(spans: &[SpanRecord], dropped: u64) -> Value {
     let mut stages: Map = Map::new();
     let mut stage_acc: HashMap<&str, (u64, u64, u64)> = HashMap::new();
     for (i, node) in nodes.iter().enumerate() {
-        let e = stage_acc.entry(node.rec.name.as_str()).or_insert((0, 0, 0));
+        let e = stage_acc.entry(node.rec.name).or_insert((0, 0, 0));
         e.0 += 1;
         e.1 += exclusive(node.rec);
         e.2 += inclusive[i];
@@ -333,7 +333,7 @@ pub fn analyze(spans: &[SpanRecord], dropped: u64) -> Value {
             let mut m = Map::new();
             m.insert("id".into(), Value::Str(node.canon.clone()));
             m.insert("process".into(), Value::Str(node.rec.process.clone()));
-            m.insert("name".into(), Value::Str(node.rec.name.clone()));
+            m.insert("name".into(), Value::Str(node.rec.name.into()));
             m.insert("key".into(), Value::Str(node.rec.key.clone()));
             if let Some(p) = node.rec.parent.and_then(|p| by_id.get(&p)) {
                 m.insert("parent".into(), Value::Str(nodes[*p].canon.clone()));
@@ -516,7 +516,7 @@ mod tests {
         let root = r.span("p0", "job", "");
         let g = root.enter();
         for i in 0..4 {
-            let mut s = r.span("p0", "step", &i.to_string());
+            let mut s = r.span("p0", "step", i);
             s.add_work(i + 1);
             s.end();
         }

@@ -12,10 +12,19 @@
 //!   name)`. `process` scopes the emitter (`"fabric"`, `"ep3"`,
 //!   `"server:0"`, a `ProcId` rendering, …), `component` is the subsystem
 //!   (`"fabric"`, `"pml"`, `"pmix"`, `"cid"`, …), `name` is the metric.
+//! * **Processes are interned ids, names are static** — [`Registry::intern`]
+//!   maps a process name to a `Copy` [`ProcKey`] once. Everything the
+//!   registry stores (instrument keys, events, spans, cvars) holds the id;
+//!   the string comes back only when a read-side surface (export,
+//!   snapshots, pvar and cvar listings) renders it. Components, metric,
+//!   event and span names and attribute keys are `&'static str`. So
+//!   resolving a handle, recording an event or starting a span builds no
+//!   string of the registry's own.
 //! * **Hot path is atomic-only** — callers resolve a handle once (a
-//!   `RwLock<HashMap>` lookup or insert) and afterwards touch nothing but
-//!   atomics: counters and gauges are single `fetch_add`s, histograms a
-//!   handful. No lock is held while recording.
+//!   `RwLock<HashMap>` lookup or insert; a repeat lookup allocates
+//!   nothing) and afterwards touch nothing but atomics: counters and
+//!   gauges are single `fetch_add`s, histograms a handful. No lock is held
+//!   while recording.
 //! * **Counters are monotonic** — the API offers only `inc`/`add`; there is
 //!   no decrement or reset, so a later reading is never smaller than an
 //!   earlier one (the property tests pin this down).
@@ -25,7 +34,9 @@
 //! * **Export is plain JSON** — [`Registry::export`] renders everything into
 //!   a `serde_json::Value` with sorted keys (deterministic output).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,11 +57,69 @@ pub use trace::{
     DEFAULT_SPAN_CAPACITY,
 };
 
-/// Instrument identity: `(process, component, name)`.
+/// Instrument identity as the read side renders it: `(process, component,
+/// name)`.
 pub type Key = (String, String, String);
 
-fn key(process: &str, component: &str, name: &str) -> Key {
-    (process.to_string(), component.to_string(), name.to_string())
+/// Instrument identity as the registry stores it.
+type MetricKey = (ProcKey, &'static str, &'static str);
+
+/// An interned process name: a `Copy` id, resolved back to the string only
+/// when a read-side surface renders it. Ids are local to the registry that
+/// minted them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ProcKey(u32);
+
+impl ProcKey {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A process as a registry call names it: an interned [`ProcKey`], or its
+/// string (interned on the way in — a name seen before allocates nothing).
+pub trait ProcessName {
+    /// The id of this process in `registry`.
+    fn key_in(&self, registry: &Registry) -> ProcKey;
+}
+
+impl ProcessName for ProcKey {
+    fn key_in(&self, _: &Registry) -> ProcKey {
+        *self
+    }
+}
+
+impl ProcessName for &str {
+    fn key_in(&self, registry: &Registry) -> ProcKey {
+        registry.intern(self)
+    }
+}
+
+impl ProcessName for &String {
+    fn key_in(&self, registry: &Registry) -> ProcKey {
+        registry.intern(self)
+    }
+}
+
+/// The process-name table: each name once, indexed by id.
+#[derive(Default)]
+struct Interner {
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, ProcKey>,
+}
+
+/// Get-or-create on one instrument map; a hit takes the read lock only.
+fn resolve<T: Clone + Default>(map: &RwLock<HashMap<MetricKey, T>>, k: MetricKey) -> T {
+    if let Some(v) = map.read().get(&k) {
+        return v.clone();
+    }
+    map.write().entry(k).or_default().clone()
+}
+
+/// Look one instrument up by borrowed names (the read side's `&str`s).
+fn find<'a, T>(map: &'a HashMap<MetricKey, T>, p: ProcKey, c: &'a str, n: &'a str) -> Option<&'a T> {
+    let map: &HashMap<(ProcKey, &str, &str), T> = map;
+    map.get(&(p, c, n))
 }
 
 // ---------------------------------------------------------------------------
@@ -260,8 +329,9 @@ pub enum AttrValue {
     I64(i64),
     /// Floating-point attribute.
     F64(f64),
-    /// String attribute.
-    Str(String),
+    /// String attribute: a dynamic value owns its text, a static name
+    /// ([`AttrValue::name`]) borrows it.
+    Str(Cow<'static, str>),
     /// Boolean attribute.
     Bool(bool),
 }
@@ -283,12 +353,12 @@ impl From<f64> for AttrValue {
 }
 impl From<&str> for AttrValue {
     fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_string())
+        AttrValue::Str(Cow::Owned(v.to_string()))
     }
 }
 impl From<String> for AttrValue {
     fn from(v: String) -> Self {
-        AttrValue::Str(v)
+        AttrValue::Str(Cow::Owned(v))
     }
 }
 impl From<bool> for AttrValue {
@@ -298,12 +368,18 @@ impl From<bool> for AttrValue {
 }
 
 impl AttrValue {
+    /// A string attribute whose value is a static name (a stage, a kind,
+    /// an outcome): recorded without copying it.
+    pub fn name(v: &'static str) -> Self {
+        AttrValue::Str(Cow::Borrowed(v))
+    }
+
     fn to_json(&self) -> Value {
         match self {
             AttrValue::U64(v) => Value::U64(*v),
             AttrValue::I64(v) => Value::I64(*v),
             AttrValue::F64(v) => Value::F64(*v),
-            AttrValue::Str(v) => Value::Str(v.clone()),
+            AttrValue::Str(v) => Value::Str(v.to_string()),
             AttrValue::Bool(v) => Value::Bool(*v),
         }
     }
@@ -326,8 +402,12 @@ impl AttrValue {
     }
 }
 
+/// Typed attributes of an event or a span: static keys, dynamic values.
+pub type Attrs = Vec<(&'static str, AttrValue)>;
+
 /// One structured event: logical timestamp plus the `(process, component,
-/// name)` identity and free-form typed attributes.
+/// name)` identity and free-form typed attributes. This is the read side's
+/// record: the ring stores the process interned and a snapshot renders it.
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Logical timestamp: a registry-wide strictly increasing sequence
@@ -336,17 +416,38 @@ pub struct Event {
     /// Emitting process (same scoping convention as metric keys).
     pub process: String,
     /// Emitting subsystem.
-    pub component: String,
+    pub component: &'static str,
     /// Event name, e.g. `"group.fanin"`.
-    pub name: String,
+    pub name: &'static str,
     /// Typed attributes.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Attrs,
 }
 
 impl Event {
     /// Look up an attribute by key.
     pub fn attr(&self, k: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(a, _)| a == k).map(|(_, v)| v)
+        self.attrs.iter().find(|(a, _)| *a == k).map(|(_, v)| v)
+    }
+}
+
+/// An event as the ring stores it.
+struct StoredEvent {
+    ts: u64,
+    process: ProcKey,
+    component: &'static str,
+    name: &'static str,
+    attrs: Attrs,
+}
+
+impl StoredEvent {
+    fn render(&self, names: &[Arc<str>]) -> Event {
+        Event {
+            ts: self.ts,
+            process: names[self.process.index()].to_string(),
+            component: self.component,
+            name: self.name,
+            attrs: self.attrs.clone(),
+        }
     }
 }
 
@@ -356,7 +457,7 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 struct EventRecorder {
     clock: AtomicU64,
     capacity: usize,
-    ring: Mutex<VecDeque<Event>>,
+    ring: Mutex<VecDeque<StoredEvent>>,
     dropped: AtomicU64,
 }
 
@@ -370,14 +471,8 @@ impl EventRecorder {
         }
     }
 
-    fn record(&self, process: &str, component: &str, name: &str, attrs: Vec<(String, AttrValue)>) {
-        let mut ev = Event {
-            ts: 0,
-            process: process.to_string(),
-            component: component.to_string(),
-            name: name.to_string(),
-            attrs,
-        };
+    fn record(&self, process: ProcKey, component: &'static str, name: &'static str, attrs: Attrs) {
+        let mut ev = StoredEvent { ts: 0, process, component, name, attrs };
         let mut ring = self.ring.lock();
         // The timestamp is minted under the ring lock: minting it outside
         // would let two racing recorders insert out of timestamp order.
@@ -400,9 +495,10 @@ impl EventRecorder {
 /// (`counter`/`gauge`/`histogram`) takes a short-lived map lock; recording
 /// through a resolved handle is lock-free.
 pub struct Registry {
-    pub(crate) counters: RwLock<HashMap<Key, Counter>>,
-    pub(crate) gauges: RwLock<HashMap<Key, Gauge>>,
-    pub(crate) histograms: RwLock<HashMap<Key, Histogram>>,
+    procs: RwLock<Interner>,
+    counters: RwLock<HashMap<MetricKey, Counter>>,
+    gauges: RwLock<HashMap<MetricKey, Gauge>>,
+    histograms: RwLock<HashMap<MetricKey, Histogram>>,
     events: EventRecorder,
     traces: Arc<trace::TraceShared>,
     /// MPI_T-style control-variable store (see [`tool`]).
@@ -429,6 +525,7 @@ impl Registry {
     /// New registry with explicit event-ring and span-buffer capacities.
     pub fn with_capacities(event_capacity: usize, span_capacity: usize) -> Self {
         Self {
+            procs: RwLock::new(Interner::default()),
             counters: RwLock::new(HashMap::new()),
             gauges: RwLock::new(HashMap::new()),
             histograms: RwLock::new(HashMap::new()),
@@ -438,36 +535,73 @@ impl Registry {
         }
     }
 
-    /// Get or create the counter keyed `(process, component, name)`.
-    pub fn counter(&self, process: &str, component: &str, name: &str) -> Counter {
-        let k = key(process, component, name);
-        if let Some(c) = self.counters.read().get(&k) {
-            return c.clone();
+    // -- processes -----------------------------------------------------------
+
+    /// The id of the process named `process`, interning the name on first
+    /// sight. A name seen before costs one read-locked lookup and
+    /// allocates nothing.
+    pub fn intern(&self, process: &str) -> ProcKey {
+        if let Some(&k) = self.procs.read().ids.get(process) {
+            return k;
         }
-        self.counters.write().entry(k).or_default().clone()
+        let mut procs = self.procs.write();
+        if let Some(&k) = procs.ids.get(process) {
+            return k;
+        }
+        let k = ProcKey(procs.names.len() as u32);
+        let name: Arc<str> = process.into();
+        procs.names.push(name.clone());
+        procs.ids.insert(name, k);
+        k
+    }
+
+    /// The id of `process` if the registry has seen it. The read side
+    /// looks names up this way: reading never interns.
+    fn lookup(&self, process: &str) -> Option<ProcKey> {
+        self.procs.read().ids.get(process).copied()
+    }
+
+    /// Every interned name, indexed by id (render-time resolution).
+    fn process_names(&self) -> Vec<Arc<str>> {
+        self.procs.read().names.clone()
+    }
+
+    // -- instruments ---------------------------------------------------------
+
+    /// Get or create the counter keyed `(process, component, name)`.
+    pub fn counter(
+        &self,
+        process: impl ProcessName,
+        component: &'static str,
+        name: &'static str,
+    ) -> Counter {
+        resolve(&self.counters, (process.key_in(self), component, name))
     }
 
     /// Get or create the gauge keyed `(process, component, name)`.
-    pub fn gauge(&self, process: &str, component: &str, name: &str) -> Gauge {
-        let k = key(process, component, name);
-        if let Some(g) = self.gauges.read().get(&k) {
-            return g.clone();
-        }
-        self.gauges.write().entry(k).or_default().clone()
+    pub fn gauge(&self, process: impl ProcessName, component: &'static str, name: &'static str) -> Gauge {
+        resolve(&self.gauges, (process.key_in(self), component, name))
     }
 
     /// Get or create the histogram keyed `(process, component, name)`.
-    pub fn histogram(&self, process: &str, component: &str, name: &str) -> Histogram {
-        let k = key(process, component, name);
-        if let Some(h) = self.histograms.read().get(&k) {
-            return h.clone();
-        }
-        self.histograms.write().entry(k).or_default().clone()
+    pub fn histogram(
+        &self,
+        process: impl ProcessName,
+        component: &'static str,
+        name: &'static str,
+    ) -> Histogram {
+        resolve(&self.histograms, (process.key_in(self), component, name))
     }
 
     /// Record a structured event.
-    pub fn event(&self, process: &str, component: &str, name: &str, attrs: Vec<(String, AttrValue)>) {
-        self.events.record(process, component, name, attrs);
+    pub fn event(
+        &self,
+        process: impl ProcessName,
+        component: &'static str,
+        name: &'static str,
+        attrs: Attrs,
+    ) {
+        self.events.record(process.key_in(self), component, name, attrs);
     }
 
     // -- tracing -------------------------------------------------------------
@@ -479,28 +613,32 @@ impl Registry {
     /// `key` is a caller-supplied *run-stable* discriminator (operation id,
     /// group name, peer rank, a per-process sequence number): the offline
     /// analyzer derives canonical span identities from `(process, name,
-    /// key)`, never from runtime ids.
-    pub fn span(&self, process: &str, name: &str, key: &str) -> Span {
+    /// key)`, never from runtime ids. It is rendered only for a span that
+    /// will be kept: once the span buffer is full a span still gets its id
+    /// and makes every logical-clock tick, but builds no record — pass
+    /// `format_args!(..)` rather than `&format!(..)` and a dropped span
+    /// allocates nothing.
+    pub fn span(&self, process: impl ProcessName, name: &'static str, key: impl fmt::Display) -> Span {
         let parent = trace::current_context_in(&self.traces);
-        self.traces.start_span(process, name, key, parent)
+        self.traces.start_span(process.key_in(self), name, key, parent)
     }
 
     /// Start a span under an explicit parent context (`None` roots a new
     /// trace even when the thread has a current context).
     pub fn span_with_parent(
         &self,
-        process: &str,
-        name: &str,
-        key: &str,
+        process: impl ProcessName,
+        name: &'static str,
+        key: impl fmt::Display,
         parent: Option<SpanContext>,
     ) -> Span {
-        self.traces.start_span(process, name, key, parent)
+        self.traces.start_span(process.key_in(self), name, key, parent)
     }
 
     /// Snapshot of every *ended* span in the buffer (unspecified order;
     /// feed into [`analyze::analyze`] for the canonical view).
     pub fn spans_snapshot(&self) -> Vec<SpanRecord> {
-        self.traces.snapshot()
+        self.traces.snapshot(&self.process_names())
     }
 
     /// Number of ended spans discarded because the span buffer was full.
@@ -517,10 +655,8 @@ impl Registry {
 
     /// Value of one counter, or 0 if it was never created.
     pub fn counter_value(&self, process: &str, component: &str, name: &str) -> u64 {
-        self.counters
-            .read()
-            .get(&key(process, component, name))
-            .map(|c| c.get())
+        self.lookup(process)
+            .and_then(|p| find(&self.counters.read(), p, component, name).map(Counter::get))
             .unwrap_or(0)
     }
 
@@ -529,7 +665,7 @@ impl Registry {
         self.counters
             .read()
             .iter()
-            .filter(|((_, c, n), _)| c == component && n == name)
+            .filter(|((_, c, n), _)| *c == component && *n == name)
             .map(|(_, v)| v.get())
             .sum()
     }
@@ -537,10 +673,9 @@ impl Registry {
     /// Snapshot of every counter with a non-zero value, sorted by key.
     pub fn counters_snapshot(&self) -> Vec<(Key, u64)> {
         let mut v: Vec<(Key, u64)> = self
-            .counters
-            .read()
-            .iter()
-            .map(|(k, c)| (k.clone(), c.get()))
+            .rendered(&self.counters)
+            .into_iter()
+            .map(|(k, c)| (k, c.get()))
             .filter(|(_, n)| *n > 0)
             .collect();
         v.sort();
@@ -549,11 +684,22 @@ impl Registry {
 
     /// Value of one gauge, or 0 if it was never created.
     pub fn gauge_value(&self, process: &str, component: &str, name: &str) -> i64 {
-        self.gauges
-            .read()
-            .get(&key(process, component, name))
-            .map(|g| g.get())
-            .unwrap_or(0)
+        self.gauge_named(process, component, name).get()
+    }
+
+    /// The gauge with these names, or a detached zero gauge when there is
+    /// none (reading creates nothing).
+    pub(crate) fn gauge_named(&self, process: &str, component: &str, name: &str) -> Gauge {
+        self.lookup(process)
+            .and_then(|p| find(&self.gauges.read(), p, component, name).cloned())
+            .unwrap_or_default()
+    }
+
+    /// The histogram with these names, or a detached empty one.
+    pub(crate) fn histogram_named(&self, process: &str, component: &str, name: &str) -> Histogram {
+        self.lookup(process)
+            .and_then(|p| find(&self.histograms.read(), p, component, name).cloned())
+            .unwrap_or_default()
     }
 
     /// Sum of one `(component, name)` gauge across all processes.
@@ -561,7 +707,7 @@ impl Registry {
         self.gauges
             .read()
             .iter()
-            .filter(|((_, c, n), _)| c == component && n == name)
+            .filter(|((_, c, n), _)| *c == component && *n == name)
             .map(|(_, v)| v.get())
             .sum()
     }
@@ -574,7 +720,7 @@ impl Registry {
         self.gauges
             .read()
             .iter()
-            .filter(|((_, c, n), _)| c == component && n == name)
+            .filter(|((_, c, n), _)| *c == component && *n == name)
             .map(|(_, v)| v.high_water())
             .sum()
     }
@@ -584,30 +730,41 @@ impl Registry {
     /// is exactly the reading a leak audit needs.
     pub fn gauges_snapshot(&self) -> Vec<(Key, i64, i64)> {
         let mut v: Vec<(Key, i64, i64)> = self
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, g)| (k.clone(), g.get(), g.high_water()))
+            .rendered(&self.gauges)
+            .into_iter()
+            .map(|(k, g)| (k, g.get(), g.high_water()))
             .collect();
         v.sort();
         v
     }
 
+    /// Every instrument of one kind with its key rendered (snapshots, the
+    /// export and the pvar enumeration walk these).
+    fn rendered<T: Clone>(&self, map: &RwLock<HashMap<MetricKey, T>>) -> Vec<(Key, T)> {
+        let names = self.process_names();
+        map.read()
+            .iter()
+            .map(|(&(p, c, n), v)| ((names[p.index()].to_string(), c.into(), n.into()), v.clone()))
+            .collect()
+    }
+
     /// All recorded (still-buffered) events with the given name, in
     /// timestamp order.
     pub fn events_named(&self, name: &str) -> Vec<Event> {
+        let names = self.process_names();
         self.events
             .ring
             .lock()
             .iter()
             .filter(|e| e.name == name)
-            .cloned()
+            .map(|e| e.render(&names))
             .collect()
     }
 
     /// Snapshot of the whole event ring, in timestamp order.
     pub fn events_snapshot(&self) -> Vec<Event> {
-        self.events.ring.lock().iter().cloned().collect()
+        let names = self.process_names();
+        self.events.ring.lock().iter().map(|e| e.render(&names)).collect()
     }
 
     /// Number of buffered events.
@@ -644,7 +801,7 @@ impl Registry {
         let mut root = Map::new();
 
         let mut counters = Map::new();
-        for (k, v) in self.counters.read().iter() {
+        for (k, v) in self.rendered(&self.counters) {
             if v.get() > 0 {
                 nest(&mut counters, k, Value::U64(v.get()));
             }
@@ -652,17 +809,17 @@ impl Registry {
         root.insert("counters".into(), Value::Object(counters));
 
         let mut gauges = Map::new();
-        for (k, v) in self.gauges.read().iter() {
-            nest(&mut gauges, k, Value::I64(v.get()));
+        for ((p, c, n), v) in self.rendered(&self.gauges) {
             // The high-water mark rides along under `<name>#hw`, so leak
             // audits can diff peak footprints from any exported artifact.
-            let hw_key = (k.0.clone(), k.1.clone(), format!("{}#hw", k.2));
-            nest(&mut gauges, &hw_key, Value::I64(v.high_water()));
+            let hw_key = (p.clone(), c.clone(), format!("{n}#hw"));
+            nest(&mut gauges, (p, c, n), Value::I64(v.get()));
+            nest(&mut gauges, hw_key, Value::I64(v.high_water()));
         }
         root.insert("gauges".into(), Value::Object(gauges));
 
         let mut hists = Map::new();
-        for (k, v) in self.histograms.read().iter() {
+        for (k, v) in self.rendered(&self.histograms) {
             if v.count() > 0 {
                 nest(&mut hists, k, v.export());
             }
@@ -686,16 +843,16 @@ impl Registry {
         }
         let recorded: Vec<Value> = self
             .events_snapshot()
-            .iter()
+            .into_iter()
             .map(|e| {
                 let mut m = Map::new();
                 m.insert("ts".into(), Value::U64(e.ts));
-                m.insert("process".into(), Value::Str(e.process.clone()));
-                m.insert("component".into(), Value::Str(e.component.clone()));
-                m.insert("name".into(), Value::Str(e.name.clone()));
+                m.insert("process".into(), Value::Str(e.process));
+                m.insert("component".into(), Value::Str(e.component.into()));
+                m.insert("name".into(), Value::Str(e.name.into()));
                 let mut attrs = Map::new();
                 for (k, v) in &e.attrs {
-                    attrs.insert(k.clone(), v.to_json());
+                    attrs.insert((*k).into(), v.to_json());
                 }
                 m.insert("attrs".into(), Value::Object(attrs));
                 Value::Object(m)
@@ -709,17 +866,12 @@ impl Registry {
 }
 
 /// Insert `value` at `map[process][component][name]`.
-fn nest(map: &mut Map, k: &Key, value: Value) {
-    let (process, component, name) = k;
-    let proc_entry = map
-        .entry(process.clone())
-        .or_insert_with(|| Value::Object(Map::new()));
+fn nest(map: &mut Map, (process, component, name): Key, value: Value) {
+    let proc_entry = map.entry(process).or_insert_with(|| Value::Object(Map::new()));
     let Value::Object(proc_map) = proc_entry else { unreachable!() };
-    let comp_entry = proc_map
-        .entry(component.clone())
-        .or_insert_with(|| Value::Object(Map::new()));
+    let comp_entry = proc_map.entry(component).or_insert_with(|| Value::Object(Map::new()));
     let Value::Object(comp_map) = comp_entry else { unreachable!() };
-    comp_map.insert(name.clone(), value);
+    comp_map.insert(name, value);
 }
 
 #[cfg(test)]
@@ -874,7 +1026,7 @@ mod tests {
     fn events_ring_drops_oldest() {
         let r = Registry::with_event_capacity(3);
         for i in 0..5u64 {
-            r.event("p", "c", "e", vec![("i".into(), i.into())]);
+            r.event("p", "c", "e", vec![("i", i.into())]);
         }
         assert_eq!(r.events_len(), 3);
         assert_eq!(r.events_dropped(), 2);
@@ -890,7 +1042,7 @@ mod tests {
         r.counter("ep0", "pml", "eager_sent").add(4);
         r.counter("fabric", "fabric", "msgs_sent").add(10);
         r.histogram("launcher", "prrte", "map_ns").record_ns(500);
-        r.event("srv", "pmix", "group.fanin", vec![("op".into(), "g1".into())]);
+        r.event("srv", "pmix", "group.fanin", vec![("op", "g1".into())]);
         let a = serde_json::to_string(&r.export()).unwrap();
         let b = serde_json::to_string(&r.export()).unwrap();
         assert_eq!(a, b);

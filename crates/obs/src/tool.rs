@@ -40,9 +40,9 @@
 //! surface, so the numbers a tool would see are the numbers the gates
 //! enforce.
 
-use crate::{AttrValue, Registry};
+use crate::{AttrValue, ProcKey, ProcessName, Registry};
 use serde_json::{Map, Value};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -150,10 +150,11 @@ pub struct CvarInfo {
     pub value: CvarValue,
 }
 
-/// The per-registry cvar store (see the module docs).
+/// The per-registry cvar store (see the module docs), keyed by the
+/// interned scope and the static knob name.
 #[derive(Default)]
 pub(crate) struct CvarStore {
-    entries: parking_lot::Mutex<BTreeMap<(String, String), CvarEntry>>,
+    entries: parking_lot::Mutex<HashMap<(ProcKey, &'static str), CvarEntry>>,
 }
 
 impl Registry {
@@ -196,21 +197,27 @@ impl Registry {
     /// ```
     pub fn cvar_register(
         &self,
-        scope: &str,
-        name: &str,
+        scope: impl ProcessName,
+        name: &'static str,
         description: &'static str,
         read: impl Fn() -> Option<CvarValue> + Send + Sync + 'static,
         write: Option<CvarWriter>,
     ) {
         self.tool.entries.lock().insert(
-            (scope.to_string(), name.to_string()),
+            (scope.key_in(self), name),
             CvarEntry { description, read: Box::new(read), write },
         );
     }
 
+    /// The store key of `(scope, name)`, if such a cvar was registered.
+    fn cvar_key(&self, scope: &str, name: &str) -> Option<(ProcKey, &'static str)> {
+        let scope = self.lookup(scope)?;
+        self.tool.entries.lock().keys().copied().find(|&(p, n)| p == scope && n == name)
+    }
+
     /// Read the current value of one cvar (`None` if unknown or dead).
     pub fn cvar_read(&self, scope: &str, name: &str) -> Option<CvarValue> {
-        let k = (scope.to_string(), name.to_string());
+        let k = self.cvar_key(scope, name)?;
         let mut entries = self.tool.entries.lock();
         let entry = entries.get(&k)?;
         match (entry.read)() {
@@ -227,8 +234,8 @@ impl Registry {
     /// and new values.
     pub fn cvar_write(&self, scope: &str, name: &str, value: CvarValue) -> Result<(), CvarError> {
         let label = format!("{scope}/{name}");
+        let k = self.cvar_key(scope, name).ok_or_else(|| CvarError::Unknown(label.clone()))?;
         let old = {
-            let k = (scope.to_string(), name.to_string());
             let mut entries = self.tool.entries.lock();
             let entry = entries.get(&k).ok_or_else(|| CvarError::Unknown(label.clone()))?;
             let Some(old) = (entry.read)() else {
@@ -240,13 +247,13 @@ impl Registry {
             old
         };
         self.event(
-            scope,
+            k.0,
             "tool",
             "cvar.changed",
             vec![
-                ("cvar".into(), AttrValue::Str(name.to_string())),
-                ("from".into(), AttrValue::Str(old.to_string())),
-                ("to".into(), AttrValue::Str(value.to_string())),
+                ("cvar", AttrValue::name(k.1)),
+                ("from", old.to_string().into()),
+                ("to", value.to_string().into()),
             ],
         );
         Ok(())
@@ -255,13 +262,14 @@ impl Registry {
     /// Enumerate every live cvar, sorted by `(scope, name)`. Entries whose
     /// subject has been dropped are pruned as a side effect.
     pub fn cvars(&self) -> Vec<CvarInfo> {
+        let names = self.process_names();
         let mut entries = self.tool.entries.lock();
         let mut out = Vec::with_capacity(entries.len());
-        entries.retain(|(scope, name), e| match (e.read)() {
+        entries.retain(|&(scope, name), e| match (e.read)() {
             Some(value) => {
                 out.push(CvarInfo {
-                    scope: scope.clone(),
-                    name: name.clone(),
+                    scope: names[scope.index()].to_string(),
+                    name: name.to_string(),
                     description: e.description,
                     writable: e.write.is_some(),
                     value,
@@ -270,6 +278,8 @@ impl Registry {
             }
             None => false,
         });
+        drop(entries);
+        out.sort_by(|a, b| (&a.scope, &a.name).cmp(&(&b.scope, &b.name)));
         out
     }
 }
@@ -522,14 +532,10 @@ impl PvarSession {
                 high_water: r.sum_gauge_high_water(c, n),
             },
             Binding::Level(p, c, n) => {
-                let g = r.gauges.read().get(&crate::key(p, c, n)).cloned().unwrap_or_default();
+                let g = r.gauge_named(p, c, n);
                 PvarReading::Level { value: g.get(), high_water: g.high_water() }
             }
-            Binding::Timer(p, c, n) => {
-                let hist =
-                    r.histograms.read().get(&crate::key(p, c, n)).cloned().unwrap_or_default();
-                PvarReading::Timer(hist.export())
-            }
+            Binding::Timer(p, c, n) => PvarReading::Timer(r.histogram_named(p, c, n).export()),
         }
     }
 
@@ -550,33 +556,24 @@ impl Registry {
     /// incremented are skipped (matching [`Registry::export`]); gauges are
     /// always listed (a zero level is a real reading).
     pub fn pvar_enumerate(&self) -> Vec<PvarDesc> {
+        let desc = |class, (process, component, name): crate::Key| PvarDesc {
+            class,
+            process,
+            component,
+            name,
+        };
         let mut out = Vec::new();
-        for ((p, c, n), v) in self.counters.read().iter() {
+        for (k, v) in self.rendered(&self.counters) {
             if v.get() > 0 {
-                out.push(PvarDesc {
-                    class: PvarClass::Counter,
-                    process: p.clone(),
-                    component: c.clone(),
-                    name: n.clone(),
-                });
+                out.push(desc(PvarClass::Counter, k));
             }
         }
-        for (p, c, n) in self.gauges.read().keys() {
-            out.push(PvarDesc {
-                class: PvarClass::Level,
-                process: p.clone(),
-                component: c.clone(),
-                name: n.clone(),
-            });
+        for (k, _) in self.rendered(&self.gauges) {
+            out.push(desc(PvarClass::Level, k));
         }
-        for ((p, c, n), v) in self.histograms.read().iter() {
+        for (k, v) in self.rendered(&self.histograms) {
             if v.count() > 0 {
-                out.push(PvarDesc {
-                    class: PvarClass::Timer,
-                    process: p.clone(),
-                    component: c.clone(),
-                    name: n.clone(),
-                });
+                out.push(desc(PvarClass::Timer, k));
             }
         }
         out.sort();

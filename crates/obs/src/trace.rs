@@ -26,13 +26,21 @@
 //!   even spans created deep inside the MPI core parent correctly.
 //!
 //! Ended spans land in a bounded per-registry buffer (drop-new with a
-//! counter when full); open spans are simply absent from snapshots.
+//! counter when full); open spans are simply absent from snapshots. The
+//! buffer never drains, so once it is full every span started later is
+//! dropped. Such a span still gets its id, makes every logical-clock tick a
+//! kept one makes (start, [`Span::context`], [`Span::link`],
+//! [`Span::enter`], end) and adopts a link's trace, so the clocks and
+//! contexts that reach messages, children and later kept records do not
+//! move — but it builds no record: no key string, attributes, links or
+//! fault notes. Its end only counts the drop.
 
-use crate::AttrValue;
+use crate::{AttrValue, Attrs, ProcKey};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Identifies one causal trace (conventionally: one launched job).
@@ -61,7 +69,8 @@ pub struct SpanContext {
 /// the thing attached to an envelope is named after the trace it carries.
 pub type TraceContext = SpanContext;
 
-/// One completed span, as stored in the registry's span buffer.
+/// One completed span, as the read side sees it (built from the stored
+/// record at snapshot time).
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Runtime span id (registry-local; not run-stable).
@@ -75,7 +84,7 @@ pub struct SpanRecord {
     /// Emitting process (same scoping convention as metric keys).
     pub process: String,
     /// Span name, e.g. `"group.fanin"`.
-    pub name: String,
+    pub name: &'static str,
     /// Caller-supplied run-stable discriminator (op id, group name, peer
     /// rank, sequence number) distinguishing same-named spans.
     pub key: String,
@@ -88,23 +97,65 @@ pub struct SpanRecord {
     /// Deterministic logical cost accumulated via [`Span::add_work`].
     pub work: u64,
     /// Free-form typed attributes.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Attrs,
     /// Fault annotations ([`Span::fault`] or [`fault_current`]).
     pub faults: Vec<String>,
+}
+
+/// What a kept span records while it is live: everything of its
+/// [`SpanRecord`] but the runtime ids, with the process still interned.
+struct Kept {
+    parent: Option<SpanId>,
+    links: Vec<SpanContext>,
+    process: ProcKey,
+    name: &'static str,
+    key: String,
+    seq: u64,
+    start_clock: u64,
+    end_clock: u64,
+    work: u64,
+    attrs: Attrs,
+    faults: Vec<String>,
+}
+
+/// An ended span in the buffer.
+struct Stored {
+    id: SpanId,
+    trace: TraceId,
+    rec: Kept,
+}
+
+impl Stored {
+    fn render(&self, names: &[Arc<str>]) -> SpanRecord {
+        let r = &self.rec;
+        SpanRecord {
+            id: self.id,
+            trace: self.trace,
+            parent: r.parent,
+            links: r.links.clone(),
+            process: names[r.process.index()].to_string(),
+            name: r.name,
+            key: r.key.clone(),
+            seq: r.seq,
+            start_clock: r.start_clock,
+            end_clock: r.end_clock,
+            work: r.work,
+            attrs: r.attrs.clone(),
+            faults: r.faults.clone(),
+        }
+    }
 }
 
 /// Default span-buffer capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 struct TraceBuf {
-    spans: Vec<SpanRecord>,
-    /// Next per-process start sequence number.
-    seqs: HashMap<String, u64>,
+    spans: Vec<Stored>,
+    /// Next per-process start sequence number, indexed by process id.
+    seqs: Vec<u64>,
     /// Fault annotations targeting spans that have not ended yet
     /// (runtime span id → notes), drained into the record at end.
     open_faults: HashMap<u64, Vec<String>>,
-    dropped: u64,
-    capacity: usize,
 }
 
 /// Shared tracing state of one registry: the logical clock, the id
@@ -113,6 +164,11 @@ pub struct TraceShared {
     clock: AtomicU64,
     next_span: AtomicU64,
     next_trace: AtomicU64,
+    capacity: usize,
+    /// Set once the buffer holds `capacity` records; it never drains, so
+    /// from then on every span that starts is dropped.
+    full: AtomicBool,
+    dropped: AtomicU64,
     buf: Mutex<TraceBuf>,
 }
 
@@ -122,12 +178,13 @@ impl TraceShared {
             clock: AtomicU64::new(0),
             next_span: AtomicU64::new(1),
             next_trace: AtomicU64::new(1),
+            capacity: capacity.max(1),
+            full: AtomicBool::new(false),
+            dropped: AtomicU64::new(0),
             buf: Mutex::new(TraceBuf {
                 spans: Vec::new(),
-                seqs: HashMap::new(),
+                seqs: Vec::new(),
                 open_faults: HashMap::new(),
-                dropped: 0,
-                capacity: capacity.max(1),
             }),
         }
     }
@@ -143,23 +200,27 @@ impl TraceShared {
         self.tick()
     }
 
-    pub(crate) fn snapshot(&self) -> Vec<SpanRecord> {
-        self.buf.lock().spans.clone()
+    fn is_full(&self) -> bool {
+        self.full.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn snapshot(&self, names: &[Arc<str>]) -> Vec<SpanRecord> {
+        self.buf.lock().spans.iter().map(|s| s.render(names)).collect()
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        self.buf.lock().dropped
+        self.dropped.load(Ordering::Relaxed)
     }
 
     pub(crate) fn capacity(&self) -> usize {
-        self.buf.lock().capacity
+        self.capacity
     }
 
     pub(crate) fn start_span(
         self: &Arc<Self>,
-        process: &str,
-        name: &str,
-        key: &str,
+        process: ProcKey,
+        name: &'static str,
+        key: impl fmt::Display,
         parent: Option<SpanContext>,
     ) -> Span {
         let id = SpanId(self.next_span.fetch_add(1, Ordering::Relaxed));
@@ -167,31 +228,38 @@ impl TraceShared {
             Some(p) => (p.trace, self.observe(p.clock)),
             None => (TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed)), self.tick()),
         };
-        let seq = {
-            let mut buf = self.buf.lock();
-            let s = buf.seqs.entry(process.to_string()).or_insert(0);
-            let v = *s;
-            *s += 1;
-            v
-        };
+        let rec = (!self.is_full()).then(|| {
+            let seq = {
+                let mut buf = self.buf.lock();
+                let at = process.index();
+                if buf.seqs.len() <= at {
+                    buf.seqs.resize(at + 1, 0);
+                }
+                let v = buf.seqs[at];
+                buf.seqs[at] += 1;
+                v
+            };
+            Kept {
+                parent: parent.map(|p| p.span),
+                links: Vec::new(),
+                process,
+                name,
+                key: key.to_string(),
+                seq,
+                start_clock,
+                end_clock: start_clock,
+                work: 0,
+                attrs: Vec::new(),
+                faults: Vec::new(),
+            }
+        });
         Span {
             inner: Some(SpanInner {
                 shared: self.clone(),
-                rec: SpanRecord {
-                    id,
-                    trace,
-                    parent: parent.map(|p| p.span),
-                    links: Vec::new(),
-                    process: process.to_string(),
-                    name: name.to_string(),
-                    key: key.to_string(),
-                    seq,
-                    start_clock,
-                    end_clock: start_clock,
-                    work: 0,
-                    attrs: Vec::new(),
-                    faults: Vec::new(),
-                },
+                id,
+                trace,
+                anchored: parent.is_some(),
+                rec,
             }),
         }
     }
@@ -199,7 +267,23 @@ impl TraceShared {
 
 struct SpanInner {
     shared: Arc<TraceShared>,
-    rec: SpanRecord,
+    id: SpanId,
+    trace: TraceId,
+    /// Whether the span has a parent or a link: a span with neither adopts
+    /// the trace of its first link.
+    anchored: bool,
+    /// The record, for a span started while the buffer had room.
+    rec: Option<Kept>,
+}
+
+impl SpanInner {
+    fn context(&self) -> SpanContext {
+        SpanContext { trace: self.trace, span: self.id, clock: self.shared.tick() }
+    }
+
+    fn entry(&self) -> TlEntry {
+        TlEntry { ctx: self.context(), shared: Arc::downgrade(&self.shared) }
+    }
 }
 
 /// A live span. Ends (and lands in the registry's span buffer) on
@@ -211,22 +295,32 @@ pub struct Span {
 impl std::fmt::Debug for Span {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(i) => write!(f, "Span({:?} {}/{})", i.rec.id, i.rec.process, i.rec.name),
+            Some(i) => match &i.rec {
+                Some(r) => write!(f, "Span({:?} {}:{})", i.id, r.name, r.key),
+                None => write!(f, "Span({:?} dropped)", i.id),
+            },
             None => write!(f, "Span(ended)"),
         }
     }
 }
 
 impl Span {
+    fn live(&self) -> &SpanInner {
+        self.inner.as_ref().expect("span already ended")
+    }
+
+    fn live_mut(&mut self) -> &mut SpanInner {
+        self.inner.as_mut().expect("span already ended")
+    }
+
     /// Capture the span's context at the current logical clock.
     pub fn context(&self) -> SpanContext {
-        let i = self.inner.as_ref().expect("span already ended");
-        SpanContext { trace: i.rec.trace, span: i.rec.id, clock: i.shared.tick() }
+        self.live().context()
     }
 
     /// Runtime span id.
     pub fn id(&self) -> SpanId {
-        self.inner.as_ref().expect("span already ended").rec.id
+        self.live().id
     }
 
     /// Record a causal predecessor (a context carried by a message or
@@ -235,52 +329,48 @@ impl Span {
     /// server-side operation spans join the trace of the job that caused
     /// them.
     pub fn link(&mut self, ctx: SpanContext) {
-        let i = self.inner.as_mut().expect("span already ended");
+        let i = self.live_mut();
         i.shared.observe(ctx.clock);
-        if i.rec.parent.is_none() && i.rec.links.is_empty() {
-            i.rec.trace = ctx.trace;
+        if !i.anchored {
+            i.anchored = true;
+            i.trace = ctx.trace;
         }
-        if !i.rec.links.iter().any(|l| l.span == ctx.span) {
-            i.rec.links.push(ctx);
+        if let Some(rec) = &mut i.rec {
+            if !rec.links.iter().any(|l| l.span == ctx.span) {
+                rec.links.push(ctx);
+            }
         }
     }
 
     /// Accumulate deterministic logical cost (protocol messages, rounds,
     /// members — never wall time).
     pub fn add_work(&mut self, n: u64) {
-        self.inner.as_mut().expect("span already ended").rec.work += n;
+        if let Some(rec) = &mut self.live_mut().rec {
+            rec.work += n;
+        }
     }
 
-    /// Attach a typed attribute.
-    pub fn attr(&mut self, k: &str, v: impl Into<AttrValue>) {
-        self.inner
-            .as_mut()
-            .expect("span already ended")
-            .rec
-            .attrs
-            .push((k.to_string(), v.into()));
+    /// Attach a typed attribute (converted only when the span is kept).
+    pub fn attr(&mut self, k: &'static str, v: impl Into<AttrValue>) {
+        if let Some(rec) = &mut self.live_mut().rec {
+            rec.attrs.push((k, v.into()));
+        }
     }
 
     /// Annotate the span with a fault description.
     pub fn fault(&mut self, detail: &str) {
-        self.inner
-            .as_mut()
-            .expect("span already ended")
-            .rec
-            .faults
-            .push(detail.to_string());
+        if let Some(rec) = &mut self.live_mut().rec {
+            rec.faults.push(detail.to_string());
+        }
     }
 
     /// Push the span onto this thread's context stack; [`current_context`]
     /// returns it until the guard drops.
     pub fn enter(&self) -> SpanEntered {
-        let i = self.inner.as_ref().expect("span already ended");
-        let entry = TlEntry {
-            ctx: SpanContext { trace: i.rec.trace, span: i.rec.id, clock: i.shared.tick() },
-            shared: Arc::downgrade(&i.shared),
-        };
+        let i = self.live();
+        let entry = i.entry();
         STACK.with(|s| s.borrow_mut().push(entry));
-        SpanEntered { span: i.rec.id }
+        SpanEntered { span: i.id }
     }
 
     /// End the span now (idempotent with drop).
@@ -289,16 +379,25 @@ impl Span {
     }
 
     fn finish(&mut self) {
-        let Some(mut i) = self.inner.take() else { return };
-        i.rec.end_clock = i.shared.tick();
-        let mut buf = i.shared.buf.lock();
-        if let Some(notes) = buf.open_faults.remove(&i.rec.id.0) {
-            i.rec.faults.extend(notes);
+        let Some(i) = self.inner.take() else { return };
+        let end_clock = i.shared.tick();
+        let shared = &i.shared;
+        let Some(mut rec) = i.rec else {
+            shared.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        rec.end_clock = end_clock;
+        let mut buf = shared.buf.lock();
+        if let Some(notes) = buf.open_faults.remove(&i.id.0) {
+            rec.faults.extend(notes);
         }
-        if buf.spans.len() >= buf.capacity {
-            buf.dropped += 1;
+        if buf.spans.len() >= shared.capacity {
+            shared.dropped.fetch_add(1, Ordering::Relaxed);
         } else {
-            buf.spans.push(i.rec);
+            buf.spans.push(Stored { id: i.id, trace: i.trace, rec });
+            if buf.spans.len() >= shared.capacity {
+                shared.full.store(true, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -363,11 +462,7 @@ pub(crate) fn current_context_in(shared: &Arc<TraceShared>) -> Option<SpanContex
 /// for spans created while no entered span is on the stack. The PRRTE
 /// launcher calls this on each rank thread with the rank's root span.
 pub fn set_ambient(span: &Span) {
-    let i = span.inner.as_ref().expect("span already ended");
-    let entry = TlEntry {
-        ctx: SpanContext { trace: i.rec.trace, span: i.rec.id, clock: i.shared.tick() },
-        shared: Arc::downgrade(&i.shared),
-    };
+    let entry = span.live().entry();
     AMBIENT.with(|a| *a.borrow_mut() = Some(entry));
 }
 
@@ -401,17 +496,21 @@ pub fn detached<R>(f: impl FnOnce() -> R) -> R {
 /// Called by the fault-injection seam in simnet: the hook runs on the
 /// *sender's* thread inside the fabric send path, so the annotation lands
 /// on whatever operation span that thread is inside (e.g. the fence a kill
-/// rule interrupted). Returns `false` when no span is current.
+/// rule interrupted). Returns `false` when no span is current. Once the
+/// span buffer is full the note is not kept: whatever span it targets can
+/// only be dropped.
 pub fn fault_current(detail: &str) -> bool {
     let Some(entry) = current_entry() else { return false };
     let Some(shared) = entry.shared.upgrade() else { return false };
-    shared
-        .buf
-        .lock()
-        .open_faults
-        .entry(entry.ctx.span.0)
-        .or_default()
-        .push(detail.to_string());
+    if !shared.is_full() {
+        shared
+            .buf
+            .lock()
+            .open_faults
+            .entry(entry.ctx.span.0)
+            .or_default()
+            .push(detail.to_string());
+    }
     true
 }
 
@@ -445,12 +544,12 @@ mod tests {
         let pid = parent.id();
         let g = parent.enter();
         let child = r.span("p0", "inner", "");
-        assert_eq!(child.inner.as_ref().unwrap().rec.parent, Some(pid));
-        assert_eq!(child.inner.as_ref().unwrap().rec.trace, parent.inner.as_ref().unwrap().rec.trace);
+        assert_eq!(child.inner.as_ref().unwrap().rec.as_ref().unwrap().parent, Some(pid));
+        assert_eq!(child.inner.as_ref().unwrap().trace, parent.inner.as_ref().unwrap().trace);
         drop(child);
         drop(g);
         let orphan = r.span("p0", "later", "");
-        assert_eq!(orphan.inner.as_ref().unwrap().rec.parent, None);
+        assert_eq!(orphan.inner.as_ref().unwrap().rec.as_ref().unwrap().parent, None);
     }
 
     #[test]
@@ -461,8 +560,8 @@ mod tests {
         let mut b = r.span("p1", "recv", "");
         b.link(ctx);
         let inner = b.inner.as_ref().unwrap();
-        assert_eq!(inner.rec.trace, ctx.trace, "root span adopts trace of first link");
-        assert!(inner.rec.start_clock > 0);
+        assert_eq!(inner.trace, ctx.trace, "root span adopts trace of first link");
+        assert!(inner.rec.as_ref().unwrap().start_clock > 0);
         drop(a);
         b.end();
         let recv = r
@@ -481,14 +580,14 @@ mod tests {
         let mut b = r.span("p1", "recv", "");
         b.link(a.context());
         b.link(a.context());
-        assert_eq!(b.inner.as_ref().unwrap().rec.links.len(), 1);
+        assert_eq!(b.inner.as_ref().unwrap().rec.as_ref().unwrap().links.len(), 1);
     }
 
     #[test]
     fn buffer_is_bounded_and_counts_drops() {
         let r = Registry::with_capacities(16, 2);
         for i in 0..5 {
-            r.span("p", "s", &i.to_string()).end();
+            r.span("p", "s", i).end();
         }
         assert_eq!(r.spans_snapshot().len(), 2);
         assert_eq!(r.spans_dropped(), 3);
@@ -518,15 +617,15 @@ mod tests {
         let root = r.span("rank0", "rank.main", "");
         set_ambient(&root);
         let child = r.span("rank0", "work", "");
-        assert_eq!(child.inner.as_ref().unwrap().rec.parent, Some(root.id()));
+        assert_eq!(child.inner.as_ref().unwrap().rec.as_ref().unwrap().parent, Some(root.id()));
         let inner = r.span("rank0", "inner", "");
         let g = inner.enter();
         let deep = r.span("rank0", "deep", "");
-        assert_eq!(deep.inner.as_ref().unwrap().rec.parent, Some(inner.id()));
+        assert_eq!(deep.inner.as_ref().unwrap().rec.as_ref().unwrap().parent, Some(inner.id()));
         drop(g);
         clear_ambient();
         let after = r.span("rank0", "after", "");
-        assert_eq!(after.inner.as_ref().unwrap().rec.parent, None);
+        assert_eq!(after.inner.as_ref().unwrap().rec.as_ref().unwrap().parent, None);
     }
 
     #[test]

@@ -67,7 +67,7 @@ proptest! {
                 thread::spawn(move || {
                     let process = format!("writer{t}");
                     for i in 0..n {
-                        reg.event(&process, "test", "tick", vec![("i".into(), i.into())]);
+                        reg.event(&process, "test", "tick", vec![("i", i.into())]);
                         assert!(reg.events_len() <= capacity, "ring exceeded bound");
                     }
                 })

@@ -27,6 +27,8 @@ const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 #[derive(Clone)]
 pub struct PmixClient {
     proc: ProcId,
+    /// `proc` interned in the fabric's obs registry (spans are keyed by it).
+    obs_key: obs::ProcKey,
     server: Arc<PmixServer>,
     staged: Arc<Mutex<HashMap<String, PmixValue>>>,
     // Run-stable discriminator for this client's fence spans (fences have
@@ -39,6 +41,7 @@ impl PmixClient {
     pub fn init(server: Arc<PmixServer>, proc: ProcId) -> Self {
         server.attach_client(&proc);
         Self {
+            obs_key: server.obs().intern(&proc.to_string()),
             proc,
             server,
             staged: Arc::new(Mutex::new(HashMap::new())),
@@ -46,7 +49,8 @@ impl PmixClient {
         }
     }
 
-    /// Open the client-side operation span `span_name`/`key` and run the
+    /// Open the client-side operation span (`pmix.fence` or
+    /// `pmix.group_construct`, keyed `key`) and run the
     /// collective's local fan-in under it. The span is *entered* whenever
     /// this thread is inside the server, so the fan-in links it as causal
     /// predecessor and any fault injected on a message this thread sends is
@@ -55,7 +59,6 @@ impl PmixClient {
     #[allow(clippy::too_many_arguments)]
     fn begin_coll(
         &self,
-        span_name: &'static str,
         key: &str,
         kind: OpKind,
         name: &str,
@@ -63,7 +66,7 @@ impl PmixClient {
         directives: &GroupDirectives,
         kvs: HashMap<String, PmixValue>,
     ) -> Result<PendingOp> {
-        let span = self.server.obs().span(&self.proc.to_string(), span_name, key);
+        let span = self.server.obs().span(self.obs_key, span_names(kind).0, key);
         let begun = {
             let _entered = span.enter();
             self.server.coll_begin(kind, name, members, directives, &self.proc, kvs)
@@ -73,7 +76,7 @@ impl PmixClient {
                 client: self.clone(),
                 pending: Some(pending),
                 span: Some(span),
-                span_name,
+                kind,
                 key: key.to_owned(),
             }),
             Err(e) => {
@@ -91,6 +94,11 @@ impl PmixClient {
     /// This client's process id.
     pub fn proc(&self) -> &ProcId {
         &self.proc
+    }
+
+    /// This client's process as interned in the fabric's obs registry.
+    pub fn obs_key(&self) -> obs::ProcKey {
+        self.obs_key
     }
 
     /// This client's rank within its namespace.
@@ -169,7 +177,7 @@ impl PmixClient {
             .without_pgcid()
             .with_timeout(Some(timeout));
         let seq = self.fence_seq.fetch_add(1, Ordering::Relaxed).to_string();
-        self.begin_coll("pmix.fence", &seq, OpKind::Fence, "", procs, &directives, kvs)?
+        self.begin_coll(&seq, OpKind::Fence, "", procs, &directives, kvs)?
             .wait()
             .map(|_| ())
     }
@@ -206,8 +214,7 @@ impl PmixClient {
         directives: &GroupDirectives,
     ) -> Result<PendingGroup> {
         let kind = OpKind::GroupConstruct;
-        let op = self
-            .begin_coll("pmix.group_construct", name, kind, name, members, directives, HashMap::new())?;
+        let op = self.begin_coll(name, kind, name, members, directives, HashMap::new())?;
         Ok(PendingGroup { op, request_pgcid: directives.request_pgcid })
     }
 
@@ -332,8 +339,16 @@ struct PendingOp {
     client: PmixClient,
     pending: Option<PendingColl>,
     span: Option<obs::Span>,
-    span_name: &'static str,
+    kind: OpKind,
     key: String,
+}
+
+/// The client-side span of a collective and its `.done` release child.
+fn span_names(kind: OpKind) -> (&'static str, &'static str) {
+    match kind {
+        OpKind::Fence => ("pmix.fence", "pmix.fence.done"),
+        OpKind::GroupConstruct => ("pmix.group_construct", "pmix.group_construct.done"),
+    }
 }
 
 impl PendingOp {
@@ -368,8 +383,8 @@ impl PendingOp {
         let span = self.span.take().expect("span lives until completion");
         if let Ok(out) = &res {
             let mut done = self.client.server.obs().span_with_parent(
-                &self.client.proc.to_string(),
-                &format!("{}.done", self.span_name),
+                self.client.obs_key,
+                span_names(self.kind).1,
                 &self.key,
                 Some(span.context()),
             );

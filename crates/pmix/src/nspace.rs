@@ -442,6 +442,24 @@ impl NamespaceRegistry {
         ctx: Option<obs::TraceContext>,
     ) {
         let _emit = self.emit.lock();
+        self.define_locked(name, members, ctx);
+    }
+
+    /// Define `name` with `members` unless a live pset of that name exists
+    /// — the check and the define are one step under the emission lock, so
+    /// of any number of racing callers exactly one defines (one `Defined`
+    /// change). Returns whether this call defined it.
+    pub fn define_pset_if_absent(&self, name: &str, members: Vec<ProcId>) -> bool {
+        let _emit = self.emit.lock();
+        if self.state.read().psets.get(name).is_some_and(|e| !e.deleted) {
+            return false;
+        }
+        self.define_locked(name, members, None);
+        true
+    }
+
+    /// The define body; the caller holds the emission lock.
+    fn define_locked(&self, name: &str, members: Vec<ProcId>, ctx: Option<obs::TraceContext>) {
         let members = Arc::new(members);
         let epoch = {
             let mut st = self.state.write();

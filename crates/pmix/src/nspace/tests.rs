@@ -76,6 +76,44 @@ fn deregister_namespace_removes_it() {
 }
 
 #[test]
+fn racing_define_if_absent_defines_exactly_once() {
+    use std::sync::Barrier;
+    use std::sync::Mutex as StdMutex;
+    for round in 0..200 {
+        let reg = NamespaceRegistry::new();
+        let defined: Arc<StdMutex<Vec<u64>>> = Arc::default();
+        let d = defined.clone();
+        reg.add_pset_listener(Box::new(move |c| {
+            if c.kind == PsetChangeKind::Defined {
+                d.lock().unwrap().push(c.epoch);
+            }
+        }));
+        let gate = Arc::new(Barrier::new(2));
+        let wins: usize = (0..2u32)
+            .map(|rank| {
+                let (reg, gate) = (reg.clone(), gate.clone());
+                std::thread::spawn(move || {
+                    gate.wait();
+                    reg.define_pset_if_absent("survivors://j", vec![ProcId::new("j", rank)])
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| usize::from(t.join().unwrap()))
+            .sum();
+        assert_eq!(wins, 1, "round {round}: exactly one caller defines");
+        assert_eq!(*defined.lock().unwrap(), vec![1], "round {round}: one Defined change");
+        assert_eq!(reg.pset_members("survivors://j").unwrap().len(), 1);
+    }
+    // A deleted pset counts as absent.
+    let reg = NamespaceRegistry::new();
+    assert!(reg.define_pset_if_absent("p", vec![]));
+    reg.undefine_pset("p");
+    assert!(reg.define_pset_if_absent("p", vec![]));
+    assert!(!reg.define_pset_if_absent("p", vec![]));
+}
+
+#[test]
 fn pset_epochs_are_monotonic_across_psets() {
     let reg = NamespaceRegistry::new();
     reg.define_pset("a", vec![ProcId::new("j", 0)]);

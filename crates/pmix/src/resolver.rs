@@ -58,13 +58,12 @@ impl PeerResolver {
     pub fn new(client: &PmixClient) -> Arc<PeerResolver> {
         let server = client.server().clone();
         let obs = server.obs();
-        let proc = client.proc().clone();
-        let scope = proc.to_string();
+        let scope = client.obs_key();
         Arc::new(PeerResolver {
-            lazy_gets: obs.counter(&scope, "pmix", "lazy_gets"),
-            cache_hits: obs.counter(&scope, "pmix", "get_cache_hits"),
-            occupancy: obs.gauge(&scope, "pmix", "peer_cache_entries"),
-            proc,
+            lazy_gets: obs.counter(scope, "pmix", "lazy_gets"),
+            cache_hits: obs.counter(scope, "pmix", "get_cache_hits"),
+            occupancy: obs.gauge(scope, "pmix", "peer_cache_entries"),
+            proc: client.proc().clone(),
             server,
             cache: Mutex::new(HashMap::new()),
         })

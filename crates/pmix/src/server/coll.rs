@@ -151,9 +151,9 @@ impl PmixServer {
             // parentless — it adopts the trace of the first arriving client
             // it links, so server work joins the job's trace.
             op.fanin = Some(self.metrics.obs.span_with_parent(
-                &self.metrics.process,
+                self.metrics.process,
                 "group.fanin",
-                &op_id.to_string(),
+                &op_id,
                 None,
             ));
             op.expected_local = Some(locals.clone());
@@ -406,7 +406,7 @@ impl PmixServer {
         self.metrics.stage_event(
             "group.fanin",
             op_id,
-            vec![("locals".into(), (op.arrived_local.len() as u64).into())],
+            [("locals", (op.arrived_local.len() as u64).into())],
         );
         // Stage transition in the span DAG: fan-in closes and the exchange
         // stage opens as its child; every outgoing contribution piggybacks
@@ -415,9 +415,9 @@ impl PmixServer {
             let fctx = fanin.context();
             fanin.end();
             op.xchg = Some(self.metrics.obs.span_with_parent(
-                &self.metrics.process,
+                self.metrics.process,
                 "group.xchg",
-                &op_id.to_string(),
+                op_id,
                 Some(fctx),
             ));
         }
@@ -453,7 +453,7 @@ impl PmixServer {
                 self.metrics.stage_event(
                     "group.xchg",
                     op_id,
-                    vec![("to_node".into(), (peer.0 as u64).into())],
+                    [("to_node", (peer.0 as u64).into())],
                 );
                 sent += 1;
                 let _ = self.sender.send_ctx(ep, msg.encode(), xchg_ctx);
@@ -560,9 +560,9 @@ impl PmixServer {
             ctx
         });
         let mut fanout = self.metrics.obs.span_with_parent(
-            &self.metrics.process,
+            self.metrics.process,
             "group.fanout",
-            &op_id.to_string(),
+            op_id,
             xchg_ctx,
         );
         fanout.add_work(n_members);
@@ -585,12 +585,12 @@ impl PmixServer {
         self.metrics.stage_event(
             "group.fanout",
             op_id,
-            vec![
-                ("members".into(), n_members.into()),
+            [
+                ("members", n_members.into()),
                 // 0 = no PGCID involved (fences, plain groups). Non-zero values
                 // let checkers match every exposed PGCID to an RM allocation
                 // and assert cross-server agreement per (kind, name, epoch).
-                ("pgcid".into(), pgcid.unwrap_or(0).into()),
+                ("pgcid", pgcid.unwrap_or(0).into()),
             ],
         );
         shard.cv.notify_all();
@@ -612,7 +612,7 @@ impl PmixServer {
                     AbortReason::ProcTerminated(_) => "proc_terminated",
                 };
                 self.metrics
-                    .stage_event("group.abort", op_id, vec![("reason".into(), why.into())]);
+                    .stage_event("group.abort", op_id, [("reason", obs::AttrValue::name(why))]);
             }
         }
         self.reap_if_fully_abandoned(st, op_id);

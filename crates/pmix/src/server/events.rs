@@ -152,7 +152,7 @@ impl PmixServer {
                     self.metrics.stage_event(
                         "group.abort",
                         &op_id,
-                        vec![("reason".into(), "proc_terminated".into())],
+                        [("reason", obs::AttrValue::name("proc_terminated"))],
                     );
                     aborts.push((op_id.clone(), op.expected_servers.clone()));
                 } else {

@@ -207,13 +207,13 @@ impl PmixServer {
         members.dedup();
         for (p, outcome) in &outcomes {
             self.metrics.obs.event(
-                &self.metrics.process,
+                self.metrics.process,
                 "pmix",
                 "invite.resolved",
                 vec![
-                    ("group".into(), name.into()),
-                    ("proc".into(), p.to_string().as_str().into()),
-                    ("outcome".into(), outcome.as_str().into()),
+                    ("group", name.into()),
+                    ("proc", p.to_string().into()),
+                    ("outcome", obs::AttrValue::name(outcome.as_str())),
                 ],
             );
         }

@@ -313,7 +313,7 @@ struct ServerMetrics {
     /// Stage *counters* are per-shard (`server:{node}/s{k}`); events and
     /// spans keep the plain `server:{node}` scope the golden traces and
     /// invariant checkers key on.
-    process: String,
+    process: obs::ProcKey,
     obs: Arc<obs::Registry>,
     rpc_handled: obs::Counter,
     rpc_ns: obs::Histogram,
@@ -338,13 +338,13 @@ struct ServerMetrics {
 
 impl ServerMetrics {
     fn new(obs: Arc<obs::Registry>, node: NodeId) -> Self {
-        let process = format!("server:{}", node.0);
-        let c = |name: &str| obs.counter(&process, "pmix", name);
-        let rpc_ns = obs.histogram(&process, "pmix", "rpc_ns");
+        let process = obs.intern(&format!("server:{}", node.0));
+        let c = |name| obs.counter(process, "pmix", name);
+        let rpc_ns = obs.histogram(process, "pmix", "rpc_ns");
         let shards = (0..SERVER_SHARDS)
             .map(|k| {
-                let sp = format!("server:{}/s{}", node.0, k);
-                let sc = |name: &str| obs.counter(&sp, "pmix", name);
+                let sp = obs.intern(&format!("server:{}/s{}", node.0, k));
+                let sc = |name| obs.counter(sp, "pmix", name);
                 ShardCounters {
                     fence_completed: sc("fence_completed"),
                     group_construct_completed: sc("group_construct_completed"),
@@ -352,7 +352,7 @@ impl ServerMetrics {
                     stage_xchg: sc("stage_xchg"),
                     stage_fanout: sc("stage_fanout"),
                     coll_aborted: sc("coll_aborted"),
-                    kvs_entries: obs.gauge(&sp, "pmix", "kvs_entries"),
+                    kvs_entries: obs.gauge(sp, "pmix", "kvs_entries"),
                 }
             })
             .collect();
@@ -365,7 +365,7 @@ impl ServerMetrics {
             pgcid_recycled: c("pgcid_recycled"),
             kvs_purged: c("kvs_purged"),
             epochs_evicted: c("epochs_evicted"),
-            pgcid_pool_len: obs.gauge(&process, "pmix", "pgcid_pool_len"),
+            pgcid_pool_len: obs.gauge(process, "pmix", "pgcid_pool_len"),
             rpc_ns,
             shards,
             process,
@@ -373,16 +373,22 @@ impl ServerMetrics {
         }
     }
 
-    fn stage_event(&self, stage: &str, op: &OpId, extra: Vec<(String, obs::AttrValue)>) {
-        let mut attrs: Vec<(String, obs::AttrValue)> = vec![
-            ("op".into(), op.name.as_str().into()),
-            ("kind".into(), kind_str(op.kind).into()),
+    fn stage_event<const N: usize>(
+        &self,
+        stage: &'static str,
+        op: &OpId,
+        extra: [(&'static str, obs::AttrValue); N],
+    ) {
+        let mut attrs = Vec::with_capacity(3 + N);
+        attrs.extend([
+            ("op", op.name.as_str().into()),
+            ("kind", obs::AttrValue::name(kind_str(op.kind))),
             // The epoch disambiguates re-runs of the same (kind, name,
             // membership) — invariant checkers key on (kind, name, epoch).
-            ("epoch".into(), op.epoch.into()),
-        ];
+            ("epoch", op.epoch.into()),
+        ]);
         attrs.extend(extra);
-        self.obs.event(&self.process, "pmix", stage, attrs);
+        self.obs.event(self.process, "pmix", stage, attrs);
     }
 }
 

@@ -216,10 +216,10 @@ impl PmixServer {
             self.with_pool(|pool| pool.push_back(next_generation(pgcid)));
             self.metrics.pgcid_recycled.inc();
             self.metrics.obs.event(
-                &self.metrics.process,
+                self.metrics.process,
                 "pmix",
                 "pgcid.recycled",
-                vec![("pgcid".into(), pgcid.into())],
+                vec![("pgcid", pgcid.into())],
             );
         }
     }
@@ -254,9 +254,9 @@ impl PmixServer {
             .expect("PGCID requested from a non-RM server")
             .fetch_add(count, Ordering::Relaxed);
         let mut span = self.metrics.obs.span_with_parent(
-            &self.metrics.process,
+            self.metrics.process,
             "pgcid.alloc",
-            &pgcid.to_string(),
+            pgcid,
             None,
         );
         if let Some(c) = req_ctx {
@@ -281,12 +281,12 @@ impl PmixServer {
                 ctl.backlog.push_back(waiter.clone());
                 drop(ctl);
                 match waiter {
-                    PgcidWaiter::Op(op) => self.metrics.stage_event("pgcid.coalesced", op, vec![]),
+                    PgcidWaiter::Op(op) => self.metrics.stage_event("pgcid.coalesced", op, []),
                     PgcidWaiter::Invite(name) => self.metrics.obs.event(
-                        &self.metrics.process,
+                        self.metrics.process,
                         "pmix",
                         "pgcid.coalesced",
-                        vec![("op".into(), name.as_str().into()), ("kind".into(), "invite".into())],
+                        vec![("op", name.as_str().into()), ("kind", obs::AttrValue::name("invite"))],
                     ),
                 }
                 return;
@@ -334,9 +334,9 @@ impl PmixServer {
         // §III-B3 — it gets its own span, parented under the exchange
         // stage, so the critical path shows it.
         let req = self.metrics.obs.span_with_parent(
-            &self.metrics.process,
+            self.metrics.process,
             "pgcid.request",
-            &waiter.to_string(),
+            waiter,
             parent,
         );
         let req_ctx = req.context();

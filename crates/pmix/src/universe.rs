@@ -96,7 +96,7 @@ impl PmixUniverse {
                 let mut span = obs.span_with_parent(
                     "registry",
                     "pset.update",
-                    &format!("{}@{}", change.name, change.epoch),
+                    format_args!("{}@{}", change.name, change.epoch),
                     change.ctx,
                 );
                 span.add_work(change.members.len() as u64);
@@ -107,10 +107,10 @@ impl PmixUniverse {
                     "pmix",
                     "pset.update",
                     vec![
-                        ("pset".into(), change.name.as_str().into()),
-                        ("epoch".into(), change.epoch.into()),
-                        ("kind".into(), kind.into()),
-                        ("members".into(), (change.members.len() as u64).into()),
+                        ("pset", change.name.as_str().into()),
+                        ("epoch", change.epoch.into()),
+                        ("kind", obs::AttrValue::name(kind)),
+                        ("members", (change.members.len() as u64).into()),
                     ],
                 );
                 let relayed = crate::nspace::PsetChange { ctx: Some(ctx), ..change.clone() };
@@ -351,15 +351,13 @@ impl PmixUniverse {
     pub fn track_faults(&self, nspace: &str) -> Result<String> {
         let name = survivors_pset_name(nspace);
         let info = self.registry.namespace(nspace)?;
-        if self.registry.pset_members(&name).is_err() {
-            let live: Vec<ProcId> = info
-                .procs()
-                .iter()
-                .filter(|e| !self.proc_is_dead(&e.proc))
-                .map(|e| e.proc.clone())
-                .collect();
-            self.registry.define_pset(&name, live);
-        }
+        let live: Vec<ProcId> = info
+            .procs()
+            .iter()
+            .filter(|e| !self.proc_is_dead(&e.proc))
+            .map(|e| e.proc.clone())
+            .collect();
+        self.registry.define_pset_if_absent(&name, live);
         // Close the race with a death landing between the liveness
         // snapshot and the define: the bridge marks dead *before* it
         // shrinks psets, so a post-define sweep catches anything missed.

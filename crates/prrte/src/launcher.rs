@@ -105,8 +105,8 @@ impl Launcher {
             "prrte",
             "launch.mapped",
             vec![
-                ("nspace".into(), nspace.into()),
-                ("np".into(), (spec.np as u64).into()),
+                ("nspace", nspace.into()),
+                ("np", (spec.np as u64).into()),
             ],
         );
 
@@ -133,7 +133,7 @@ impl Launcher {
             "launcher",
             "prrte",
             "launch.spawned",
-            vec![("nspace".into(), nspace.into())],
+            vec![("nspace", nspace.into())],
         );
         JobHandle { inner, launch: Some(launch) }
     }
@@ -273,9 +273,9 @@ impl<T: Send + 'static> JobCtl<T> {
             "prrte",
             "job.grow",
             vec![
-                ("nspace".into(), inner.nspace.as_str().into()),
-                ("count".into(), (count as u64).into()),
-                ("np".into(), (np_now as u64).into()),
+                ("nspace", inner.nspace.as_str().into()),
+                ("count", (count as u64).into()),
+                ("np", (np_now as u64).into()),
             ],
         );
         new_ranks
@@ -358,8 +358,8 @@ impl<T: Send + 'static> JobCtl<T> {
             "prrte",
             "job.shrink",
             vec![
-                ("nspace".into(), inner.nspace.as_str().into()),
-                ("count".into(), (ranks.len() as u64).into()),
+                ("nspace", inner.nspace.as_str().into()),
+                ("count", (ranks.len() as u64).into()),
             ],
         );
         match first_panic {

@@ -103,9 +103,9 @@ fn stall_fires_under_pinned_delay_and_clears_on_heal() {
                     stalls.iter().any(|e| {
                         e.process == scope
                             && e.attrs.iter().any(|(k, v)| {
-                                k == "id" && matches!(v, AttrValue::U64(v) if *v == id)
+                                *k == "id" && matches!(v, AttrValue::U64(v) if *v == id)
                             })
-                            && e.attrs.iter().any(|(k, _)| k == "waiting_on")
+                            && e.attrs.iter().any(|(k, _)| *k == "waiting_on")
                     }),
                     "req.stalled must carry the request id and a waiting_on attr: {stalls:?}"
                 );
