@@ -241,16 +241,33 @@ cargo test -q --offline --release --test alloc_budget -- --nocapture
 # out-of-line tests.rs files), or bench_gate's workloads, except a line
 # that names the work it models with a `// sleep-ok: <work>` marker.
 echo "== sleep gate (tests, test modules, bench_gate: no thread::sleep but named work) =="
-test_sleeps() {
-  grep -rn 'thread::sleep' tests crates/*/tests crates/bench/src/bin/bench_gate.rs || true
-  find crates/*/src src -name '*.rs' | sort | xargs awk '
+# rs_lines <1|0> <regex> <dir>...: the lines of the .rs files under the
+# dirs that match the regex, inside (1) or outside (0) test code: a
+# #[cfg(test)] module (to the end of its file) or a tests.rs file.
+rs_lines() {
+  local inside=$1 re=$2
+  shift 2
+  find "$@" -name '*.rs' | sort | xargs awk -v inside="$inside" -v re="$re" '
     FNR == 1 { in_tests = (FILENAME ~ /\/tests\.rs$/); cfg_test = 0 }
     cfg_test && /^ *(pub(\([a-z]+\))? )?mod [a-z_]+ \{/ { in_tests = 1 }
     { cfg_test = /^ *#\[cfg\(test\)\]/ }
-    in_tests && /thread::sleep/ { print FILENAME ":" FNR ":" $0 }'
+    in_tests == inside && $0 ~ re { print FILENAME ":" FNR ":" $0 }'
+}
+test_sleeps() {
+  grep -rn 'thread::sleep' tests crates/*/tests crates/bench/src/bin/bench_gate.rs || true
+  rs_lines 1 'thread::sleep' crates/*/src src
 }
 if test_sleeps | grep -v '// sleep-ok: [a-z]'; then
   echo "a test sleeps: wait on the event or the runtime state, or name the work it models (// sleep-ok: <work>)" >&2
+  exit 1
+fi
+# Environment gate: the library reads no environment. A session's setup
+# is what its caller passes in its info, and a runtime knob is a cvar; an
+# environment variable belongs to the program that reads it (a test
+# binary, a figure regenerator, this script).
+echo "== environment gate (library crates: no std::env outside test code) =="
+if rs_lines 0 'std::env' crates/{simnet,pmix,prrte,core,obs,quo,apps,chaos}/src | grep .; then
+  echo "library code reads the environment: take the value from the caller (an info key or a cvar)" >&2
   exit 1
 fi
 echo "== vendored crossbeam shim (wake once per burst, none without a waiter) =="
@@ -333,21 +350,12 @@ rm -f "$recycled_tmp"
 # invariant. The kill_after_free scenario kills a rank that never freed
 # a communicator its peers already freed: the dead member must count as
 # released, so the PGCID is recycled rather than leaked.
+# Every selected scenario runs once per init mode (eager, then lazy):
+# unpinned sessions take the mode, and scenarios that assert one mode's
+# semantics pin it in their session info.
 # Override or extend the lists by exporting CHAOS_SEEDS (comma-separated
 # u64s) or CHAOS_SCENARIOS yourself, e.g. CHAOS_SEEDS=90,91 ./ci.sh
 echo "== chaos sweep (CHAOS_SEEDS=${CHAOS_SEEDS:-71,72,73,74} CHAOS_SCENARIOS=${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild,kill_after_free}) =="
-CHAOS_SEEDS="${CHAOS_SEEDS:-71,72,73,74}" \
-CHAOS_SCENARIOS="${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild,kill_after_free}" \
-  cargo test -q --offline --test chaos_suite chaos_seeds_env
-
-# Lazy-mode sweep: the same scenario set with the universe default flipped
-# to fence-free init (INIT_MODE=lazy, the env knob behind the
-# pmix.init_mode cvar). Scenarios that assert eager construct semantics
-# pin init_mode=eager in their own session info, so this run proves every
-# other scenario — and the lazy-resolve-terminal invariant — stays green
-# when lazy is the default, not just when a session opts in.
-echo "== chaos sweep under INIT_MODE=lazy =="
-INIT_MODE=lazy \
 CHAOS_SEEDS="${CHAOS_SEEDS:-71,72,73,74}" \
 CHAOS_SCENARIOS="${CHAOS_SCENARIOS:-elastic,soak,async_setup,lazy_init,correlated_kills,partition_rebuild,kill_lazy_resolve,cascade_rebuild,kill_after_free}" \
   cargo test -q --offline --test chaos_suite chaos_seeds_env

@@ -53,7 +53,8 @@ impl InitMode {
         }
     }
 
-    /// The session-init info object for this mode (`None` for WPM).
+    /// The session-init info object for this mode: `init_mode=lazy` for
+    /// `Lazy`, no key (an eager session) otherwise.
     pub fn session_info(self) -> mpi_sessions::Info {
         let info = mpi_sessions::Info::new();
         if self == InitMode::Lazy {

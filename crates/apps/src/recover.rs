@@ -24,7 +24,8 @@
 //! globally consistent step and recompute anything past it — that
 //! recomputation *is* the checkpoint-free restart.
 
-use mpi_sessions::{Comm, ElasticComm, ErrClass, ErrHandler, Info, Rebuild, Session, ThreadLevel};
+use crate::InitMode;
+use mpi_sessions::{Comm, ElasticComm, ErrClass, ErrHandler, Rebuild, Session, ThreadLevel};
 use prrte::ProcCtx;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -39,6 +40,9 @@ pub struct RecoverConfig {
     /// Budget for one rebuild (waiting for the pset change plus fan-in
     /// retries); exceeding it panics — the drill is wedged.
     pub repair_budget: Duration,
+    /// How each rank's session initializes; `Wpm` opens an eager session
+    /// like `Sessions` (the drill is built on the session's fault pset).
+    pub init: InitMode,
 }
 
 impl RecoverConfig {
@@ -48,6 +52,7 @@ impl RecoverConfig {
             steps: 8,
             step_wait: Duration::from_secs(5),
             repair_budget: Duration::from_secs(30),
+            init: InitMode::Sessions,
         }
     }
 }
@@ -155,9 +160,9 @@ pub fn run_rank_with_progress(
     cfg: &RecoverConfig,
     on_step: impl Fn(u32),
 ) -> RankOutcome {
+    let info = cfg.init.session_info();
     let session =
-        Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null())
-            .expect("session init");
+        Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &info).expect("session init");
     let pset = session.track_faults().expect("track_faults");
     let mut faults = session.watch_faults().expect("watch_faults");
     let mut elastic =
@@ -251,6 +256,7 @@ pub fn run_rank_with_progress(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpi_sessions::Info;
     use prrte::{JobSpec, Launcher, ProcCtx};
     use simnet::SimTestbed;
     use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -336,31 +342,28 @@ mod tests {
 
     #[test]
     fn killed_rank_is_removed_and_survivors_recover() {
-        kill_one_of_four(false);
+        kill_one_of_four(InitMode::Sessions);
     }
 
-    /// A lazy default changes nothing in the drill: the rebuild after the
-    /// kill is still an eager construct, so its fan-in completes on the
+    /// Lazy session init changes nothing in the drill: the rebuild after
+    /// the kill is still an eager construct, so its fan-in completes on the
     /// servers.
     #[test]
-    fn killed_rank_is_removed_and_survivors_recover_under_a_lazy_default() {
-        kill_one_of_four(true);
+    fn killed_rank_is_removed_and_survivors_recover_in_lazy_sessions() {
+        kill_one_of_four(InitMode::Lazy);
     }
 
-    fn kill_one_of_four(lazy: bool) {
+    fn kill_one_of_four(init: InitMode) {
         let launcher = Launcher::new(SimTestbed::tiny(2, 2));
         let universe = launcher.universe().clone();
         // Fast typed Timeout verdicts while epochs disagree mid-repair.
         let obs = universe.fabric().obs();
         obs.cvar_write("universe", "pmix.group_timeout_ms", obs::CvarValue::U64(2000)).unwrap();
-        if lazy {
-            let mode = obs::CvarValue::Str("lazy".into());
-            obs.cvar_write("universe", "pmix.init_mode", mode).unwrap();
-        }
         let cfg = RecoverConfig {
             steps: 6,
             step_wait: Duration::from_secs(2),
             repair_budget: Duration::from_secs(30),
+            init,
         };
         let (ack_tx, ack_rx) = mpsc::channel::<(u32, u32)>();
         // Ranks hold after step 2 until the kill has been issued, so it
@@ -401,7 +404,7 @@ mod tests {
         killed.1.notify_all();
         let out = handle.join().unwrap();
         assert!(constructs() > before_kill, "the rebuild after the kill fans in");
-        if lazy {
+        if init == InitMode::Lazy {
             assert_eq!(obs.sum_counters("pmix", "fence_completed"), 0, "init stayed lazy");
         }
         for (rank, outcome) in out.iter().enumerate() {

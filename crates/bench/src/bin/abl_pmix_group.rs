@@ -13,7 +13,7 @@
 //! span-DAG traces of the fence and group-construct stage chains.)
 
 use apps::cli_opt;
-use bench_harness::{dump_json, parse_list, MetricsSink, TraceSink};
+use bench_harness::{dump_json, parse_list, settled_export, MetricsSink, TraceSink};
 use pmix::{GroupDirectives, ProcId};
 use prrte::{JobSpec, Launcher};
 use serde::Serialize;
@@ -86,7 +86,7 @@ fn main() {
             .expect("ablation job");
         let registry = launcher.universe().fabric().obs();
         if sink.enabled() {
-            sink.record(&format!("nodes{nodes}_ppn{ppn}"), registry.export());
+            sink.record(&format!("nodes{nodes}_ppn{ppn}"), settled_export(&launcher));
         }
         if traces.enabled() {
             traces.record(

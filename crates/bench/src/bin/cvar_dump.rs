@@ -1,6 +1,6 @@
 //! Enumerate the live tuning surface: every control variable (cvar) the
-//! stack registers, plus the environment-knob table, as text or as the
-//! checked-in `docs/TUNING.md` markdown.
+//! stack registers, as text or as the checked-in `docs/TUNING.md`
+//! markdown.
 //!
 //! The dump is taken from a *running* universe — a tiny testbed is
 //! booted and two ranks hold an open session while the registry is
@@ -15,7 +15,7 @@
 
 use apps::{cli_flag, cli_opt};
 use mpi_sessions::{ErrHandler, Info, Session, ThreadLevel};
-use obs::{CvarInfo, ENV_KNOBS};
+use obs::CvarInfo;
 use prrte::{JobSpec, Launcher};
 use simnet::SimTestbed;
 use std::collections::BTreeMap;
@@ -27,7 +27,6 @@ use std::time::Duration;
 fn scope_class(scope: &str) -> &'static str {
     match scope {
         "universe" => "universe",
-        "env" => "env",
         _ => "process",
     }
 }
@@ -35,8 +34,7 @@ fn scope_class(scope: &str) -> &'static str {
 fn scope_rank(class: &str) -> u8 {
     match class {
         "universe" => 0,
-        "process" => 1,
-        _ => 2,
+        _ => 1,
     }
 }
 
@@ -95,9 +93,6 @@ fn escape(s: &str) -> String {
 /// up as `—` in the table — add its gate when you add the knob.
 fn exercised_by(name: &str) -> &'static str {
     match name {
-        "pmix.init_mode" => {
-            "`bench_gate` `fig_init_lazy_np4` hard bound; ci.sh `INIT_MODE=lazy` chaos sweep"
-        }
         "pmix.pgcid_block" => {
             "`bench_gate` pgcid-batching hard bound; `abl_cid_fragmentation`"
         }
@@ -111,10 +106,6 @@ fn exercised_by(name: &str) -> &'static str {
         "registry.gc_tombstone_threshold" => "`fig_soak` registry GC sampling",
         "core.stall_ticks" => "stall-watchdog tests; introspect gate `--chaos-fail` run",
         "pml.handshake_cache_cap" => "`bench_gate` `pml_cache_two_comms_np2`",
-        "chaos.seeds" | "chaos.scenarios" => "ci.sh chaos sweep",
-        "bench.tol" => "ci.sh bench gate (`bench_gate --check`)",
-        "soak.waves" | "soak.sample_every" => "ci.sh soak smoke (`fig_soak`)",
-        "session.init_mode" => "ci.sh lazy-mode sweep (chaos scenarios + `fig_init_scale` smoke)",
         _ => "—",
     }
 }
@@ -139,7 +130,7 @@ fn render_markdown(rows: &[(&'static str, CvarInfo)]) -> String {
     out.push_str("## Control variables\n\n");
     out.push_str("| Scope | Cvar | Writable | Default | Description | Exercised by |\n");
     out.push_str("|-------|------|----------|---------|-------------|--------------|\n");
-    for (class, row) in rows.iter().filter(|(c, _)| *c != "env") {
+    for (class, row) in rows {
         out.push_str(&format!(
             "| {} | `{}` | {} | `{}` | {} | {} |\n",
             class,
@@ -156,25 +147,8 @@ fn render_markdown(rows: &[(&'static str, CvarInfo)]) -> String {
          MPI process under its own `nspace:rank` scope key (the table shows\n\
          the shared defaults — write to one process's scope to tune that\n\
          process alone). Read-only rows surface compile-time constants so\n\
-         tools can discover the build's limits.\n\n",
+         tools can discover the build's limits.\n",
     );
-    out.push_str("## Environment knobs\n\n");
-    out.push_str(
-        "Read once at startup and mirrored read-only into the cvar registry\n\
-         under the `env` scope (unset variables enumerate as `<unset>`), so\n\
-         one dump records everything that shaped a run.\n\n",
-    );
-    out.push_str("| Env var | Cvar mirror | Description | Exercised by |\n");
-    out.push_str("|---------|-------------|-------------|--------------|\n");
-    for knob in ENV_KNOBS {
-        out.push_str(&format!(
-            "| `{}` | `env/{}` | {} | {} |\n",
-            knob.env,
-            knob.name,
-            escape(knob.description),
-            exercised_by(knob.name),
-        ));
-    }
     out
 }
 

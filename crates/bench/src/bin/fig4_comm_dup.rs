@@ -27,7 +27,7 @@
 //! show the consensus rounds vs the PMIx stage chain vs local derivation.)
 
 use apps::{cli_flag, cli_opt, InitMode};
-use bench_harness::{dump_json, parse_list, MetricsSink, TraceSink};
+use bench_harness::{dump_json, parse_list, settled_export, MetricsSink, TraceSink};
 use prrte::{JobSpec, Launcher};
 use serde::Serialize;
 use simnet::SimTestbed;
@@ -95,7 +95,7 @@ fn time_dups(
         .join()
         .expect("fig4 job");
     let registry = launcher.universe().fabric().obs();
-    let metrics = registry.export();
+    let metrics = settled_export(&launcher);
     let trace = if want_trace {
         obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped())
     } else {
@@ -139,7 +139,7 @@ fn time_idups(
         .join()
         .expect("fig4 nonblocking job");
     let registry = launcher.universe().fabric().obs();
-    let metrics = registry.export();
+    let metrics = settled_export(&launcher);
     let trace = if want_trace {
         obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped())
     } else {

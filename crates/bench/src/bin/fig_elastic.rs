@@ -101,7 +101,7 @@ fn main() {
     );
 
     let mut sink = bench_harness::MetricsSink::from_args(&args);
-    sink.record("elastic_churn", registry.export());
+    sink.record("elastic_churn", bench_harness::settled_export(&launcher));
     sink.finish();
     let mut traces = bench_harness::TraceSink::from_args(&args);
     if traces.enabled() {

@@ -39,6 +39,7 @@ fn main() {
         steps: 12,
         step_wait: Duration::from_secs(2),
         repair_budget: Duration::from_secs(30),
+        init: apps::InitMode::Sessions,
     };
     let (tx, rx) = mpsc::channel::<(u32, u32)>();
     let handle = launcher.spawn_named("recover", JobSpec::new(4), {
@@ -134,7 +135,7 @@ fn main() {
 
     let registry = launcher.universe().fabric().obs();
     let mut sink = bench_harness::MetricsSink::from_args(&args);
-    sink.record("recover", registry.export());
+    sink.record("recover", bench_harness::settled_export(&launcher));
     sink.finish();
     let mut traces = bench_harness::TraceSink::from_args(&args);
     if traces.enabled() {

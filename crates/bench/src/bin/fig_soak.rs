@@ -49,23 +49,13 @@ struct Report {
     verdict: soak::LeakVerdict,
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // Flags win; SOAK_WAVES / SOAK_SAMPLE_EVERY env knobs are the fallback
-    // (both surface as read-only `env` cvars in the introspection dump).
-    let waves: u64 = cli_opt(&args, "--waves")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("SOAK_WAVES"))
-        .unwrap_or(200);
+    let waves: u64 = cli_opt(&args, "--waves").and_then(|v| v.parse().ok()).unwrap_or(200);
     let no_gc = args.iter().any(|a| a == "--no-gc");
     let abandon = args.iter().any(|a| a == "--abandon");
     let sample_every: u64 = cli_opt(&args, "--sample-every")
         .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("SOAK_SAMPLE_EVERY"))
         .unwrap_or_else(|| (waves / 16).max(1));
 
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
@@ -208,7 +198,7 @@ fn main() {
     println!("\n{}", verdict.render());
 
     let mut sink = bench_harness::MetricsSink::from_args(&args);
-    sink.record("soak_churn", obs.export());
+    sink.record("soak_churn", bench_harness::settled_export(&launcher));
     sink.finish();
     let passed = verdict.passed;
     dump_json(

@@ -31,6 +31,16 @@ pub fn dump_json<T: Serialize>(figure: &str, value: &T) {
     }
 }
 
+/// The obs export of a finished run, taken after the universe shuts
+/// down. Shutdown drains every PMIx server's mailbox: the last release of
+/// a PGCID may still be on its one-way trip to the lead server when the
+/// ranks exit, and only a drained lead has counted it (`bench_gate` reads
+/// its record the same way).
+pub fn settled_export(launcher: &prrte::Launcher) -> Value {
+    launcher.universe().shutdown();
+    launcher.universe().fabric().obs().export()
+}
+
 /// Collects per-run obs registry exports (`--metrics-out <path>`).
 ///
 /// Each figure binary records the observability export of its runs under

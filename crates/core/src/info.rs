@@ -87,8 +87,8 @@ pub mod keys {
     pub const THREAD_LEVEL: &str = "thread_level";
     /// Session initialization mode: `"eager"` (default; endpoints known up
     /// front) or `"lazy"` (fence-free init with on-demand peer resolution;
-    /// see DESIGN.md §14). Absent, the universe-wide `pmix.init_mode` cvar
-    /// (seeded from the `INIT_MODE` environment variable) decides.
+    /// see DESIGN.md §14). This key is the mode's only source: a session
+    /// without it (or with any other value) is eager.
     pub const INIT_MODE: &str = "init_mode";
 }
 

@@ -120,12 +120,9 @@ impl Session {
         let m = process.metrics();
         let init_span = m.obs.span(m.key, "session.init", "");
         let info = info.dup();
-        // The info object overrides the universe-wide default (the
-        // `pmix.init_mode` cvar, seeded from `INIT_MODE`).
-        let lazy = match info.get(keys::INIT_MODE) {
-            Some(v) => v == "lazy",
-            None => process.universe().lazy_init_default(),
-        };
+        // The info object is the mode's one source: without the key (or
+        // with any value but "lazy") the session is eager.
+        let lazy = info.get(keys::INIT_MODE).is_some_and(|v| v == "lazy");
         let first = stage("resources", {
             let process = process.clone();
             move || {

@@ -15,8 +15,7 @@ fn new_session(ctx: &prrte::ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
 }
 
-/// A session pinned to one init mode (`"eager"` or `"lazy"`), whatever
-/// the universe default (`INIT_MODE`) is.
+/// A session in one init mode (`"eager"` or `"lazy"`).
 fn session_in(ctx: &prrte::ProcCtx, mode: &str) -> Session {
     let info = Info::new();
     info.set(keys::INIT_MODE, mode);
@@ -71,8 +70,7 @@ fn reinit_after_failure_with_survivors() {
 #[test]
 fn comm_create_from_group_fails_cleanly_when_member_dies() {
     // Eager construct semantics: the group construct fans in at the
-    // servers and fails when a member dies. Pinned, so the INIT_MODE=lazy
-    // sweep (where the construct is local) does not change what it tests.
+    // servers and fails when a member dies (a lazy construct is local).
     let launcher = Launcher::new(SimTestbed::tiny(2, 1));
     let handle = launcher.spawn(JobSpec::new(2), |ctx| {
         if ctx.rank() == 1 {

@@ -21,10 +21,14 @@ use prrte::{JobSpec, Launcher, ProcCtx};
 use simnet::SimTestbed;
 use std::time::Duration;
 
-fn lazy_info() -> Info {
+fn mode_info(mode: &str) -> Info {
     let info = Info::new();
-    info.set(keys::INIT_MODE, "lazy");
+    info.set(keys::INIT_MODE, mode);
     info
+}
+
+fn lazy_info() -> Info {
+    mode_info("lazy")
 }
 
 fn lazy_session(ctx: &ProcCtx) -> Session {
@@ -97,11 +101,11 @@ fn lazy_init_end_to_end_without_group_construct() {
 fn lazy_and_eager_runs_are_equivalent_at_the_app_boundary() {
     // The same program, once per mode, each in its own universe so the
     // observability registries don't mix.
-    let run_mode = |lazy: bool| {
+    let run_mode = |mode: &'static str| {
         let launcher = Launcher::new(SimTestbed::tiny(2, 2));
         let out = launcher
             .spawn(JobSpec::new(4), move |ctx| {
-                let info = if lazy { lazy_info() } else { Info::null() };
+                let info = mode_info(mode);
                 let session =
                     Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
                 let group = session.group_from_pset(PSET_WORLD).unwrap();
@@ -116,8 +120,8 @@ fn lazy_and_eager_runs_are_equivalent_at_the_app_boundary() {
         let obs = launcher.universe().fabric().obs();
         (out, obs.sum_counters("pmix", "stage_fanout"))
     };
-    let (eager_out, eager_fanout) = run_mode(false);
-    let (lazy_out, lazy_fanout) = run_mode(true);
+    let (eager_out, eager_fanout) = run_mode("eager");
+    let (lazy_out, lazy_fanout) = run_mode("lazy");
     // Identical application-visible behavior...
     assert_eq!(eager_out, lazy_out);
     // ...with the collective machinery only on the eager side.
@@ -168,41 +172,26 @@ fn first_receive_resolves_the_sender_passively() {
     );
 }
 
+/// The session's info is the init mode's one source: no key is eager,
+/// `lazy` is lazy, and any other value is eager.
 #[test]
-fn universe_default_makes_sessions_lazy_without_info() {
+fn session_info_is_the_only_init_mode_source() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
-    let obs = launcher.universe().fabric().obs();
-    obs.cvar_write("universe", "pmix.init_mode", obs::CvarValue::Str("lazy".into())).unwrap();
     let out = launcher
         .spawn(JobSpec::new(2), |ctx| {
-            let session = Session::init(
-                &ctx,
-                ThreadLevel::Single,
-                ErrHandler::Return,
-                &Info::null(),
-            )
-            .unwrap();
-            let lazy = session.is_lazy();
-            // An explicit info key still overrides the universe default.
-            let eager = Session::init(
-                &ctx,
-                ThreadLevel::Single,
-                ErrHandler::Return,
-                &{
-                    let i = Info::new();
-                    i.set(keys::INIT_MODE, "eager");
-                    i
-                },
-            )
-            .unwrap();
-            let overridden = eager.is_lazy();
-            eager.finalize().unwrap();
-            session.finalize().unwrap();
-            (lazy, overridden)
+            let with_mode = |mode: Option<&str>| {
+                let info = mode.map_or_else(Info::new, mode_info);
+                let session =
+                    Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+                let lazy = session.is_lazy();
+                session.finalize().unwrap();
+                lazy
+            };
+            [None, Some("lazy"), Some("eager"), Some("sideways")].map(with_mode)
         })
         .join()
-        .expect("default job");
-    assert_eq!(out, vec![(true, false), (true, false)]);
+        .expect("mode job");
+    assert_eq!(out, vec![[false, true, false, false]; 2]);
 }
 
 #[test]

@@ -29,8 +29,7 @@ fn new_session(ctx: &prrte::ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
 }
 
-/// A session pinned to one init mode (`"eager"` or `"lazy"`), whatever
-/// the universe default (`INIT_MODE`) is.
+/// A session in one init mode (`"eager"` or `"lazy"`).
 fn session_in(ctx: &prrte::ProcCtx, mode: &str) -> Session {
     let info = Info::new();
     info.set(mpi_sessions::info::keys::INIT_MODE, mode);
@@ -103,7 +102,7 @@ fn dead_remote_member_fails_group_fanin_typed() {
     // could not fire anywhere and ranks 0/1 stalled until the timeout.
     // With the full-membership scan, each server reaches the verdict at
     // its own first arrival and the construct fails typed, fast. Eager
-    // construct semantics, pinned against the INIT_MODE=lazy sweep.
+    // construct semantics.
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let handle = launcher.spawn(JobSpec::new(4), |ctx| {
         if ctx.rank() == 3 {

@@ -49,8 +49,8 @@ pub mod tool;
 pub mod trace;
 
 pub use tool::{
-    bool_writer, register_env_cvars, u64_writer, writer, CvarError, CvarInfo, CvarValue, EnvKnob,
-    PvarClass, PvarDesc, PvarHandle, PvarReading, PvarSession, ENV_KNOBS,
+    bool_writer, u64_writer, writer, CvarError, CvarInfo, CvarValue, PvarClass, PvarDesc,
+    PvarHandle, PvarReading, PvarSession,
 };
 pub use trace::{
     Span, SpanContext, SpanEntered, SpanId, SpanRecord, TraceContext, TraceId,

@@ -13,8 +13,7 @@
 //!
 //! * `scope` follows the metric-key convention — a process string
 //!   (`"ep3"`, a `ProcId` rendering) for per-process knobs, `"universe"`
-//!   for cluster-wide ones, `"env"` for environment-variable knobs
-//!   captured at boot;
+//!   for cluster-wide ones;
 //! * reads go through a closure, so a cvar always reports the *live*
 //!   value, not a registration-time copy;
 //! * writable cvars carry a setter closure over the owning subsystem's
@@ -56,7 +55,7 @@ pub enum CvarValue {
     U64(u64),
     /// Boolean knob (feature enables).
     Bool(bool),
-    /// String knob (env captures, enumerations).
+    /// String knob (enumerations).
     Str(String),
 }
 
@@ -138,7 +137,7 @@ struct CvarEntry {
 /// One row of a cvar enumeration: a point-in-time snapshot of the entry.
 #[derive(Debug, Clone)]
 pub struct CvarInfo {
-    /// Scope key (process string, `"universe"`, `"env"`).
+    /// Scope key (process string or `"universe"`).
     pub scope: String,
     /// Knob name, dot-namespaced by subsystem (`pml.handshake_cache_cap`).
     pub name: String,
@@ -311,74 +310,6 @@ pub fn bool_writer(f: impl Fn(bool) + Send + Sync + 'static) -> Option<CvarWrite
         }
         None => Err(format!("expected a boolean, got {v}")),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Environment knobs
-// ---------------------------------------------------------------------------
-
-/// One documented environment-variable knob (see the README knob table).
-pub struct EnvKnob {
-    /// Cvar name under the `"env"` scope.
-    pub name: &'static str,
-    /// The environment variable consulted.
-    pub env: &'static str,
-    /// What the knob does.
-    pub description: &'static str,
-}
-
-/// The canonical environment-knob table. `ci.sh` and the test harnesses
-/// read these variables directly; [`register_env_cvars`] mirrors them into
-/// the cvar registry (read-only — the environment cannot be rewritten
-/// mid-run) so one enumeration shows every knob that shaped the run.
-pub const ENV_KNOBS: &[EnvKnob] = &[
-    EnvKnob {
-        name: "chaos.seeds",
-        env: "CHAOS_SEEDS",
-        description: "extra comma-separated u64 seeds for the chaos sweep (tests/chaos_suite.rs)",
-    },
-    EnvKnob {
-        name: "chaos.scenarios",
-        env: "CHAOS_SCENARIOS",
-        description: "restrict the CHAOS_SEEDS sweep to the named scenarios",
-    },
-    EnvKnob {
-        name: "bench.tol",
-        env: "BENCH_TOL",
-        description: "per-leaf relative tolerance for the bench_gate baseline diff",
-    },
-    EnvKnob {
-        name: "soak.waves",
-        env: "SOAK_WAVES",
-        description: "default wave count for fig_soak (CLI --waves overrides)",
-    },
-    EnvKnob {
-        name: "soak.sample_every",
-        env: "SOAK_SAMPLE_EVERY",
-        description: "default sampling stride for fig_soak (CLI --sample-every overrides)",
-    },
-    EnvKnob {
-        name: "session.init_mode",
-        env: "INIT_MODE",
-        description: "default session-init mode at universe boot, eager or lazy \
-                      (the pmix.init_mode cvar and the per-session init_mode info key override)",
-    },
-];
-
-/// Capture the environment knobs as read-only cvars under the `"env"`
-/// scope. Unset variables read as `"<unset>"` so the enumeration always
-/// lists the full knob table. Values are captured once, at call time.
-pub fn register_env_cvars(registry: &Registry) {
-    for knob in ENV_KNOBS {
-        let value = std::env::var(knob.env).unwrap_or_else(|_| "<unset>".to_string());
-        registry.cvar_register(
-            "env",
-            knob.name,
-            knob.description,
-            move || Some(CvarValue::Str(value.clone())),
-            None,
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -635,13 +566,13 @@ mod tests {
     #[test]
     fn cvar_readonly_and_unknown_writes_fail() {
         let r = Registry::new();
-        r.cvar_register("env", "ro", "read-only", || Some(CvarValue::Str("x".into())), None);
+        r.cvar_register("universe", "ro", "read-only", || Some(CvarValue::Str("x".into())), None);
         assert!(matches!(
-            r.cvar_write("env", "ro", CvarValue::Str("y".into())),
+            r.cvar_write("universe", "ro", CvarValue::Str("y".into())),
             Err(CvarError::ReadOnly(_))
         ));
         assert!(matches!(
-            r.cvar_write("env", "nope", CvarValue::U64(1)),
+            r.cvar_write("universe", "nope", CvarValue::U64(1)),
             Err(CvarError::Unknown(_))
         ));
         assert!(r.events_named("cvar.changed").is_empty());
@@ -663,15 +594,6 @@ mod tests {
         drop(cell);
         assert!(r.cvar_read("ep0", "dyn.knob").is_none());
         assert!(r.cvars().is_empty());
-    }
-
-    #[test]
-    fn env_cvars_cover_the_whole_knob_table() {
-        let r = Registry::new();
-        register_env_cvars(&r);
-        let cvars = r.cvars();
-        assert_eq!(cvars.len(), ENV_KNOBS.len());
-        assert!(cvars.iter().all(|c| c.scope == "env" && !c.writable));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::nspace::{NamespaceRegistry, ProcEntry};
 use crate::server::PmixServer;
 use crate::types::ProcId;
 use simnet::{Endpoint, EndpointId, Fabric, NodeId, SimTestbed};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Name prefix of the per-namespace *survivors* psets maintained by
@@ -35,10 +35,6 @@ pub struct PmixUniverse {
     servers: Vec<Arc<PmixServer>>,
     server_eps: Vec<EndpointId>,
     testbed: SimTestbed,
-    /// Default session-init mode ("eager" | "lazy") for sessions that do
-    /// not pass an explicit `init_mode` info key. Runtime-writable through
-    /// the `pmix.init_mode` cvar.
-    lazy_init_default: AtomicBool,
     /// Deadline (ms) the MPI layer passes on group-construct fan-ins.
     /// Runtime-writable through the `pmix.group_timeout_ms` cvar.
     group_timeout_ms: AtomicU64,
@@ -142,9 +138,6 @@ impl PmixUniverse {
             servers,
             server_eps,
             testbed,
-            lazy_init_default: AtomicBool::new(
-                std::env::var("INIT_MODE").map(|v| v == "lazy").unwrap_or(false),
-            ),
             group_timeout_ms: AtomicU64::new(DEFAULT_GROUP_TIMEOUT_MS),
         });
         uni.register_cvars();
@@ -152,13 +145,12 @@ impl PmixUniverse {
     }
 
     /// Register the universe-scoped control variables (MPI_T-style cvars,
-    /// see `obs::tool`) plus the captured environment knobs. The closures
-    /// hold only a `Weak` back-reference, so the cvar store (owned by the
-    /// fabric's obs registry, owned by this universe) never keeps the
-    /// universe alive; entries prune themselves after teardown.
+    /// see `obs::tool`). The closures hold only a `Weak` back-reference, so
+    /// the cvar store (owned by the fabric's obs registry, owned by this
+    /// universe) never keeps the universe alive; entries prune themselves
+    /// after teardown.
     fn register_cvars(self: &Arc<Self>) {
         let obs = self.fabric.obs();
-        obs::register_env_cvars(&obs);
         let w = Arc::downgrade(self);
         let (r, wr) = (w.clone(), w.clone());
         obs.cvar_register(
@@ -221,37 +213,6 @@ impl PmixUniverse {
                 }
             }),
         );
-        let (r, wr) = (w.clone(), w.clone());
-        obs.cvar_register(
-            "universe",
-            "pmix.init_mode",
-            "default session-init mode: eager (fence-collected business cards) or \
-             lazy (fence-free, peers resolved on first send); the per-session \
-             init_mode info key overrides",
-            move || {
-                let mode = |u: Arc<Self>| if u.lazy_init_default() { "lazy" } else { "eager" };
-                r.upgrade().map(|u| obs::CvarValue::Str(mode(u).into()))
-            },
-            obs::writer(move |v| {
-                let lazy = match v.as_str() {
-                    Some("lazy") => true,
-                    Some("eager") => false,
-                    _ => return Err(format!("expected \"eager\" or \"lazy\", got {v}")),
-                };
-                if let Some(u) = wr.upgrade() {
-                    u.lazy_init_default.store(lazy, Ordering::Relaxed);
-                }
-                Ok(())
-            }),
-        );
-    }
-
-    /// Whether sessions default to lazy (fence-free) init. Seeded from the
-    /// `INIT_MODE` environment variable at boot; runtime-writable through
-    /// the `pmix.init_mode` cvar; the per-session `init_mode` info key has
-    /// the final say.
-    pub fn lazy_init_default(&self) -> bool {
-        self.lazy_init_default.load(Ordering::Relaxed)
     }
 
     /// The deadline the MPI layer pins on every group-construct fan-in

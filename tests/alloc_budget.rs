@@ -18,12 +18,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
 
 use mpi_sessions_repro::mpi::session::PSET_WORLD;
 use mpi_sessions_repro::mpi::{coll, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 use mpi_sessions_repro::prrte::{JobSpec, Launcher, ProcCtx};
 use mpi_sessions_repro::simnet::SimTestbed;
+
+mod common;
+use common::Gate;
 
 struct Counting;
 
@@ -130,10 +132,11 @@ struct State {
 }
 
 fn measure_both_states() -> (State, State, u64) {
-    let barrier = Arc::new(Barrier::new(2));
+    let gate = Gate::new(2);
     let launcher = Launcher::new(SimTestbed::tiny(2, 1));
     let per_rank = launcher
         .spawn(JobSpec::new(2), move |ctx| {
+            let barrier = gate.pass();
             let obs = ctx.universe().fabric().obs();
             let lead = ctx.rank() == 0;
             let mut totals = [0u64; 2];

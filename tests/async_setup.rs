@@ -11,6 +11,7 @@
 
 use chaos::{ChaosHook, FaultClass, FaultPlan, FaultRule, RuleScope, SeqWindow};
 use mpi_sessions_repro::mpi::cid::ExCid;
+use mpi_sessions_repro::mpi::info::keys;
 use mpi_sessions_repro::mpi::instance::MpiProcess;
 use mpi_sessions_repro::mpi::{Comm, ErrHandler, Info, Session, SetupRequest, ThreadLevel};
 use mpi_sessions_repro::prrte::{JobSpec, Launcher};
@@ -52,26 +53,29 @@ impl ProgressDriver {
     }
 
     /// Cycle through `schedule` until every request completes, then claim
-    /// the communicators in index order. Panics (deadlock) if the batch
-    /// does not finish within a safety cap that a live run never reaches.
+    /// the communicators in index order. A request may be done when it is
+    /// issued (a lazy construct is local); it counts as complete from the
+    /// start and is never stepped. Panics (deadlock) if the batch does not
+    /// finish within a safety cap that a live run never reaches.
     fn run(&mut self, schedule: &[usize]) -> Vec<Comm> {
-        let mut remaining: usize = self.slots.iter().filter(|s| s.is_some()).count();
+        let mut done: Vec<bool> = self.stages.iter().map(|log| log.contains(&"done")).collect();
         let cap = Instant::now() + Duration::from_secs(60);
         while Instant::now() < cap {
-            let before = remaining;
+            let mut completed = false;
             for &i in schedule {
-                if self.slots[i].is_some() && !self.stages[i].contains(&"done") && self.step(i) {
-                    remaining -= 1;
+                if !done[i] && self.step(i) {
+                    done[i] = true;
+                    completed = true;
                 }
             }
-            if remaining == 0 {
+            if done.iter().all(|&d| d) {
                 return self
                     .slots
                     .iter_mut()
                     .map(|s| s.take().unwrap().wait().expect("claim completed comm"))
                     .collect();
             }
-            if remaining == before {
+            if !completed {
                 // Nothing completed this sweep: the peer has yet to
                 // contribute; hand it the CPU before sweeping again.
                 std::thread::yield_now();
@@ -81,8 +85,8 @@ impl ProgressDriver {
     }
 }
 
-fn world_base(ctx: &prrte::ProcCtx) -> (Session, mpi_sessions_repro::mpi::MpiGroup) {
-    let s = Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap();
+fn world_base(ctx: &prrte::ProcCtx, info: &Info) -> (Session, mpi_sessions_repro::mpi::MpiGroup) {
+    let s = Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, info).unwrap();
     let g = s.group_from_pset("mpi://world").unwrap();
     (s, g)
 }
@@ -110,7 +114,7 @@ fn engine_progress_completes_concurrent_icomms() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     let out = launcher
         .spawn(JobSpec::new(2), |ctx| {
-            let (s, g) = world_base(&ctx);
+            let (s, g) = world_base(&ctx, &Info::null());
             let process = MpiProcess::obtain(&ctx);
             let reqs: Vec<SetupRequest<Comm>> = (0..K)
                 .map(|i| Comm::icomm_create_from_group(&g, &format!("eng{i}")).unwrap())
@@ -158,14 +162,23 @@ fn engine_progress_completes_concurrent_icomms() {
 
 /// Opposed per-rank schedules: rank 0 polls its requests forward, rank 1
 /// polls the same collectives backward. The constructions are collective,
-/// the polling is not — every schedule must complete with agreement.
+/// the polling is not — every schedule must complete with agreement, in
+/// both init modes (a lazy batch is done when it is issued).
 #[test]
 fn opposed_step_schedules_still_agree() {
+    for mode in ["eager", "lazy"] {
+        opposed_step_schedules_agree_in(mode);
+    }
+}
+
+fn opposed_step_schedules_agree_in(mode: &'static str) {
     const K: usize = 4;
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     let out = launcher
-        .spawn(JobSpec::new(2), |ctx| {
-            let (s, g) = world_base(&ctx);
+        .spawn(JobSpec::new(2), move |ctx| {
+            let info = Info::new();
+            info.set(keys::INIT_MODE, mode);
+            let (s, g) = world_base(&ctx, &info);
             let reqs: Vec<SetupRequest<Comm>> = (0..K)
                 .map(|i| Comm::icomm_create_from_group(&g, &format!("sched{i}")).unwrap())
                 .collect();
@@ -281,7 +294,7 @@ fn concurrent_icomms_coalesce_pgcid_round_trips() {
         obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).unwrap();
         let excids = launcher
             .spawn(JobSpec::new(2), move |ctx| {
-                let (s, g) = world_base(&ctx);
+                let (s, g) = world_base(&ctx, &Info::null());
                 let comms: Vec<Comm> = if nonblocking {
                     let reqs: Vec<SetupRequest<Comm>> = (0..K)
                         .map(|i| Comm::icomm_create_from_group(&g, &format!("pipe{i}")).unwrap())
@@ -339,7 +352,7 @@ fn dropping_inflight_requests_releases_cids_and_pgcids() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     launcher
         .spawn(JobSpec::new(2), |ctx| {
-            let (s, g) = world_base(&ctx);
+            let (s, g) = world_base(&ctx, &Info::null());
             let mut reqs: Vec<Option<SetupRequest<Comm>>> = (0..K)
                 .map(|i| Some(Comm::icomm_create_from_group(&g, &format!("drop{i}")).unwrap()))
                 .collect();

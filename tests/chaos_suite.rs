@@ -12,18 +12,30 @@
 //! byte-identical fault trace on every run (asserted below).
 //!
 //! Extra seeds can be swept without recompiling:
-//! `CHAOS_SEEDS=90,91,92 cargo test --test chaos_suite`.
+//! `CHAOS_SEEDS=90,91,92 cargo test --test chaos_suite` (each scenario then
+//! runs in both init modes).
 
 use chaos::{ChaosWorld, FaultClass, FaultPlan, FaultRule, RuleScope, RunReport, SeqWindow};
+use mpi_sessions_repro::mpi::info::keys;
 use mpi_sessions_repro::mpi::{coll, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 use mpi_sessions_repro::pmix::ProcId;
 use mpi_sessions_repro::prrte::{JobSpec, ProcCtx};
 use mpi_sessions_repro::simnet::SimTestbed;
-use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-fn new_session(ctx: &ProcCtx) -> Session {
-    Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
+mod common;
+use common::Gate;
+
+/// The session-init modes, as the `init_mode` info key spells them: the
+/// sweep's second axis beside the seed.
+const MODES: [&str; 2] = ["eager", "lazy"];
+
+/// A session in `mode`: the scenario's mode for its unpinned sessions, or
+/// the mode a scenario pins because it asserts that mode's semantics.
+fn new_session(ctx: &ProcCtx, mode: &str) -> Session {
+    let info = Info::new();
+    info.set(keys::INIT_MODE, mode);
+    Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap()
 }
 
 fn all_procs(ctx: &ProcCtx) -> Vec<ProcId> {
@@ -68,7 +80,7 @@ fn recycle_derived_excid(ctx: &ProcCtx, parent: &Comm) {
 /// Drop: both directions of the first inter-server contribution are lost.
 /// Every rank's fence must *fail* (not hang); an application-level retry
 /// (fresh epoch) then succeeds and the MPI data plane is unaffected.
-fn run_drop(seed: u64) -> RunReport {
+fn run_drop(seed: u64, mode: &'static str) -> RunReport {
     let plan = FaultPlan::new(
         seed,
         vec![FaultRule::new(
@@ -81,7 +93,7 @@ fn run_drop(seed: u64) -> RunReport {
     let nspace = format!("chaos-drop-{seed}");
     let out = world
         .launcher()
-        .spawn_named(&nspace, JobSpec::new(4), |ctx| {
+        .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
             let all = all_procs(&ctx);
             // Stage-2 contributions are dropped in both directions: both
             // servers wait on a peer contribution that never arrives, so
@@ -91,7 +103,7 @@ fn run_drop(seed: u64) -> RunReport {
             // Retry runs under a fresh epoch; its contributions are past
             // the drop window and go through.
             ctx.pmix().fence(&all, false).unwrap();
-            let s = new_session(&ctx);
+            let s = new_session(&ctx, mode);
             let g = s.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "post-drop").unwrap();
             let sum = coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap()[0];
@@ -113,8 +125,8 @@ fn run_drop(seed: u64) -> RunReport {
 /// Delay: a seeded subset of the first inter-server messages is delivered
 /// late. Nothing fails — the protocol absorbs the latency; the invariant
 /// checker confirms the handshake/PGCID bookkeeping is unchanged.
-fn run_delay(seed: u64) -> RunReport {
-    run_delay_case(seed, false)
+fn run_delay(seed: u64, mode: &'static str) -> RunReport {
+    run_delay_case(seed, mode, false)
 }
 
 /// The delay scenario, optionally with its ROADMAP 1b case: a second rule
@@ -124,7 +136,7 @@ fn run_delay(seed: u64) -> RunReport {
 /// on a rank pair is a race (extended or compact header, ACK or none), so
 /// that case's trace is seed-stable in its decisions but not in its `len`
 /// column; it stays out of the byte-identical reproduction check.
-fn run_delay_case(seed: u64, recycle: bool) -> RunReport {
+fn run_delay_case(seed: u64, mode: &'static str, recycle: bool) -> RunReport {
     let mut rules = vec![FaultRule::new(
         FaultClass::Delay,
         RuleScope::pair_within(1, 3),
@@ -153,7 +165,7 @@ fn run_delay_case(seed: u64, recycle: bool) -> RunReport {
         .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
             let all = all_procs(&ctx);
             ctx.pmix().fence(&all, false).unwrap();
-            let s = new_session(&ctx);
+            let s = new_session(&ctx, mode);
             let g = s.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "delayed").unwrap();
             let sum = coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap()[0];
@@ -189,7 +201,7 @@ fn run_delay_case(seed: u64, recycle: bool) -> RunReport {
 /// Contribution handling is idempotent, so both fences and the MPI phase
 /// complete exactly once each (fault counters vs. trace checked by the
 /// invariant layer).
-fn run_duplicate(seed: u64) -> RunReport {
+fn run_duplicate(seed: u64, mode: &'static str) -> RunReport {
     let plan = FaultPlan::new(
         seed,
         vec![FaultRule::new(
@@ -202,13 +214,13 @@ fn run_duplicate(seed: u64) -> RunReport {
     let nspace = format!("chaos-dup-{seed}");
     let out = world
         .launcher()
-        .spawn_named(&nspace, JobSpec::new(4), |ctx| {
+        .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
             let all = all_procs(&ctx);
             // Two back-to-back fences: both contribution exchanges are
             // duplicated on the wire.
             ctx.pmix().fence(&all, false).unwrap();
             ctx.pmix().fence(&all, false).unwrap();
-            let s = new_session(&ctx);
+            let s = new_session(&ctx, mode);
             let g = s.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "deduped").unwrap();
             let sum = coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap()[0];
@@ -231,7 +243,7 @@ fn run_duplicate(seed: u64) -> RunReport {
 /// rank 3's endpoint. Survivors get the failure event, finalize, re-init a
 /// fresh session over the surviving group and keep computing — the
 /// paper's §II-C roll-forward recovery path, under the harness.
-fn run_kill(seed: u64) -> RunReport {
+fn run_kill(seed: u64, mode: &'static str) -> RunReport {
     let mut scope = RuleScope::pair_within(1, 3);
     scope.dst_in = Some((2, 3)); // only the node0→node1 direction fires
     let plan = FaultPlan::new(
@@ -242,11 +254,12 @@ fn run_kill(seed: u64) -> RunReport {
     let nspace = format!("chaos-kill-{seed}");
     // The notifier is live-only: nobody may pull the trigger before every
     // rank has subscribed, or a late starter never hears of the kill.
-    let subscribed = Arc::new(Barrier::new(4));
+    let subscribed = Gate::new(4);
     let out = world
         .launcher()
         .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
-            let session = new_session(&ctx);
+            let subscribed = subscribed.pass();
+            let session = new_session(&ctx, mode);
             let mut notifier = session.failure_notifier().unwrap();
             subscribed.wait();
             let all = all_procs(&ctx);
@@ -265,7 +278,7 @@ fn run_kill(seed: u64) -> RunReport {
             assert_eq!(victim.rank(), 3);
             // Roll forward: finalize, re-init, rebuild over the survivors.
             session.finalize().unwrap();
-            let session2 = new_session(&ctx);
+            let session2 = new_session(&ctx, mode);
             let survivors = session2.surviving_group("mpi://world").unwrap();
             assert_eq!(survivors.size(), 3);
             let c = Comm::create_from_group(&survivors, "post-kill").unwrap();
@@ -291,7 +304,7 @@ fn run_kill(seed: u64) -> RunReport {
 /// Partition: node 0 and node 1 are split for the first message crossing
 /// the cut, then the partition heals. Ranks retry the fence until the
 /// fabric lets it through.
-fn run_partition(seed: u64) -> RunReport {
+fn run_partition(seed: u64, mode: &'static str) -> RunReport {
     let plan = FaultPlan::new(
         seed,
         vec![FaultRule::new(
@@ -304,7 +317,7 @@ fn run_partition(seed: u64) -> RunReport {
     let nspace = format!("chaos-part-{seed}");
     let out = world
         .launcher()
-        .spawn_named(&nspace, JobSpec::new(4), |ctx| {
+        .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
             let all = all_procs(&ctx);
             // Fence until the partition heals.
             let mut attempts = 0u32;
@@ -318,7 +331,7 @@ fn run_partition(seed: u64) -> RunReport {
                 }
             }
             assert!(attempts >= 1, "the partition must bite at least once");
-            let s = new_session(&ctx);
+            let s = new_session(&ctx, mode);
             let g = s.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "healed").unwrap();
             let sum = coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap()[0];
@@ -341,7 +354,7 @@ fn run_partition(seed: u64) -> RunReport {
 /// inter-server traffic. Every surviving rank follows the pset through its
 /// epochs with [`ElasticComm`] rebuilds; the epoch-monotonicity,
 /// rebuild-epoch and stale-epoch invariants then audit the whole run.
-fn run_elastic(seed: u64) -> RunReport {
+fn run_elastic(seed: u64, mode: &'static str) -> RunReport {
     use mpi_sessions_repro::mpi::{ElasticComm, Rebuild};
     use std::sync::mpsc;
 
@@ -363,7 +376,7 @@ fn run_elastic(seed: u64) -> RunReport {
         &nspace,
         JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]),
         move |ctx| {
-            let session = new_session(&ctx);
+            let session = new_session(&ctx, mode);
             let mut ec = ElasticComm::establish(&session, PSET, STEP).unwrap();
             loop {
                 let comm = ec.comm().expect("member has a communicator");
@@ -412,7 +425,7 @@ fn run_elastic(seed: u64) -> RunReport {
 /// cache entries, registry tombstones reaped under the GC bound, and the
 /// destructed comms' PGCIDs returned to the pool. This is the chaos twin
 /// of the `fig_soak` harness: same leak-freedom gates, faults on.
-fn run_soak(seed: u64) -> RunReport {
+fn run_soak(seed: u64, mode: &'static str) -> RunReport {
     use mpi_sessions_repro::pmix::nspace::GC_TOMBSTONE_THRESHOLD;
     use std::sync::mpsc;
 
@@ -454,7 +467,7 @@ fn run_soak(seed: u64) -> RunReport {
         assert!(attempts >= 1, "the partition must bite at least once");
         let mut waves_done = 0u32;
         for wave in 0..WAVES {
-            let session = new_session(&ctx);
+            let session = new_session(&ctx, mode);
             if wave == KILL_WAVE + 1 {
                 // Synchronize on the kill: every thread (including the
                 // victim's) waits for the death so the next wave agrees on
@@ -585,15 +598,9 @@ fn run_async_setup(seed: u64) -> RunReport {
         }
         assert!(attempts >= 1, "the partition must bite at least once");
         // This scenario asserts *eager* construct semantics — a group
-        // construct with a dead member must fail at construct time. Pin
-        // the mode so the ci.sh INIT_MODE=lazy sweep (where constructs
-        // are local and failure surfaces on first send instead) doesn't
-        // change what it tests.
-        use mpi_sessions_repro::mpi::info::keys;
-        let info = Info::new();
-        info.set(keys::INIT_MODE, "eager");
-        let session =
-            Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+        // construct with a dead member must fail at construct time (a lazy
+        // construct is local, and failure surfaces on first send instead).
+        let session = new_session(&ctx, "eager");
         let process = MpiProcess::obtain(&ctx);
         let world_group = session.group_from_pset("mpi://world").unwrap();
         // Batch 1: pipelined constructs whose group stages straddle the
@@ -683,7 +690,6 @@ fn run_async_setup(seed: u64) -> RunReport {
 /// invariant then audits that every `begin` on every rank reached an
 /// `end` with outcome `resolved` or `failed`.
 fn run_lazy_init(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
     use std::sync::mpsc;
 
     const PSET: &str = "app://chaos-lazy";
@@ -701,17 +707,15 @@ fn run_lazy_init(seed: u64) -> RunReport {
     let nspace = format!("chaos-lazy-{seed}");
     let (tx, rx) = mpsc::channel::<u32>();
     // The three stayers and the driver, once the retire has returned.
-    let retired = Arc::new(Barrier::new(4));
-    let stayers = Arc::clone(&retired);
+    let gate = Gate::new(4);
+    let retired = gate.pass();
     let ns = nspace.clone();
     let handle = world.launcher().spawn_named(
         &nspace,
         JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]),
         move |ctx| {
-            let info = Info::new();
-            info.set(keys::INIT_MODE, "lazy");
-            let session =
-                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+            let stayers = gate.pass();
+            let session = new_session(&ctx, "lazy");
             assert!(session.is_lazy());
             let g = session.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "lazy-chaos").unwrap();
@@ -792,7 +796,6 @@ fn run_lazy_init(seed: u64) -> RunReport {
 /// rebuilds a working communicator over them. The `survivors-exclude-dead`
 /// invariant then audits that neither corpse is still listed at run end.
 fn run_correlated_kills(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
     use mpi_sessions_repro::mpi::instance::MpiProcess;
     use mpi_sessions_repro::mpi::ElasticComm;
     use std::sync::mpsc;
@@ -810,12 +813,8 @@ fn run_correlated_kills(seed: u64) -> RunReport {
     let nspace = format!("chaos-corr-{seed}");
     let (tx, rx) = mpsc::channel::<u32>();
     let handle = world.launcher().spawn_named(&nspace, JobSpec::new(4), move |ctx| {
-        // Eager construct semantics are what the repair path exercises;
-        // pin the mode so the ci.sh INIT_MODE=lazy sweep doesn't change it.
-        let info = Info::new();
-        info.set(keys::INIT_MODE, "eager");
-        let session =
-            Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+        // Eager construct semantics are what the repair path exercises.
+        let session = new_session(&ctx, "eager");
         let pset = session.track_faults().unwrap();
         let mut faults = session.watch_faults().unwrap();
         let g = session.group_from_pset("mpi://world").unwrap();
@@ -882,7 +881,6 @@ fn run_correlated_kills(seed: u64) -> RunReport {
 /// a typed `Timeout`, and the rebuild loop retries the *same* epoch — the
 /// partition window is spent, so the retry lands and the job completes.
 fn run_partition_rebuild(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
     use mpi_sessions_repro::mpi::{ElasticComm, Rebuild};
     use mpi_sessions_repro::obs::CvarValue;
     use std::sync::mpsc;
@@ -913,12 +911,9 @@ fn run_partition_rebuild(seed: u64) -> RunReport {
         &nspace,
         JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]),
         move |ctx| {
-            // A lazy construct is local and would never cross the cut; pin
-            // eager so the INIT_MODE=lazy sweep keeps testing the retry.
-            let info = Info::new();
-            info.set(keys::INIT_MODE, "eager");
-            let session =
-                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+            // A lazy construct is local and would never cross the cut; the
+            // retry needs an eager one.
+            let session = new_session(&ctx, "eager");
             // The establish *is* the partitioned rebuild: its fan-in is the
             // first traffic crossing the server pair, so each direction's
             // opening message is dropped, the construct times out, and the
@@ -966,7 +961,6 @@ fn run_partition_rebuild(seed: u64) -> RunReport {
 /// replays the death exactly once.
 fn run_kill_lazy_resolve(seed: u64) -> RunReport {
     use mpi_sessions_repro::mpi::instance::MpiProcess;
-    use mpi_sessions_repro::mpi::info::keys;
     use mpi_sessions_repro::mpi::ErrClass;
     use std::sync::mpsc;
 
@@ -985,10 +979,7 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
     let (tx, rx) = mpsc::channel::<u32>();
     let ns = nspace.clone();
     let handle = world.launcher().spawn_named(&nspace, JobSpec::new(4), move |ctx| {
-        let info = Info::new();
-        info.set(keys::INIT_MODE, "lazy");
-        let session =
-            Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+        let session = new_session(&ctx, "lazy");
         assert!(session.is_lazy());
         let g = session.group_from_pset("mpi://world").unwrap();
         let c = Comm::create_from_group(&g, "lazy-kill").unwrap();
@@ -1072,7 +1063,6 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
 /// error. The tracked faults pset keeps the `survivors-exclude-dead`
 /// invariant in play across the cascade.
 fn run_cascade_rebuild(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
     use mpi_sessions_repro::mpi::{ElasticComm, Rebuild};
     use std::sync::mpsc;
 
@@ -1094,11 +1084,8 @@ fn run_cascade_rebuild(seed: u64) -> RunReport {
         JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]),
         move |ctx| {
             // The re-enter path is an eager construct failing typed on a
-            // dead member; pin the mode against the INIT_MODE=lazy sweep.
-            let info = Info::new();
-            info.set(keys::INIT_MODE, "eager");
-            let session =
-                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+            // dead member.
+            let session = new_session(&ctx, "eager");
             session.track_faults().unwrap();
             let mut ec =
                 ElasticComm::establish(&session, PSET, Duration::from_secs(10)).unwrap();
@@ -1164,8 +1151,7 @@ fn run_cascade_rebuild(seed: u64) -> RunReport {
 /// them. Node 1's contribution to that construct travels behind node 1's
 /// release report, so the recycle is counted before the construct ends.
 fn run_kill_after_free(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
-    use std::sync::{mpsc, Condvar, Mutex};
+    use std::sync::{mpsc, Arc, Condvar, Mutex};
 
     const VICTIM: u32 = 3;
     let plan = FaultPlan::new(
@@ -1184,12 +1170,8 @@ fn run_kill_after_free(seed: u64) -> RunReport {
     let handle = world.launcher().spawn_named(&nspace, JobSpec::new(4), {
         let killed = killed.clone();
         move |ctx| {
-            // A lazy construct takes no PGCID: pin eager against the
-            // INIT_MODE=lazy sweep.
-            let info = Info::new();
-            info.set(keys::INIT_MODE, "eager");
-            let session =
-                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+            // A lazy construct takes no PGCID: the recycling needs eager.
+            let session = new_session(&ctx, "eager");
             let mut notifier = session.failure_notifier().unwrap();
             let g = session.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "pre-free").unwrap();
@@ -1244,7 +1226,9 @@ fn run_kill_after_free(seed: u64) -> RunReport {
     report
 }
 
-type Scenario = fn(u64) -> RunReport;
+/// A scenario run: `(seed, mode)`. Unpinned sessions take the mode; a
+/// scenario that asserts one mode's semantics pins it and ignores the axis.
+type Scenario = fn(u64, &'static str) -> RunReport;
 
 const SCENARIOS: &[(&str, Scenario)] = &[
     ("drop", run_drop),
@@ -1254,13 +1238,13 @@ const SCENARIOS: &[(&str, Scenario)] = &[
     ("partition", run_partition),
     ("elastic", run_elastic),
     ("soak", run_soak),
-    ("async_setup", run_async_setup),
-    ("lazy_init", run_lazy_init),
-    ("correlated_kills", run_correlated_kills),
-    ("partition_rebuild", run_partition_rebuild),
-    ("kill_lazy_resolve", run_kill_lazy_resolve),
-    ("cascade_rebuild", run_cascade_rebuild),
-    ("kill_after_free", run_kill_after_free),
+    ("async_setup", |seed, _| run_async_setup(seed)),
+    ("lazy_init", |seed, _| run_lazy_init(seed)),
+    ("correlated_kills", |seed, _| run_correlated_kills(seed)),
+    ("partition_rebuild", |seed, _| run_partition_rebuild(seed)),
+    ("kill_lazy_resolve", |seed, _| run_kill_lazy_resolve(seed)),
+    ("cascade_rebuild", |seed, _| run_cascade_rebuild(seed)),
+    ("kill_after_free", |seed, _| run_kill_after_free(seed)),
 ];
 
 // ---------------------------------------------------------------------------
@@ -1270,50 +1254,50 @@ const SCENARIOS: &[(&str, Scenario)] = &[
 #[test]
 fn drop_seeds_fail_fast_and_recover_by_retry() {
     for seed in [11, 12, 13, 14, 15] {
-        run_drop(seed);
+        run_drop(seed, "eager");
     }
 }
 
 #[test]
 fn delay_seeds_are_absorbed_without_errors() {
     for seed in [21, 22, 23, 24, 25] {
-        run_delay(seed);
+        run_delay(seed, "eager");
     }
-    run_delay_case(26, true);
+    run_delay_case(26, "eager", true);
 }
 
 #[test]
 fn duplicate_seeds_are_deduplicated_by_idempotent_contributions() {
     for seed in [31, 32, 33, 34] {
-        run_duplicate(seed);
+        run_duplicate(seed, "eager");
     }
 }
 
 #[test]
 fn kill_seeds_recover_by_session_reinit() {
     for seed in [41, 42, 43, 44, 45] {
-        run_kill(seed);
+        run_kill(seed, "eager");
     }
 }
 
 #[test]
 fn partition_seeds_heal_and_complete() {
     for seed in [51, 52, 53, 54] {
-        run_partition(seed);
+        run_partition(seed, "eager");
     }
 }
 
 #[test]
 fn elastic_seeds_rebuild_through_churn() {
     for seed in [61, 62, 63, 64] {
-        run_elastic(seed);
+        run_elastic(seed, "eager");
     }
 }
 
 #[test]
 fn soak_seeds_churn_leak_free_through_faults() {
     for seed in [81, 82, 83, 84] {
-        run_soak(seed);
+        run_soak(seed, "eager");
     }
 }
 
@@ -1374,8 +1358,8 @@ fn kill_after_free_seeds_recycle_through_the_dead_member() {
 fn same_seed_reproduces_byte_identical_traces() {
     for (name, scenario) in SCENARIOS {
         let seed = 1000 + *name.as_bytes().first().unwrap() as u64;
-        let first = scenario(seed);
-        let second = scenario(seed);
+        let first = scenario(seed, "eager");
+        let second = scenario(seed, "eager");
         assert!(!first.trace_json.is_empty());
         assert_eq!(
             first.trace_json, second.trace_json,
@@ -1385,28 +1369,42 @@ fn same_seed_reproduces_byte_identical_traces() {
 }
 
 /// Same-seed trace dump for comparing two trees: writes every scenario's
-/// `trace_json` for seeds 71–74 to
-/// `target/chaos-traces/<scenario>-<seed>.json`. Run it on both trees
-/// (once more under `INIT_MODE=lazy`, after moving the first dump aside)
-/// and diff the directories:
-/// `cargo test --release --test chaos_suite dump_chaos_traces -- --ignored`.
-#[test]
-#[ignore = "writes trace files for a tree-to-tree diff; run on demand"]
-fn dump_chaos_traces() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/chaos-traces");
+/// `trace_json` for seeds 71–74, in `mode`, to
+/// `target/chaos-traces/<mode>/<scenario>-<seed>.json`. Each mode has its
+/// own test, and each must run in a process of its own: endpoint ids come
+/// from a process-wide counter, so a frame's `len` depends on what the
+/// process ran before. Run both on each tree and diff the directories:
+/// `cargo test --release --test chaos_suite dump_chaos_traces_eager -- --ignored`
+/// (then `dump_chaos_traces_lazy`).
+fn dump_chaos_traces(mode: &'static str) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = root.join("target/chaos-traces").join(mode);
     std::fs::create_dir_all(&dir).unwrap();
     for (name, scenario) in SCENARIOS {
         for seed in 71..=74 {
-            let report = scenario(seed);
+            let report = scenario(seed, mode);
             std::fs::write(dir.join(format!("{name}-{seed}.json")), report.trace_json).unwrap();
         }
     }
+}
+
+#[test]
+#[ignore = "writes trace files for a tree-to-tree diff; run on demand, in its own process"]
+fn dump_chaos_traces_eager() {
+    dump_chaos_traces("eager");
+}
+
+#[test]
+#[ignore = "writes trace files for a tree-to-tree diff; run on demand, in its own process"]
+fn dump_chaos_traces_lazy() {
+    dump_chaos_traces("lazy");
 }
 
 // ---------------------------------------------------------------------------
 // Operator knobs: CHAOS_SEEDS=1,2,3 widens the sweep without recompiling;
 // CHAOS_SCENARIOS=elastic,kill narrows it to the named scenarios (ci.sh
 // uses this to sweep the elastic churn scenario under its pinned seeds).
+// Every selected scenario runs in both init modes.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -1433,8 +1431,10 @@ fn chaos_seeds_env_extends_the_sweep() {
             if !wanted.is_empty() && !wanted.contains(name) {
                 continue;
             }
-            eprintln!("chaos: extra seed {seed} on scenario {name}");
-            scenario(seed);
+            for mode in MODES {
+                eprintln!("chaos: extra seed {seed} on scenario {name} ({mode})");
+                scenario(seed, mode);
+            }
         }
     }
 }

@@ -7,8 +7,11 @@ use mpi_sessions_repro::mpi::{Comm, ErrHandler, Info, Session, ThreadLevel};
 use mpi_sessions_repro::pmix::pgcid_base;
 use mpi_sessions_repro::prrte::{JobSpec, Launcher, ProcCtx};
 use mpi_sessions_repro::simnet::SimTestbed;
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+mod common;
+use common::Gate;
 
 fn new_session(ctx: &ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
@@ -32,9 +35,10 @@ fn recycled(ctx: &ProcCtx) -> Vec<u64> {
 #[test]
 fn same_named_groups_on_one_node_release_their_own_pgcids() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
-    let step = Arc::new(Barrier::new(2));
+    let step = Gate::new(2);
     let out = launcher
         .spawn(JobSpec::new(2), move |ctx| {
+            let step = step.pass();
             let s = new_session(&ctx);
             let g = s.group_from_pset("mpi://self").unwrap();
             // Rank 0 builds first, then rank 1.
@@ -82,9 +86,10 @@ fn a_stale_frame_never_matches_on_the_family_reusing_its_pgcid() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     let obs = launcher.universe().fabric().obs();
     obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).unwrap();
-    let sent = Arc::new(Barrier::new(2));
+    let sent = Gate::new(2);
     let out = launcher
         .spawn(JobSpec::new(2), move |ctx| {
+            let sent = sent.pass();
             let s = new_session(&ctx);
             let g = s.group_from_pset("mpi://world").unwrap();
             let a = Comm::create_from_group(&g, "a").unwrap();
@@ -123,11 +128,13 @@ fn a_stale_frame_never_matches_on_the_family_reusing_its_pgcid() {
 #[test]
 fn free_with_a_dead_peer_returns_ok_and_recycles() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
-    let ready = Arc::new(Barrier::new(3));
+    let gate = Gate::new(3);
+    let ready = gate.pass();
     let killed = Arc::new((Mutex::new(false), Condvar::new()));
     let handle = launcher.spawn(JobSpec::new(2), {
-        let (ready, killed) = (ready.clone(), killed.clone());
+        let killed = killed.clone();
         move |ctx| {
+            let ready = gate.pass();
             let s = new_session(&ctx);
             let g = s.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "doomed").unwrap();

@@ -33,8 +33,10 @@ use mpi_sessions_repro::mpi::{
 use mpi_sessions_repro::obs::{AttrValue, CvarValue};
 use mpi_sessions_repro::prrte::{JobSpec, Launcher, ProcCtx};
 use mpi_sessions_repro::simnet::SimTestbed;
-use std::sync::{Arc, Barrier};
 use std::time::Duration;
+
+mod common;
+use common::Gate;
 
 fn new_session(ctx: &ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
@@ -67,10 +69,11 @@ fn delay_plan(seed: u64) -> FaultPlan {
 #[test]
 fn stall_fires_under_pinned_delay_and_clears_on_heal() {
     let world = ChaosWorld::new(SimTestbed::tiny(2, 2), delay_plan(0x57A11));
-    let gate = Arc::new(Barrier::new(4));
+    let gate = Gate::new(4);
     let out = world
         .launcher()
         .spawn_named("watchdog-stall", JobSpec::new(4), move |ctx| {
+            let gate = gate.pass();
             let session = new_session(&ctx);
             let group = session.group_from_pset("mpi://world").unwrap();
             let process = MpiProcess::obtain(&ctx);
@@ -139,10 +142,11 @@ fn stall_fires_under_pinned_delay_and_clears_on_heal() {
 #[test]
 fn wait_timeout_surfaces_diagnosis_and_leaves_request_live() {
     let world = ChaosWorld::new(SimTestbed::tiny(2, 2), delay_plan(0x7E0));
-    let gate = Arc::new(Barrier::new(4));
+    let gate = Gate::new(4);
     let out = world
         .launcher()
         .spawn_named("watchdog-timeout", JobSpec::new(4), move |ctx| {
+            let gate = gate.pass();
             let session = new_session(&ctx);
             let group = session.group_from_pset("mpi://world").unwrap();
             let comm = if ctx.rank() == 0 {
