@@ -421,6 +421,24 @@ cargo run -q --offline --release -p bench-harness --bin bench_gate -- \
 echo "== recovery smoke (fig_recover: 2 kills, checkpoint-free restart) =="
 cargo run -q --offline --release -p bench-harness --bin fig_recover -- >/dev/null
 
+# Sink smoke: the figure bins that record runs through the one sink but
+# have no other gate here each run once, small, with both --metrics-out
+# and --trace-out, and must exit 0 (a dropped event or span is a hard
+# failure in the sink). A smoke run, not a determinism gate.
+echo "== sink smoke (fig4_comm_dup, abl_pmix_group, fig_elastic, fig5_mbw) =="
+sink_tmp="$(mktemp -d -t sink_ci.XXXXXX)"
+sink_smoke() {
+  local bin=$1
+  shift
+  cargo run -q --offline --release -p bench-harness --bin "$bin" -- "$@" \
+    --metrics-out "$sink_tmp/$bin.metrics.json" --trace-out "$sink_tmp/$bin.trace.json" >/dev/null
+}
+sink_smoke fig4_comm_dup --nodes 1,2 --iters 20
+sink_smoke abl_pmix_group --nodes 1,2 --iters 4
+sink_smoke fig_elastic
+sink_smoke fig5_mbw --procs 4 --presync --max-size 256 --iters 2 --window 8
+rm -rf "$sink_tmp"
+
 # Doc-drift gate: docs/TUNING.md is generated from the live cvar registry
 # (cvar_dump --markdown). Regenerate into a temp file and diff — a knob
 # added without regenerating the doc (or a doc edited by hand) fails here.

@@ -8,9 +8,10 @@
 //! compartmentalized, backwards-compatible adoption of Sessions inside one
 //! component of an application.
 
+use crate::run::Job;
 use crate::InitMode;
 use mpi_sessions::{coll, Comm, ErrHandler, Session, ThreadLevel};
-use prrte::{JobSpec, Launcher, ProcCtx};
+use prrte::ProcCtx;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -88,34 +89,29 @@ pub fn run_hpcc_rings(
     warmup: usize,
     iters: usize,
 ) -> Vec<RingResult> {
-    let launcher = Launcher::new(testbed);
-    let mut results = launcher
-        .spawn(JobSpec::new(np), move |ctx| hpcc_rank_body(&ctx, mode, warmup, iters))
-        .join()
-        .expect("hpcc job");
-    results.swap_remove(0)
+    let mut run = Job::new(testbed).run(np, move |ctx| hpcc_rank_body(&ctx, mode, warmup, iters));
+    run.ranks.swap_remove(0)
 }
 
 fn hpcc_rank_body(ctx: &ProcCtx, mode: InitMode, warmup: usize, iters: usize) -> Vec<RingResult> {
     let np = ctx.size();
-    match mode {
-        InitMode::Wpm => {
-            let world = mpi_sessions::world::init(ctx).expect("MPI_Init");
-            let nat = ring_latency(world.comm(), RingOrder::Natural, warmup, iters, 42);
-            let rnd = ring_latency(world.comm(), RingOrder::Random, warmup, iters, 42);
-            let out = vec![
-                RingResult { order: RingOrder::Natural, mode, np, usec: nat },
-                RingResult { order: RingOrder::Random, mode, np, usec: rnd },
-            ];
-            world.finalize().expect("MPI_Finalize");
-            out
-        }
+    let rings = |comm: &Comm| -> Vec<RingResult> {
+        [RingOrder::Natural, RingOrder::Random]
+            .into_iter()
+            .map(|order| {
+                let usec = ring_latency(comm, order, warmup, iters, 42);
+                RingResult { order, mode, np, usec }
+            })
+            .collect()
+    };
+    // The application does its normal WPM init either way...
+    let world = mpi_sessions::world::init(ctx).expect("MPI_Init");
+    let out = match mode {
+        InitMode::Wpm => rings(world.comm()),
         InitMode::Sessions | InitMode::Lazy => {
-            // The application still does its normal WPM init...
-            let world = mpi_sessions::world::init(ctx).expect("MPI_Init");
-            // ...but the bandwidth/latency component opens its own session
-            // and uses a sessions-derived communicator (the paper's change
-            // to main_bench_lat_bw).
+            // ...but in the sessions variant the bandwidth/latency component
+            // opens its own session and uses a sessions-derived communicator
+            // (the paper's change to main_bench_lat_bw).
             let session =
                 Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &mode.session_info())
                     .expect("session");
@@ -123,18 +119,14 @@ fn hpcc_rank_body(ctx: &ProcCtx, mode: InitMode, warmup: usize, iters: usize) ->
                 .group_from_pset(mpi_sessions::session::PSET_WORLD)
                 .expect("group");
             let comm = Comm::create_from_group(&group, "hpcc-latbw").expect("comm");
-            let nat = ring_latency(&comm, RingOrder::Natural, warmup, iters, 42);
-            let rnd = ring_latency(&comm, RingOrder::Random, warmup, iters, 42);
+            let out = rings(&comm);
             comm.free().expect("free");
             session.finalize().expect("session fini");
-            let out = vec![
-                RingResult { order: RingOrder::Natural, mode, np, usec: nat },
-                RingResult { order: RingOrder::Random, mode, np, usec: rnd },
-            ];
-            world.finalize().expect("MPI_Finalize");
             out
         }
-    }
+    };
+    world.finalize().expect("MPI_Finalize");
+    out
 }
 
 #[cfg(test)]

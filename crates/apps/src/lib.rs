@@ -20,12 +20,22 @@
 //! * [`recover`] — the checkpoint-free fault-recovery loop (DESIGN.md
 //!   §15): a ring allreduce with bounded typed waits that rebuilds its
 //!   communicator through injected kills with an `ElasticComm` over the
-//!   survivors pset.
+//!   survivors pset;
+//! * [`workload`] — the other workloads the figure bins and the
+//!   logical-cost gate share: the `MPI_Comm_dup` chain (Fig. 4), the PMIx
+//!   group ablation, the elastic pset churn, the soak wave, and the gate's
+//!   small fixed shapes.
+//!
+//! Every job runs through [`run::Job`], which launches, joins and shuts
+//! the universe down before it hands back a [`run::Run`]: the per-rank
+//! results plus the only way to read the run's settled registry.
 
 pub mod hpcc;
 pub mod mesh2;
 pub mod osu;
 pub mod recover;
+pub mod run;
+pub mod workload;
 
 use serde::{Deserialize, Serialize};
 
@@ -43,16 +53,6 @@ pub enum InitMode {
 }
 
 impl InitMode {
-    /// Parse a CLI word.
-    pub fn parse(s: &str) -> Option<InitMode> {
-        match s {
-            "wpm" | "init" | "baseline" => Some(InitMode::Wpm),
-            "sessions" | "session" => Some(InitMode::Sessions),
-            "lazy" | "sessions-lazy" => Some(InitMode::Lazy),
-            _ => None,
-        }
-    }
-
     /// The session-init info object for this mode: `init_mode=lazy` for
     /// `Lazy`, no key (an eager session) otherwise.
     pub fn session_info(self) -> mpi_sessions::Info {
@@ -71,40 +71,5 @@ impl std::fmt::Display for InitMode {
             InitMode::Sessions => write!(f, "MPI_Session_init"),
             InitMode::Lazy => write!(f, "MPI_Session_init(lazy)"),
         }
-    }
-}
-
-/// Tiny CLI helper: read `--key value` style options.
-pub fn cli_opt(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Tiny CLI helper: presence of a flag.
-pub fn cli_flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn init_mode_parse() {
-        assert_eq!(InitMode::parse("wpm"), Some(InitMode::Wpm));
-        assert_eq!(InitMode::parse("sessions"), Some(InitMode::Sessions));
-        assert_eq!(InitMode::parse("junk"), None);
-    }
-
-    #[test]
-    fn cli_helpers() {
-        let args: Vec<String> =
-            ["--nodes", "4", "--presync"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(cli_opt(&args, "--nodes").as_deref(), Some("4"));
-        assert_eq!(cli_opt(&args, "--ppn"), None);
-        assert!(cli_flag(&args, "--presync"));
-        assert!(!cli_flag(&args, "--quiet"));
     }
 }

@@ -14,8 +14,9 @@
 //! switch is exactly the paper's: the QUO backend (native shared-memory
 //! quiescence vs. sessions-aware ibarrier+nanosleep).
 
+use crate::run::Job;
 use mpi_sessions::{coll, Comm, ReduceOp};
-use prrte::{JobSpec, Launcher, ProcCtx};
+use prrte::ProcCtx;
 use quo::{Quo, QuoBackend};
 use serde::{Deserialize, Serialize};
 use simnet::SimTestbed;
@@ -172,11 +173,7 @@ pub fn run_mesh2(
     cfg: Mesh2Config,
     backend: QuoBackend,
 ) -> Mesh2Result {
-    let launcher = Launcher::new(testbed);
-    let results = launcher
-        .spawn(JobSpec::new(np), move |ctx| mesh2_rank_body(&ctx, &cfg, backend))
-        .join()
-        .expect("mesh2 job");
+    let results = Job::new(testbed).run(np, move |ctx| mesh2_rank_body(&ctx, &cfg, backend)).ranks;
     let residual = results[0].residual;
     for r in &results {
         assert!(

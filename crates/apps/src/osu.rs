@@ -1,9 +1,10 @@
 //! OSU-style microbenchmarks (init, latency, multiple bandwidth/message
 //! rate), as modified by the paper's authors for MPI Sessions.
 
+use crate::run::{Job, Run};
 use crate::InitMode;
 use mpi_sessions::{coll, Comm, ErrHandler, Session, ThreadLevel};
-use prrte::{JobSpec, Launcher, ProcCtx};
+use prrte::ProcCtx;
 use serde::{Deserialize, Serialize};
 use simnet::SimTestbed;
 use std::time::Instant;
@@ -22,109 +23,55 @@ pub struct InitTiming {
     pub comm_create_s: f64,
 }
 
-/// Aggregate of per-rank init timings for one job launch.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct InitResult {
-    /// Number of processes.
-    pub np: u32,
-    /// Slowest rank (what a user perceives as startup time).
-    pub max: InitTiming,
-    /// Mean across ranks.
-    pub mean: InitTiming,
-}
-
-/// Launch a fresh job on `testbed` and measure initialization via `mode`.
+/// Launch a fresh job on `testbed` and measure initialization via `mode`:
+/// each rank's [`InitTiming`], and through the [`Run`] the run's obs
+/// export (per-process `session`/`instance` timing histograms, PMIx stage
+/// counters, PML handshake counters, fabric traffic) and its span-DAG
+/// trace (PRRTE fan-out, PMIx group-construction stages, PGCID round
+/// trip, session init split, critical path).
 ///
 /// Every call boots a fresh DVM + job, mirroring one `prun ./osu_init`
 /// invocation.
-pub fn osu_init(testbed: SimTestbed, np: u32, mode: InitMode) -> InitResult {
-    osu_init_with_metrics(testbed, np, mode).0
-}
-
-/// [`osu_init`] plus the run's full observability export (the fabric-wide
-/// obs registry as JSON: per-process `session`/`instance` timing
-/// histograms, PMIx stage counters, PML handshake counters, fabric
-/// traffic). The registry dies with the run's fabric, so it must be
-/// exported here, before the launcher is dropped.
-pub fn osu_init_with_metrics(
-    testbed: SimTestbed,
-    np: u32,
-    mode: InitMode,
-) -> (InitResult, serde_json::Value) {
-    let (result, metrics, _) = osu_init_traced(testbed, np, mode, false);
-    (result, metrics)
-}
-
-/// [`osu_init_with_metrics`] plus (when `want_trace`) the run's analyzed
-/// span-DAG trace report (`obs::analyze`): the global causal trace of the
-/// launch — PRRTE fan-out, PMIx group-construction stages, PGCID
-/// round-trip, session init split — with its critical path. `Value::Null`
-/// when `want_trace` is false, so untraced runs pay nothing.
-pub fn osu_init_traced(
-    testbed: SimTestbed,
-    np: u32,
-    mode: InitMode,
-    want_trace: bool,
-) -> (InitResult, serde_json::Value, serde_json::Value) {
-    let launcher = Launcher::new(testbed);
-    let timings = launcher
-        .spawn(JobSpec::new(np), move |ctx| match mode {
-            InitMode::Wpm => {
-                let t0 = Instant::now();
-                let world = mpi_sessions::world::init(&ctx).expect("MPI_Init");
-                let total = t0.elapsed();
-                world.finalize().expect("MPI_Finalize");
-                InitTiming { total_s: total.as_secs_f64(), ..Default::default() }
-            }
-            InitMode::Sessions | InitMode::Lazy => {
-                let t0 = Instant::now();
-                let session =
-                    Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &mode.session_info())
-                        .expect("MPI_Session_init");
-                let t1 = Instant::now();
-                let group = session
-                    .group_from_pset(mpi_sessions::session::PSET_WORLD)
-                    .expect("MPI_Group_from_session_pset");
-                let t2 = Instant::now();
-                let comm = Comm::create_from_group(&group, "osu_init")
-                    .expect("MPI_Comm_create_from_group");
-                let t3 = Instant::now();
-                comm.free().expect("MPI_Comm_free");
-                session.finalize().expect("MPI_Session_finalize");
-                InitTiming {
-                    total_s: (t3 - t0).as_secs_f64(),
-                    session_init_s: (t1 - t0).as_secs_f64(),
-                    group_from_pset_s: (t2 - t1).as_secs_f64(),
-                    comm_create_s: (t3 - t2).as_secs_f64(),
-                }
-            }
-        })
-        .join()
-        .expect("osu_init job");
-    let registry = launcher.universe().fabric().obs();
-    let metrics = registry.export();
-    let trace = if want_trace {
-        obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped())
-    } else {
-        serde_json::Value::Null
-    };
-    (summarize(np, &timings), metrics, trace)
-}
-
-fn summarize(np: u32, timings: &[InitTiming]) -> InitResult {
-    let n = timings.len().max(1) as f64;
-    let mut max = InitTiming::default();
-    let mut mean = InitTiming::default();
-    for t in timings {
-        if t.total_s > max.total_s {
-            max = *t;
+pub fn osu_init(testbed: SimTestbed, np: u32, mode: InitMode) -> Run<InitTiming> {
+    Job::new(testbed).run(np, move |ctx| match mode {
+        InitMode::Wpm => {
+            let t0 = Instant::now();
+            let world = mpi_sessions::world::init(&ctx).expect("MPI_Init");
+            let total = t0.elapsed();
+            world.finalize().expect("MPI_Finalize");
+            InitTiming { total_s: total.as_secs_f64(), ..Default::default() }
         }
-        mean.total_s += t.total_s / n;
-        mean.session_init_s += t.session_init_s / n;
-        mean.group_from_pset_s += t.group_from_pset_s / n;
-        mean.comm_create_s += t.comm_create_s / n;
+        InitMode::Sessions | InitMode::Lazy => {
+            let t0 = Instant::now();
+            let session =
+                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &mode.session_info())
+                    .expect("MPI_Session_init");
+            let t1 = Instant::now();
+            let group = session
+                .group_from_pset(mpi_sessions::session::PSET_WORLD)
+                .expect("MPI_Group_from_session_pset");
+            let t2 = Instant::now();
+            let comm =
+                Comm::create_from_group(&group, "osu_init").expect("MPI_Comm_create_from_group");
+            let t3 = Instant::now();
+            comm.free().expect("MPI_Comm_free");
+            session.finalize().expect("MPI_Session_finalize");
+            InitTiming {
+                total_s: (t3 - t0).as_secs_f64(),
+                session_init_s: (t1 - t0).as_secs_f64(),
+                group_from_pset_s: (t2 - t1).as_secs_f64(),
+                comm_create_s: (t3 - t2).as_secs_f64(),
+            }
+        }
+    })
+}
+
+impl Run<InitTiming> {
+    /// The slowest rank's timing: what a user perceives as startup time.
+    pub fn slowest(&self) -> InitTiming {
+        let slowest = self.ranks.iter().max_by(|a, b| a.total_s.total_cmp(&b.total_s));
+        slowest.copied().unwrap_or_default()
     }
-    InitResult { np, max, mean }
 }
 
 /// Build the benchmark communicator for `mode` inside a running rank.
@@ -152,6 +99,23 @@ pub fn bench_comm(ctx: &ProcCtx, mode: InitMode, tag: &str) -> (Option<Session>,
             (Some(session), comm)
         }
     }
+}
+
+/// Run `f` on the benchmark communicator for `mode` (see [`bench_comm`]),
+/// then free the communicator and finalize the session.
+pub fn with_bench_comm<R>(
+    ctx: &ProcCtx,
+    mode: InitMode,
+    tag: &str,
+    f: impl FnOnce(&Comm) -> R,
+) -> R {
+    let (session, comm) = bench_comm(ctx, mode, tag);
+    let out = f(&comm);
+    comm.free().expect("free");
+    if let Some(s) = session {
+        s.finalize().expect("finalize");
+    }
+    out
 }
 
 /// One `osu_latency` sample.
@@ -222,6 +186,9 @@ pub struct MbwSample {
 /// does not, and early in-loop sends still carry the extended header
 /// (Fig. 5c). `presync` adds the per-pair sendrecv the authors used to
 /// equalize the two init modes.
+///
+/// The `warmup` windows are timed: the clock starts at the barrier and
+/// the rates count `warmup + iters` windows.
 pub fn osu_mbw_mr(
     comm: &Comm,
     sizes: &[usize],
@@ -249,11 +216,7 @@ pub fn osu_mbw_mr(
         // The benchmark's structure: a barrier, then the timing loop.
         coll::barrier(comm).unwrap();
         let t0 = Instant::now();
-        for it in 0..(warmup + iters) {
-            let timed_start = it == warmup;
-            if timed_start {
-                // restart the clock after warmup
-            }
+        for _ in 0..(warmup + iters) {
             if sender {
                 let mut reqs = Vec::with_capacity(window);
                 for _ in 0..window {
@@ -297,61 +260,24 @@ pub fn size_sweep(max: usize) -> Vec<usize> {
     sizes
 }
 
-/// Iteration count appropriate for a message size (OSU halves iterations
-/// for large messages).
-pub fn iters_for(size: usize, base: usize) -> usize {
-    if size >= 1 << 20 {
-        (base / 10).max(2)
-    } else if size >= 1 << 16 {
-        (base / 4).max(4)
-    } else {
-        base
-    }
-}
-
-/// Default latency time budget knobs for the simulated testbed.
-pub const DEFAULT_WARMUP: usize = 10;
-/// Default timed iterations.
-pub const DEFAULT_ITERS: usize = 100;
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-/// Output record of a latency/mbw run (for the figure harness).
-pub struct RunRecord {
-    /// Which initialization path.
-    pub mode: InitMode,
-    /// Process count.
-    pub np: u32,
-    /// Latency samples (when a latency run).
-    pub latency: Vec<LatencySample>,
-    /// Bandwidth/message-rate samples (when an mbw run).
-    pub mbw: Vec<MbwSample>,
-}
-
-/// Convenience: full latency run on a fresh 2-process on-node job.
+/// A full latency run on a fresh 2-process on-node job; rank 0 holds the
+/// samples.
 pub fn run_latency_job(
     testbed: SimTestbed,
     mode: InitMode,
     sizes: Vec<usize>,
     warmup: usize,
     iters: usize,
-) -> Vec<LatencySample> {
-    let launcher = Launcher::new(testbed);
-    let mut results = launcher
-        .spawn(JobSpec::new(2), move |ctx| {
-            let (session, comm) = bench_comm(&ctx, mode, "osu_latency");
-            let samples = osu_latency(&comm, &sizes, warmup, iters);
-            comm.free().unwrap();
-            if let Some(s) = session {
-                s.finalize().unwrap();
-            }
-            samples
-        })
-        .join()
-        .expect("latency job");
-    results.swap_remove(0)
+) -> Run<Vec<LatencySample>> {
+    Job::new(testbed).run(2, move |ctx| {
+        with_bench_comm(&ctx, mode, "osu_latency", |comm| osu_latency(comm, &sizes, warmup, iters))
+    })
 }
 
-/// Convenience: full mbw_mr run on a fresh on-node job of `np` processes.
+/// A full mbw_mr run on a fresh on-node job of `np` processes; rank 0
+/// holds the samples, and the [`Run`]'s export and trace show the PML
+/// eager/extended-header split and the exCID handshake spans behind the
+/// Fig. 5c switchover story.
 #[allow(clippy::too_many_arguments)]
 pub fn run_mbw_job(
     testbed: SimTestbed,
@@ -362,66 +288,12 @@ pub fn run_mbw_job(
     warmup: usize,
     iters: usize,
     presync: bool,
-) -> Vec<MbwSample> {
-    run_mbw_job_with_metrics(testbed, mode, np, sizes, window, warmup, iters, presync).0
-}
-
-/// [`run_mbw_job`] plus the run's observability export (PML
-/// eager/extended-header split, fabric on-node vs inter-node traffic —
-/// the counters behind the Fig. 5c switchover story).
-#[allow(clippy::too_many_arguments)]
-pub fn run_mbw_job_with_metrics(
-    testbed: SimTestbed,
-    mode: InitMode,
-    np: u32,
-    sizes: Vec<usize>,
-    window: usize,
-    warmup: usize,
-    iters: usize,
-    presync: bool,
-) -> (Vec<MbwSample>, serde_json::Value) {
-    let (samples, metrics, _) =
-        run_mbw_job_traced(testbed, mode, np, sizes, window, warmup, iters, presync, false);
-    (samples, metrics)
-}
-
-/// [`run_mbw_job_with_metrics`] plus (when `want_trace`) the analyzed
-/// span-DAG trace: the exCID handshake spans and per-pair eager aggregates
-/// behind the Fig. 5c switchover story. `Value::Null` when `want_trace`
-/// is false.
-#[allow(clippy::too_many_arguments)]
-pub fn run_mbw_job_traced(
-    testbed: SimTestbed,
-    mode: InitMode,
-    np: u32,
-    sizes: Vec<usize>,
-    window: usize,
-    warmup: usize,
-    iters: usize,
-    presync: bool,
-    want_trace: bool,
-) -> (Vec<MbwSample>, serde_json::Value, serde_json::Value) {
-    let launcher = Launcher::new(testbed);
-    let mut results = launcher
-        .spawn(JobSpec::new(np), move |ctx| {
-            let (session, comm) = bench_comm(&ctx, mode, "osu_mbw_mr");
-            let samples = osu_mbw_mr(&comm, &sizes, window, warmup, iters, presync);
-            comm.free().unwrap();
-            if let Some(s) = session {
-                s.finalize().unwrap();
-            }
-            samples
+) -> Run<Vec<MbwSample>> {
+    Job::new(testbed).run(np, move |ctx| {
+        with_bench_comm(&ctx, mode, "osu_mbw_mr", |comm| {
+            osu_mbw_mr(comm, &sizes, window, warmup, iters, presync)
         })
-        .join()
-        .expect("mbw job");
-    let registry = launcher.universe().fabric().obs();
-    let metrics = registry.export();
-    let trace = if want_trace {
-        obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped())
-    } else {
-        serde_json::Value::Null
-    };
-    (results.swap_remove(0), metrics, trace)
+    })
 }
 
 #[cfg(test)]
@@ -435,24 +307,16 @@ mod tests {
     }
 
     #[test]
-    fn iters_scale_down_for_large_sizes() {
-        assert_eq!(iters_for(64, 100), 100);
-        assert_eq!(iters_for(1 << 16, 100), 25);
-        assert_eq!(iters_for(1 << 20, 100), 10);
-    }
-
-    #[test]
     fn osu_init_both_modes_report_positive_times() {
-        let wpm = osu_init(SimTestbed::tiny(2, 2), 4, InitMode::Wpm);
-        assert!(wpm.max.total_s > 0.0);
-        assert_eq!(wpm.max.session_init_s, 0.0);
-        let sess = osu_init(SimTestbed::tiny(2, 2), 4, InitMode::Sessions);
-        assert!(sess.max.total_s > 0.0);
-        assert!(sess.max.comm_create_s > 0.0);
+        let wpm = osu_init(SimTestbed::tiny(2, 2), 4, InitMode::Wpm).slowest();
+        assert!(wpm.total_s > 0.0);
+        assert_eq!(wpm.session_init_s, 0.0);
+        let sess = osu_init(SimTestbed::tiny(2, 2), 4, InitMode::Sessions).slowest();
+        assert!(sess.total_s > 0.0);
+        assert!(sess.comm_create_s > 0.0);
         // Breakdown sums to the total (within float noise).
-        let parts =
-            sess.max.session_init_s + sess.max.group_from_pset_s + sess.max.comm_create_s;
-        assert!((parts - sess.max.total_s).abs() < 1e-6);
+        let parts = sess.session_init_s + sess.group_from_pset_s + sess.comm_create_s;
+        assert!((parts - sess.total_s).abs() < 1e-6);
     }
 
     #[test]
@@ -463,7 +327,9 @@ mod tests {
             vec![1, 64, 1024],
             2,
             10,
-        );
+        )
+        .ranks
+        .swap_remove(0);
         assert_eq!(samples.len(), 3);
         assert!(samples.iter().all(|s| s.usec > 0.0));
     }
@@ -479,7 +345,9 @@ mod tests {
             1,
             5,
             false,
-        );
+        )
+        .ranks
+        .swap_remove(0);
         assert_eq!(samples.len(), 1);
         assert!(samples[0].msg_per_s > 0.0);
         assert!(samples[0].mb_per_s > 0.0);
@@ -496,7 +364,9 @@ mod tests {
             1,
             5,
             true,
-        );
+        )
+        .ranks
+        .swap_remove(0);
         assert_eq!(samples.len(), 1);
     }
 }

@@ -12,13 +12,11 @@
 //! RPC processing-time histograms. `--trace-out` dumps per-topology causal
 //! span-DAG traces of the fence and group-construct stage chains.)
 
-use apps::cli_opt;
-use bench_harness::{dump_json, parse_list, settled_export, MetricsSink, TraceSink};
-use pmix::{GroupDirectives, ProcId};
-use prrte::{JobSpec, Launcher};
+use apps::run::Job;
+use apps::workload::group_ablation;
+use bench_harness::{cli_opt, dump_json, parse_list, Sink};
 use serde::Serialize;
 use simnet::SimTestbed;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Row {
@@ -40,61 +38,15 @@ fn main() {
         "{:>6} {:>6} {:>14} {:>16} {:>20}",
         "nodes", "np", "fence (us)", "construct (us)", "construct-noPGCID"
     );
-    let mut sink = MetricsSink::from_args(&args);
-    let mut traces = TraceSink::from_args(&args);
+    let mut sink = Sink::from_args(&args);
     let mut rows = Vec::new();
     for &nodes in &nodes_list {
         let mut tb = SimTestbed::jupiter(nodes);
         tb.cluster.slots_per_node = ppn;
         let np = nodes * ppn;
-        let launcher = Launcher::new(tb);
-        let per_rank = launcher
-            .spawn(JobSpec::new(np), move |ctx| {
-                let members: Vec<ProcId> = (0..ctx.size())
-                    .map(|r| ProcId::new(ctx.proc().nspace(), r))
-                    .collect();
-                // Fence timing.
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    ctx.pmix().fence(&members, false).expect("fence");
-                }
-                let fence_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-                // Construct (+PGCID) timing.
-                let t0 = Instant::now();
-                for i in 0..iters {
-                    let g = ctx
-                        .pmix()
-                        .group_construct(&format!("abl{i}"), &members, &GroupDirectives::for_mpi())
-                        .expect("construct");
-                    ctx.pmix().group_destruct(&g, None).expect("destruct");
-                }
-                let construct_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-                // Construct without PGCID.
-                let d = GroupDirectives::for_mpi().without_pgcid();
-                let t0 = Instant::now();
-                for i in 0..iters {
-                    let g = ctx
-                        .pmix()
-                        .group_construct(&format!("ablnp{i}"), &members, &d)
-                        .expect("construct");
-                    ctx.pmix().group_destruct(&g, None).expect("destruct");
-                }
-                let nopgcid_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-                (fence_us, construct_us, nopgcid_us)
-            })
-            .join()
-            .expect("ablation job");
-        let registry = launcher.universe().fabric().obs();
-        if sink.enabled() {
-            sink.record(&format!("nodes{nodes}_ppn{ppn}"), settled_export(&launcher));
-        }
-        if traces.enabled() {
-            traces.record(
-                &format!("nodes{nodes}_ppn{ppn}"),
-                obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped()),
-            );
-        }
-        let (f, c, n) = per_rank.into_iter().fold((0.0f64, 0.0f64, 0.0f64), |acc, v| {
+        let run = group_ablation(Job::new(tb), np, iters);
+        sink.record(&format!("nodes{nodes}_ppn{ppn}"), &run);
+        let (f, c, n) = run.ranks.iter().fold((0.0f64, 0.0f64, 0.0f64), |acc, v| {
             (acc.0.max(v.0), acc.1.max(v.1), acc.2.max(v.2))
         });
         println!("{:>6} {:>6} {:>14.2} {:>16.2} {:>20.2}", nodes, np, f, c, n);
@@ -111,5 +63,4 @@ fn main() {
     println!("# followed by its destruct, a local release that adds no collective.");
     dump_json("abl_pmix_group", &rows);
     sink.finish();
-    traces.finish();
 }

@@ -18,17 +18,21 @@
 //!                                             re-run and diff against it
 //!
 //! `--tol` is the per-leaf relative tolerance (ci.sh passes `BENCH_TOL`).
-//! The binary additionally hard-enforces two acceptance bounds: the
-//! Fig. 4 sessions workload (300 `dup_via_group`) must emit at most
-//! `constructs / 4` `pgcid.request` spans, and the nonblocking overlap
-//! workload (8 concurrent `icomm_create_from_group` with block grants
-//! off) must take strictly fewer `pgcid.request` round trips and a
-//! strictly shorter trace critical path than 8 blocking constructs.
+//! The workloads are one [`TABLE`] of calls into `apps` (the same
+//! functions the figure bins run) and one runner in `main`. The binary
+//! additionally hard-enforces three acceptance bounds: the Fig. 4
+//! sessions workload (300 `dup_via_group`) must emit at most
+//! `constructs / 4` `pgcid.request` spans, the lazy-init record must be
+//! fence-free with a shorter critical path than eager init, and the
+//! nonblocking overlap workload (8 concurrent `icomm_create_from_group`
+//! with block grants off) must take strictly fewer `pgcid.request` round
+//! trips and a strictly shorter trace critical path than 8 blocking
+//! constructs.
 
-use apps::{cli_opt, InitMode};
-use mpi_sessions::Comm;
-use pmix::{GroupDirectives, ProcId};
-use prrte::{JobSpec, Launcher};
+use apps::run::{Job, Run};
+use apps::workload::{self, DupKind};
+use apps::InitMode;
+use bench_harness::{cli_opt, critical_path_cost, stage_field};
 use serde_json::{Map, Value};
 use simnet::SimTestbed;
 
@@ -73,28 +77,73 @@ const COUNTERS: &[(&str, &str)] = &[
     ("instance", "cids_leaked_at_teardown"),
 ];
 
-/// Shut down one finished run's universe and reduce its registry to the
-/// gate's deterministic record. The shutdown comes first because it drains
-/// every PMIx server's mailbox: the last release of a PGCID may still be
-/// on its one-way trip to the lead server when the ranks exit, and only a
-/// drained lead has counted it.
-fn extract(launcher: &Launcher) -> Value {
-    launcher.universe().shutdown();
-    let registry = launcher.universe().fabric().obs();
-    let dropped = registry.spans_dropped();
-    assert_eq!(dropped, 0, "gate workload overflowed the span buffer");
-    let report = obs::analyze::analyze(&registry.spans_snapshot(), dropped);
+/// PGCID-bearing dups in the Fig. 4 sessions rows.
+const DUPS: usize = 300;
+/// Consensus dups in the Fig. 4 WPM row.
+const CONSENSUS_DUPS: usize = 40;
+/// Concurrent constructs in the nonblocking overlap row.
+const OVERLAP_K: usize = 8;
+
+/// How a row records the eager/ext data split.
+#[derive(Clone, Copy, PartialEq)]
+enum Split {
+    /// As counted: the split is deterministic.
+    Exact,
+    /// Folded into its sum: the split races (see [`fold_racy_data_split`]).
+    Folded,
+}
+use Split::{Exact, Folded};
+
+/// A gate row: its name, how it records the data split, and the workload
+/// call.
+type Row = (&'static str, Split, fn() -> Value);
+
+/// Every gate row. Each runs on a tiny simulated testbed, so the whole
+/// table takes seconds.
+const TABLE: &[Row] = &[
+    ("fig3_wpm_2x2", Exact, || init(InitMode::Wpm)),
+    ("fig3_sessions_2x2", Exact, || init(InitMode::Sessions)),
+    ("fig_init_lazy_np4", Exact, || init(InitMode::Lazy)),
+    ("fig4_wpm_consensus_np4", Exact, || dups(DupKind::Consensus, CONSENSUS_DUPS)),
+    ("fig4_sessions_pgcid_np4", Exact, || dups(DupKind::PgcidPerDup, DUPS)),
+    ("fig4_sessions_derived_np4", Exact, || dups(DupKind::Derived, DUPS)),
+    ("fig5_mbw_presync_np4", Exact, || {
+        let tb = SimTestbed::tiny(2, 2);
+        record(&apps::osu::run_mbw_job(tb, InitMode::Sessions, 4, vec![256], 8, 1, 2, true))
+    }),
+    ("abl_pmix_group_2x2", Exact, || record(&workload::group_ablation(tiny(2, 2), 4, 4))),
+    ("pml_cache_two_comms_np2", Exact, || record(&workload::pml_cache(tiny(2, 1)))),
+    ("fig_elastic_churn_2x4", Folded, || record(&workload::elastic_churn(tiny(2, 4)).0)),
+    ("fig_soak_churn_2x2", Folded, || {
+        let shape = workload::Soak { waves: 8, sample_every: 8, allreduce: false, abandon: false };
+        record(&workload::soak(tiny(2, 2), shape).0)
+    }),
+    ("fig_recover_kill_2x2", Folded, || record(&workload::recover_kill(tiny(2, 2)))),
+    ("async_overlap_icomm_np2", Exact, overlap),
+];
+
+fn tiny(nodes: u32, ppn: u32) -> Job {
+    Job::new(SimTestbed::tiny(nodes, ppn))
+}
+
+/// Fig. 3 shape: session/WPM init through first-communicator teardown.
+fn init(mode: InitMode) -> Value {
+    record(&workload::comm_cycle(tiny(2, 2), 4, mode))
+}
+
+/// Fig. 4 shape: a dup chain on one communicator.
+fn dups(kind: DupKind, iters: usize) -> Value {
+    record(&workload::dup_chain(tiny(2, 2), 4, kind, iters))
+}
+
+/// Reduce one settled run's registry to the gate's deterministic record.
+fn record<T>(run: &Run<T>) -> Value {
+    let report = run.trace();
     let rep = report.as_object().expect("report object");
+    assert_eq!(rep["spans_dropped"].as_u64(), Some(0), "gate workload overflowed the span buffer");
     let mut out = Map::new();
     out.insert("span_count".into(), rep["span_count"].clone());
-    let critical = rep["traces"]
-        .as_array()
-        .expect("traces")
-        .iter()
-        .filter_map(|t| t.as_object()?.get("critical_path_cost")?.as_u64())
-        .max()
-        .unwrap_or(0);
-    out.insert("critical_path_cost".into(), Value::U64(critical));
+    out.insert("critical_path_cost".into(), Value::U64(critical_path_cost(report)));
     let mut stages = Map::new();
     for (name, s) in rep["stages"].as_object().expect("stages") {
         let so = s.as_object().expect("stage");
@@ -107,7 +156,7 @@ fn extract(launcher: &Launcher) -> Value {
     // Counters are sampled through an MPI_T pvar session rather than the
     // registry directly: the gate's fingerprint is, by construction, what
     // any tool bound to the same pvars would read.
-    let mut session = obs::PvarSession::new(registry.clone());
+    let mut session = obs::PvarSession::new(run.registry().clone());
     let handles: Vec<obs::PvarHandle> =
         COUNTERS.iter().map(|&(c, n)| session.bind_counter_sum(c, n)).collect();
     let mut counters = Map::new();
@@ -118,300 +167,9 @@ fn extract(launcher: &Launcher) -> Value {
     Value::Object(out)
 }
 
-/// Fig. 3 shape: session/WPM init through first-communicator teardown.
-fn run_init(mode: InitMode) -> Value {
-    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    launcher
-        .spawn(JobSpec::new(4), move |ctx| {
-            let (session, comm) = apps::osu::bench_comm(&ctx, mode, "gate-init");
-            comm.free().expect("free");
-            if let Some(s) = session {
-                s.finalize().expect("fini");
-            }
-        })
-        .join()
-        .expect("init workload");
-    extract(&launcher)
-}
-
-/// Which dup flavor a Fig. 4 gate point exercises.
-#[derive(Clone, Copy)]
-enum DupKind {
-    /// WPM comm, consensus CID agreement per dup.
-    Consensus,
-    /// Sessions comm, one PMIx group construct (PGCID) per dup.
-    PgcidPerDup,
-    /// Sessions comm, exCIDs derived from the parent's block.
-    Derived,
-}
-
-/// Fig. 4 shape: a dup chain on one communicator.
-fn run_dups(kind: DupKind, iters: usize) -> Value {
-    let mode = match kind {
-        DupKind::Consensus => InitMode::Wpm,
-        _ => InitMode::Sessions,
-    };
-    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    launcher
-        .spawn(JobSpec::new(4), move |ctx| {
-            let (session, comm) = apps::osu::bench_comm(&ctx, mode, "gate-dup");
-            let dups: Vec<Comm> = (0..iters)
-                .map(|_| match kind {
-                    DupKind::PgcidPerDup => comm.dup_via_group().expect("pgcid dup"),
-                    _ => comm.dup().expect("dup"),
-                })
-                .collect();
-            for d in dups {
-                d.free().expect("free");
-            }
-            comm.free().expect("free");
-            if let Some(s) = session {
-                s.finalize().expect("fini");
-            }
-        })
-        .join()
-        .expect("dup workload");
-    extract(&launcher)
-}
-
-/// Fig. 5 shape: a tiny pre-synchronized multi-pair `osu_mbw_mr`.
-fn run_mbw() -> Value {
-    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    launcher
-        .spawn(JobSpec::new(4), move |ctx| {
-            let (session, comm) = apps::osu::bench_comm(&ctx, InitMode::Sessions, "gate-mbw");
-            apps::osu::osu_mbw_mr(&comm, &[256], 8, 1, 2, true);
-            comm.free().expect("free");
-            if let Some(s) = session {
-                s.finalize().expect("fini");
-            }
-        })
-        .join()
-        .expect("mbw workload");
-    extract(&launcher)
-}
-
-/// Ablation shape: PMIx fences and group construct + release, with and
-/// without PGCID, over the full membership.
-fn run_group_ablation(iters: usize) -> Value {
-    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    launcher
-        .spawn(JobSpec::new(4), move |ctx| {
-            let members: Vec<ProcId> =
-                (0..ctx.size()).map(|r| ProcId::new(ctx.proc().nspace(), r)).collect();
-            for _ in 0..iters {
-                ctx.pmix().fence(&members, false).expect("fence");
-            }
-            for i in 0..iters {
-                let g = ctx
-                    .pmix()
-                    .group_construct(&format!("gate{i}"), &members, &GroupDirectives::for_mpi())
-                    .expect("construct");
-                ctx.pmix().group_destruct(&g, None).expect("destruct");
-            }
-            let d = GroupDirectives::for_mpi().without_pgcid();
-            for i in 0..iters {
-                let g = ctx
-                    .pmix()
-                    .group_construct(&format!("gatenp{i}"), &members, &d)
-                    .expect("construct");
-                ctx.pmix().group_destruct(&g, None).expect("destruct");
-            }
-        })
-        .join()
-        .expect("ablation workload");
-    extract(&launcher)
-}
-
-/// Handshake-cache shape: two communicators over the same group; the
-/// second one's CID exchange rides `CidAdvert`s from the cache.
-fn run_pml_cache() -> Value {
-    let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-    launcher
-        .spawn(JobSpec::new(2), move |ctx| {
-            let (session, c1) = apps::osu::bench_comm(&ctx, InitMode::Sessions, "gate-cache1");
-            let peer = 1 - c1.rank();
-            c1.sendrecv(peer, 1, b"one", peer as i32, 1).expect("comm1 exchange");
-            let group = c1.group();
-            let c2 = Comm::create_from_group(&group, "gate-cache2").expect("comm2");
-            c2.sendrecv(peer, 2, b"two", peer as i32, 2).expect("comm2 exchange");
-            c2.free().expect("free");
-            c1.free().expect("free");
-            if let Some(s) = session {
-                s.finalize().expect("fini");
-            }
-        })
-        .join()
-        .expect("cache workload");
-    extract(&launcher)
-}
-
-/// Elastic shape: pset churn (grow 4→8, kill one, retire one, delete) with
-/// every member rebuilding its communicator per epoch. Driver-sequenced
-/// (each mutation waits for all acks of the previous epoch), so span and
-/// counter totals are deterministic.
-fn run_elastic() -> Value {
-    use mpi_sessions::{ElasticComm, Rebuild};
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    const PSET: &str = "app://gate-elastic";
-    const STEP: Duration = Duration::from_secs(30);
-    let launcher = Launcher::new(SimTestbed::tiny(2, 4));
-    let (tx, rx) = mpsc::channel::<(u32, u64, u32)>();
-    let spec = JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]);
-    let handle = launcher.spawn_named("gate-elastic", spec, move |ctx| {
-        let session = mpi_sessions::Session::init(
-            &ctx,
-            mpi_sessions::ThreadLevel::Single,
-            mpi_sessions::ErrHandler::Return,
-            &mpi_sessions::Info::null(),
-        )
-        .expect("session init");
-        let mut ec = ElasticComm::establish(&session, PSET, STEP).expect("establish");
-        loop {
-            let comm = ec.comm().expect("member has a communicator");
-            let sum = mpi_sessions::coll::allreduce_t(
-                comm,
-                mpi_sessions::ReduceOp::Sum,
-                &[1u32],
-            )
-            .expect("allreduce")[0];
-            tx.send((ctx.rank(), ec.epoch(), sum)).expect("ack");
-            match ec.next_rebuild(STEP) {
-                Ok(Rebuild::Rebuilt { .. }) => continue,
-                Ok(Rebuild::Retired { .. }) | Ok(Rebuild::Deleted { .. }) => break,
-                Err(e) => panic!("rank {} rebuild failed: {e}", ctx.rank()),
-            }
-        }
-        session.finalize().expect("finalize");
-    });
-    let ctl = handle.ctl();
-    let settle = |n: u32, epoch: u64| {
-        for _ in 0..n {
-            let (rank, e, s) = rx.recv_timeout(STEP).expect("ack before timeout");
-            assert_eq!((e, s), (epoch, n), "rank {rank} settled on the wrong epoch");
-        }
-    };
-    settle(4, 1);
-    ctl.spawn_ranks(4, Some(PSET));
-    settle(8, 2);
-    handle.kill_rank(7);
-    settle(7, 3);
-    ctl.retire_ranks(&[6], Some(PSET)).expect("retire");
-    settle(6, 4);
-    launcher.universe().registry().undefine_pset(PSET);
-    handle.join().expect("elastic workload");
-    // Whether a given data-plane send goes out eager or carries the
-    // extended header races against handshake completion across rebuild
-    // epochs: the split varies run to run while the total is fixed by the
-    // protocol. Fold the racy pair into its deterministic sum.
-    fold_racy_data_split(extract(&launcher))
-}
-
-/// Soak shape: driver-paced session/comm/pset churn waves against one
-/// persistent runtime, fully drained — fingerprints the resource-lifecycle
-/// hot path (CID release, subfield + PGCID recycling, tombstone GC). The
-/// eager/ext data split and the handshake/advert race vary run to run
-/// while their totals are protocol-fixed, so the racy pairs are folded
-/// exactly as in the elastic workload.
-fn run_soak(waves: u64) -> Value {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    let registry = launcher.universe().registry();
-    let (tx, rx) = mpsc::channel::<u32>();
-    let handle = launcher.spawn_named("gate-soak", JobSpec::new(4), move |ctx| {
-        for wave in 0..waves {
-            let (session, comm) = apps::osu::bench_comm(&ctx, InitMode::Sessions, &format!("gate-soak-w{wave}"));
-            let d1 = comm.dup().expect("dup");
-            d1.free().expect("free d1");
-            let d2 = comm.dup().expect("dup recycled");
-            d2.free().expect("free d2");
-            comm.free().expect("free");
-            if let Some(s) = session {
-                s.finalize().expect("fini");
-            }
-            tx.send(ctx.rank()).expect("ack");
-        }
-    });
-    for wave in 0..waves {
-        for _ in 0..4 {
-            rx.recv_timeout(Duration::from_secs(120)).expect("wave ack");
-        }
-        let name = format!("gate-soak://w{wave}");
-        registry.define_pset(&name, vec![]);
-        registry.undefine_pset(&name);
-    }
-    handle.join().expect("soak workload");
-    fold_racy_data_split(extract(&launcher))
-}
-
-/// Recovery shape: the fault protocol's fixed-cost path — one kill, the
-/// survivors pset prunes, every survivor repairs at the settled epoch
-/// (`ElasticComm::establish` on the survivors pset) and resumes
-/// collectives at the shrunk width.
-/// The kill is driver-paced against parked survivors (blocked in the
-/// fault watcher, generating no traffic), so no request ever times out or
-/// retries: the fingerprint is the protocol's deterministic recovery cost
-/// — death fanout, pset prune, epoch-pinned rebuild — not a racy settle
-/// path. The eager/ext data split folds as in the other workloads.
-fn run_recover() -> Value {
-    use mpi_sessions::{coll, ReduceOp};
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    let (tx, rx) = mpsc::channel::<(u32, u32)>();
-    let handle = launcher.spawn_named("gate-recover", JobSpec::new(4), move |ctx| {
-        let session = mpi_sessions::Session::init(
-            &ctx,
-            mpi_sessions::ThreadLevel::Single,
-            mpi_sessions::ErrHandler::Return,
-            &mpi_sessions::Info::null(),
-        )
-        .expect("session init");
-        let pset = session.track_faults().expect("track_faults");
-        let mut faults = session.watch_faults().expect("watch_faults");
-        let world = session
-            .group_from_pset(mpi_sessions::session::PSET_WORLD)
-            .expect("world group");
-        let comm = Comm::create_from_group(&world, "gate-recover").expect("comm");
-        let sum = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).expect("allreduce")[0];
-        tx.send((ctx.rank(), sum)).expect("ack");
-        if ctx.rank() == 3 {
-            // Victim: park until the runtime has absorbed the kill.
-            ctx.park_until_killed();
-            comm.abandon();
-            return;
-        }
-        // The bridge pruned the corpse before the death event was yielded:
-        // repair one-shot at the settled epoch, with no re-entry or Timeout
-        // retries, so the message counts stay protocol-fixed.
-        let dead = faults.next_timeout(Duration::from_secs(30)).expect("death event");
-        assert_eq!(dead.rank(), 3);
-        let repaired =
-            mpi_sessions::ElasticComm::establish(&session, &pset, Duration::from_secs(30))
-                .expect("repair");
-        let sum = coll::allreduce_t(repaired.comm().expect("member"), ReduceOp::Sum, &[1u32])
-            .expect("allreduce")[0];
-        tx.send((ctx.rank(), sum)).expect("ack");
-        drop(repaired);
-        comm.abandon();
-        session.finalize().expect("finalize");
-    });
-    for _ in 0..4 {
-        let (rank, sum) = rx.recv_timeout(Duration::from_secs(60)).expect("world ack");
-        assert_eq!(sum, 4, "rank {rank} saw the wrong world width");
-    }
-    handle.kill_rank(3);
-    for _ in 0..3 {
-        let (rank, sum) = rx.recv_timeout(Duration::from_secs(60)).expect("repair ack");
-        assert_eq!(sum, 3, "rank {rank} settled at the wrong width");
-    }
-    handle.join().expect("recover workload");
-    fold_racy_data_split(extract(&launcher))
+/// The critical-path cost a [`record`] kept.
+fn recorded_critical_path(record: &Value) -> u64 {
+    record.as_object().and_then(|r| r.get("critical_path_cost")?.as_u64()).unwrap_or(0)
 }
 
 /// Nonblocking-overlap shape: K communicator constructions from one world
@@ -431,61 +189,21 @@ fn run_recover() -> Value {
 /// How far the overlapped run coalesces depends on thread scheduling, so
 /// the recorded fingerprint keeps the deterministic blocking-run record
 /// plus the pass bits (1), never the racy overlapped counts.
-fn run_overlap_icomm(k: usize) -> Value {
-    let run = |overlap: bool| -> Value {
-        let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-        let obs = launcher.universe().fabric().obs();
-        obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).expect("cvar");
-        launcher
-            .spawn(JobSpec::new(2), move |ctx| {
-                let session = mpi_sessions::Session::init(
-                    &ctx,
-                    mpi_sessions::ThreadLevel::Single,
-                    mpi_sessions::ErrHandler::Return,
-                    &mpi_sessions::Info::null(),
-                )
-                .expect("session init");
-                let group = session.group_from_pset("mpi://world").expect("world pset");
-                let comms: Vec<Comm> = if overlap {
-                    let reqs: Vec<_> = (0..k)
-                        .map(|i| {
-                            Comm::icomm_create_from_group(&group, &format!("gate-ov{i}"))
-                                .expect("icomm issue")
-                        })
-                        .collect();
-                    reqs.into_iter().map(|r| r.wait().expect("icomm wait")).collect()
-                } else {
-                    (0..k)
-                        .map(|i| {
-                            Comm::create_from_group(&group, &format!("gate-ov{i}"))
-                                .expect("comm")
-                        })
-                        .collect()
-                };
-                for c in comms {
-                    c.free().expect("free");
-                }
-                session.finalize().expect("fini");
-            })
-            .join()
-            .expect("overlap workload");
-        extract(&launcher)
+fn overlap() -> Value {
+    let k = OVERLAP_K;
+    let run = |overlap: bool| {
+        let job = tiny(2, 1).cvar("pmix.pgcid_block", obs::CvarValue::U64(1));
+        record(&workload::comm_constructs(job, k, overlap))
     };
     let seq = run(false);
     let pipe = run(true);
-    let stage = |v: &Value, name: &str, field: &str| -> u64 {
-        v.as_object().expect("record")["stages"]
-            .as_object()
-            .and_then(|s| s.get(name)?.as_object()?.get(field)?.as_u64())
-            .unwrap_or(0)
-    };
     let serialized_cp = |v: &Value| -> u64 {
-        v.as_object().expect("record")["critical_path_cost"].as_u64().unwrap_or(0)
-            + stage(v, "pgcid.request", "exclusive")
-            + stage(v, "pgcid.alloc", "exclusive")
+        recorded_critical_path(v)
+            + stage_field(v, "pgcid.request", "exclusive")
+            + stage_field(v, "pgcid.alloc", "exclusive")
     };
     let (seq_reqs, pipe_reqs) =
-        (stage(&seq, "pgcid.request", "count"), stage(&pipe, "pgcid.request", "count"));
+        (stage_field(&seq, "pgcid.request", "count"), stage_field(&pipe, "pgcid.request", "count"));
     let (seq_cp, pipe_cp) = (serialized_cp(&seq), serialized_cp(&pipe));
     if seq_reqs < k as u64
         || pipe_reqs == 0
@@ -515,9 +233,11 @@ fn run_overlap_icomm(k: usize) -> Value {
 }
 
 /// Fold the legitimately racy eager/ext counter pair and the
-/// eager/handshake stage pair into their deterministic sums (see
-/// `run_elastic`: which flavor a data send takes races against handshake
-/// completion; the totals are fixed by the protocol).
+/// eager/handshake stage pair into their deterministic sums: whether a
+/// given data-plane send goes out eager or carries the extended header
+/// races against handshake completion (across rebuild epochs, recycled
+/// communicators, a repaired comm), while the totals are fixed by the
+/// protocol.
 fn fold_racy_data_split(mut record: Value) -> Value {
     if let Value::Object(w) = &mut record {
         if let Some(Value::Object(c)) = w.get_mut("counters") {
@@ -588,46 +308,20 @@ fn compare(path: &str, want: &Value, got: &Value, tol: f64, violations: &mut Vec
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    const DUPS: usize = 300;
-    const CONSENSUS_DUPS: usize = 40;
 
     let mut workloads = Map::new();
-    eprintln!("bench_gate: fig3 init points");
-    workloads.insert("fig3_wpm_2x2".into(), run_init(InitMode::Wpm));
-    workloads.insert("fig3_sessions_2x2".into(), run_init(InitMode::Sessions));
-    eprintln!("bench_gate: lazy init point");
-    workloads.insert("fig_init_lazy_np4".into(), run_init(InitMode::Lazy));
-    eprintln!("bench_gate: fig4 dup points");
-    workloads.insert(
-        "fig4_wpm_consensus_np4".into(),
-        run_dups(DupKind::Consensus, CONSENSUS_DUPS),
-    );
-    workloads.insert("fig4_sessions_pgcid_np4".into(), run_dups(DupKind::PgcidPerDup, DUPS));
-    workloads.insert("fig4_sessions_derived_np4".into(), run_dups(DupKind::Derived, DUPS));
-    eprintln!("bench_gate: fig5 mbw point");
-    workloads.insert("fig5_mbw_presync_np4".into(), run_mbw());
-    eprintln!("bench_gate: pmix group ablation point");
-    workloads.insert("abl_pmix_group_2x2".into(), run_group_ablation(4));
-    eprintln!("bench_gate: pml handshake-cache point");
-    workloads.insert("pml_cache_two_comms_np2".into(), run_pml_cache());
-    eprintln!("bench_gate: elastic churn point");
-    workloads.insert("fig_elastic_churn_2x4".into(), run_elastic());
-    eprintln!("bench_gate: soak churn point");
-    workloads.insert("fig_soak_churn_2x2".into(), run_soak(8));
-    eprintln!("bench_gate: fault recovery point");
-    workloads.insert("fig_recover_kill_2x2".into(), run_recover());
-    eprintln!("bench_gate: nonblocking overlap point");
-    workloads.insert("async_overlap_icomm_np2".into(), run_overlap_icomm(8));
+    for &(name, split, run) in TABLE {
+        eprintln!("bench_gate: {name}");
+        let record = run();
+        let record = if split == Folded { fold_racy_data_split(record) } else { record };
+        workloads.insert(name.into(), record);
+    }
     let n_workloads = workloads.len();
 
     // Hard acceptance bound for PGCID batching: 301 PGCID-bearing group
     // constructs (parent + 300 dups) must need at most a quarter as many
     // `pgcid.request` round trips.
-    let requests = workloads["fig4_sessions_pgcid_np4"]
-        .as_object()
-        .and_then(|w| w.get("stages")?.as_object()?.get("pgcid.request")?.as_object())
-        .and_then(|s| s.get("count")?.as_u64())
-        .unwrap_or(0);
+    let requests = stage_field(&workloads["fig4_sessions_pgcid_np4"], "pgcid.request", "count");
     let bound = (DUPS as u64 + 1) / 4;
     if requests == 0 || requests > bound {
         eprintln!(
@@ -643,23 +337,12 @@ fn main() {
     // record must contain zero group fan-in/fan-out stages and strictly
     // fewer logical steps — a shorter critical path — than the eager
     // sessions record at the same np=4 scale.
-    let stage_count = |wl: &str, stage: &str| {
-        workloads[wl]
-            .as_object()
-            .and_then(|w| w.get("stages")?.as_object()?.get(stage)?.as_object())
-            .and_then(|s| s.get("count")?.as_u64())
-            .unwrap_or(0)
-    };
-    let critical = |wl: &str| {
-        workloads[wl]
-            .as_object()
-            .and_then(|w| w.get("critical_path_cost")?.as_u64())
-            .unwrap_or(0)
-    };
-    let lazy_fanin = stage_count("fig_init_lazy_np4", "group.fanin");
-    let lazy_fanout = stage_count("fig_init_lazy_np4", "group.fanout");
-    let lazy_publishes = stage_count("fig_init_lazy_np4", "session.publish");
-    let (lazy_cp, eager_cp) = (critical("fig_init_lazy_np4"), critical("fig3_sessions_2x2"));
+    let lazy = &workloads["fig_init_lazy_np4"];
+    let lazy_fanin = stage_field(lazy, "group.fanin", "count");
+    let lazy_fanout = stage_field(lazy, "group.fanout", "count");
+    let lazy_publishes = stage_field(lazy, "session.publish", "count");
+    let (lazy_cp, eager_cp) =
+        (recorded_critical_path(lazy), recorded_critical_path(&workloads["fig3_sessions_2x2"]));
     if lazy_fanin != 0 || lazy_fanout != 0 || lazy_publishes == 0 || lazy_cp >= eager_cp {
         eprintln!(
             "bench_gate: FAIL lazy-init acceptance: {lazy_fanin} group.fanin / {lazy_fanout} \

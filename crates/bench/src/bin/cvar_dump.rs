@@ -13,7 +13,7 @@
 //!
 //! Usage: `cvar_dump [--markdown] [--out <path>]`
 
-use apps::{cli_flag, cli_opt};
+use bench_harness::{cli_flag, cli_opt};
 use mpi_sessions::{ErrHandler, Info, Session, ThreadLevel};
 use obs::CvarInfo;
 use prrte::{JobSpec, Launcher};

@@ -11,9 +11,9 @@
 //! `--trace-out` dumps each best run's causal span-DAG trace report with
 //! its critical path, plus a flamegraph text rendering.)
 
-use apps::osu::{osu_init_traced, InitResult};
-use apps::{cli_flag, cli_opt, InitMode};
-use bench_harness::{dump_json, parse_list, MetricsSink, TraceSink};
+use apps::osu::osu_init;
+use apps::InitMode;
+use bench_harness::{best_of, cli_flag, cli_opt, dump_json, parse_list, Sink};
 use serde::Serialize;
 use simnet::SimTestbed;
 
@@ -27,16 +27,6 @@ struct Row {
     ratio: f64,
     session_init_frac: f64,
     comm_create_frac: f64,
-}
-
-fn best_of(
-    reps: usize,
-    f: impl Fn() -> (InitResult, serde_json::Value, serde_json::Value),
-) -> (InitResult, serde_json::Value, serde_json::Value) {
-    (0..reps.max(1))
-        .map(|_| f())
-        .min_by(|a, b| a.0.max.total_s.total_cmp(&b.0.max.total_s))
-        .expect("at least one rep")
 }
 
 fn main() {
@@ -58,9 +48,7 @@ fn main() {
 
     println!("# Fig. 3: MPI initialization times (simulated Jupiter cost model)");
     println!("# per-subsystem component-load cost: {load_us} us (NFS analog, --load-cost-us)");
-    let mut sink = MetricsSink::from_args(&args);
-    let mut traces = TraceSink::from_args(&args);
-    let want_trace = traces.enabled();
+    let mut sink = Sink::from_args(&args);
     let mut rows = Vec::new();
     for &ppn in &ppn_list {
         println!("\n## {} process(es) per node (Fig. 3{})", ppn, if ppn == 1 { "a" } else { "b" });
@@ -75,23 +63,22 @@ fn main() {
                 tb
             };
             let np = nodes * ppn;
-            let (wpm, wpm_metrics, wpm_trace) =
-                best_of(reps, || osu_init_traced(mk_tb(), np, InitMode::Wpm, want_trace));
-            let (sess, sess_metrics, sess_trace) =
-                best_of(reps, || osu_init_traced(mk_tb(), np, InitMode::Sessions, want_trace));
-            sink.record(&format!("ppn{ppn}_nodes{nodes}_wpm"), wpm_metrics);
-            sink.record(&format!("ppn{ppn}_nodes{nodes}_sessions"), sess_metrics);
-            traces.record(&format!("ppn{ppn}_nodes{nodes}_wpm"), wpm_trace);
-            traces.record(&format!("ppn{ppn}_nodes{nodes}_sessions"), sess_trace);
-            let ratio = sess.max.total_s / wpm.max.total_s;
-            let si_frac = sess.max.session_init_s / sess.max.total_s * 100.0;
-            let cc_frac = sess.max.comm_create_s / sess.max.total_s * 100.0;
+            let mut best = |mode, label| {
+                let run = best_of(reps, || osu_init(mk_tb(), np, mode), |r| r.slowest().total_s);
+                sink.record(&format!("ppn{ppn}_nodes{nodes}_{label}"), &run);
+                run.slowest()
+            };
+            let wpm = best(InitMode::Wpm, "wpm");
+            let sess = best(InitMode::Sessions, "sessions");
+            let ratio = sess.total_s / wpm.total_s;
+            let si_frac = sess.session_init_s / sess.total_s * 100.0;
+            let cc_frac = sess.comm_create_s / sess.total_s * 100.0;
             println!(
                 "{:>6} {:>6} {:>12.3} {:>14.3} {:>8.3} {:>11.1}% {:>11.1}%",
                 nodes,
                 np,
-                wpm.max.total_s * 1e3,
-                sess.max.total_s * 1e3,
+                wpm.total_s * 1e3,
+                sess.total_s * 1e3,
                 ratio,
                 si_frac,
                 cc_frac
@@ -100,8 +87,8 @@ fn main() {
                 ppn,
                 nodes,
                 np,
-                wpm_ms: wpm.max.total_s * 1e3,
-                sessions_ms: sess.max.total_s * 1e3,
+                wpm_ms: wpm.total_s * 1e3,
+                sessions_ms: sess.total_s * 1e3,
                 ratio,
                 session_init_frac: si_frac,
                 comm_create_frac: cc_frac,
@@ -115,5 +102,4 @@ fn main() {
     );
     dump_json("fig3_init", &rows);
     sink.finish();
-    traces.finish();
 }

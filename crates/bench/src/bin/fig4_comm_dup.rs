@@ -26,12 +26,11 @@
 //! `--trace-out` dumps per-run causal span-DAG traces whose critical paths
 //! show the consensus rounds vs the PMIx stage chain vs local derivation.)
 
-use apps::{cli_flag, cli_opt, InitMode};
-use bench_harness::{dump_json, parse_list, settled_export, MetricsSink, TraceSink};
-use prrte::{JobSpec, Launcher};
+use apps::run::{Job, Run};
+use apps::workload::{dup_chain, DupKind};
+use bench_harness::{cli_flag, cli_opt, dump_json, parse_list, Sink};
 use serde::Serialize;
 use simnet::SimTestbed;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Row {
@@ -45,107 +44,9 @@ struct Row {
     nonblocking_dup_us: Option<f64>,
 }
 
-/// Time `iters` dup operations on a fresh job; returns µs per dup
-/// (max across ranks).
-fn write_pgcid_block(launcher: &Launcher, block: u64) {
-    let obs = launcher.universe().fabric().obs();
-    obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(block)).expect("cvar");
-}
-
-fn time_dups(
-    tb: SimTestbed,
-    np: u32,
-    mode: InitMode,
-    iters: usize,
-    derive: bool,
-    want_trace: bool,
-    pgcid_block: Option<u64>,
-) -> (f64, serde_json::Value, serde_json::Value) {
-    let launcher = Launcher::new(tb);
-    if let Some(block) = pgcid_block {
-        write_pgcid_block(&launcher, block);
-    }
-    let per_rank = launcher
-        .spawn(JobSpec::new(np), move |ctx| {
-            let (session, comm) = apps::osu::bench_comm(&ctx, mode, "fig4");
-            let t0 = Instant::now();
-            let mut dups = Vec::with_capacity(iters);
-            for _ in 0..iters {
-                let d = match (mode, derive) {
-                    (InitMode::Wpm, _) => comm.dup().expect("consensus dup"),
-                    (InitMode::Sessions | InitMode::Lazy, false) => {
-                        comm.dup_via_group().expect("pgcid dup")
-                    }
-                    (InitMode::Sessions | InitMode::Lazy, true) => {
-                        comm.dup().expect("derived dup")
-                    }
-                };
-                dups.push(d);
-            }
-            let elapsed = t0.elapsed();
-            for d in dups {
-                d.free().expect("free");
-            }
-            comm.free().expect("free");
-            if let Some(s) = session {
-                s.finalize().expect("fini");
-            }
-            elapsed.as_secs_f64() * 1e6 / iters as f64
-        })
-        .join()
-        .expect("fig4 job");
-    let registry = launcher.universe().fabric().obs();
-    let metrics = settled_export(&launcher);
-    let trace = if want_trace {
-        obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped())
-    } else {
-        serde_json::Value::Null
-    };
-    (per_rank.into_iter().fold(0.0, f64::max), metrics, trace)
-}
-
-/// Time `iters` *overlapped* dups on a fresh job: every `idup_via_group`
-/// request is issued before any is claimed, so the PGCID acquisitions
-/// pipeline instead of serializing. Returns µs per dup (max across ranks).
-fn time_idups(
-    tb: SimTestbed,
-    np: u32,
-    iters: usize,
-    want_trace: bool,
-    pgcid_block: Option<u64>,
-) -> (f64, serde_json::Value, serde_json::Value) {
-    let launcher = Launcher::new(tb);
-    if let Some(block) = pgcid_block {
-        write_pgcid_block(&launcher, block);
-    }
-    let per_rank = launcher
-        .spawn(JobSpec::new(np), move |ctx| {
-            let (session, comm) = apps::osu::bench_comm(&ctx, InitMode::Sessions, "fig4-nb");
-            let t0 = Instant::now();
-            let reqs: Vec<_> =
-                (0..iters).map(|_| comm.idup_via_group().expect("dup issue")).collect();
-            let dups: Vec<_> =
-                reqs.into_iter().map(|r| r.wait().expect("dup wait")).collect();
-            let elapsed = t0.elapsed();
-            for d in dups {
-                d.free().expect("free");
-            }
-            comm.free().expect("free");
-            if let Some(s) = session {
-                s.finalize().expect("fini");
-            }
-            elapsed.as_secs_f64() * 1e6 / iters as f64
-        })
-        .join()
-        .expect("fig4 nonblocking job");
-    let registry = launcher.universe().fabric().obs();
-    let metrics = settled_export(&launcher);
-    let trace = if want_trace {
-        obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped())
-    } else {
-        serde_json::Value::Null
-    };
-    (per_rank.into_iter().fold(0.0, f64::max), metrics, trace)
+/// The slowest rank's µs per dup.
+fn slowest(run: &Run<f64>) -> f64 {
+    run.ranks.iter().copied().fold(0.0, f64::max)
 }
 
 fn main() {
@@ -160,59 +61,48 @@ fn main() {
     let nonblocking = cli_flag(&args, "--nonblocking");
 
     println!("# Fig. 4: MPI_Comm_dup time per iteration, {ppn} processes/node");
-    if nonblocking {
-        println!(
-            "{:>6} {:>6} {:>16} {:>18} {:>18} {:>18} {:>8}",
-            "nodes", "np", "MPI_Init (us)", "Sessions/PGCID", "Sessions/derived",
-            "Sessions/overlap", "ratio"
-        );
-    } else {
-        println!(
-            "{:>6} {:>6} {:>16} {:>18} {:>18} {:>8}",
-            "nodes", "np", "MPI_Init (us)", "Sessions/PGCID", "Sessions/derived", "ratio"
-        );
-    }
-    let mut sink = MetricsSink::from_args(&args);
-    let mut traces = TraceSink::from_args(&args);
-    let want_trace = traces.enabled();
+    // The overlap column is printed only with --nonblocking.
+    let overlap_col = |v: Option<String>| v.map(|v| format!(" {v:>18}")).unwrap_or_default();
+    println!(
+        "{:>6} {:>6} {:>16} {:>18} {:>18}{} {:>8}",
+        "nodes",
+        "np",
+        "MPI_Init (us)",
+        "Sessions/PGCID",
+        "Sessions/derived",
+        overlap_col(nonblocking.then(|| "Sessions/overlap".into())),
+        "ratio"
+    );
+    let mut sink = Sink::from_args(&args);
     let mut rows = Vec::new();
     for &nodes in &nodes_list {
-        let mk_tb = || {
+        let np = nodes * ppn;
+        let mut chain = |label: &str, kind| {
             let mut tb = SimTestbed::jupiter(nodes);
             tb.cluster.slots_per_node = ppn;
-            tb
+            let mut job = Job::new(tb);
+            if let Some(block) = pgcid_block {
+                job = job.cvar("pmix.pgcid_block", obs::CvarValue::U64(block));
+            }
+            let run = dup_chain(job, np, kind, iters);
+            sink.record(&format!("nodes{nodes}_{label}"), &run);
+            slowest(&run)
         };
-        let np = nodes * ppn;
-        let (wpm, wpm_m, wpm_t) =
-            time_dups(mk_tb(), np, InitMode::Wpm, iters, false, want_trace, pgcid_block);
-        let (sess, sess_m, sess_t) =
-            time_dups(mk_tb(), np, InitMode::Sessions, iters, false, want_trace, pgcid_block);
-        let (derived, derived_m, derived_t) =
-            time_dups(mk_tb(), np, InitMode::Sessions, iters, true, want_trace, pgcid_block);
-        let nb = nonblocking.then(|| {
-            let (nb, nb_m, nb_t) = time_idups(mk_tb(), np, iters, want_trace, pgcid_block);
-            sink.record(&format!("nodes{nodes}_sessions_overlap"), nb_m);
-            traces.record(&format!("nodes{nodes}_sessions_overlap"), nb_t);
-            nb
-        });
-        sink.record(&format!("nodes{nodes}_wpm_consensus"), wpm_m);
-        sink.record(&format!("nodes{nodes}_sessions_pgcid"), sess_m);
-        sink.record(&format!("nodes{nodes}_sessions_derived"), derived_m);
-        traces.record(&format!("nodes{nodes}_wpm_consensus"), wpm_t);
-        traces.record(&format!("nodes{nodes}_sessions_pgcid"), sess_t);
-        traces.record(&format!("nodes{nodes}_sessions_derived"), derived_t);
+        let wpm = chain("wpm_consensus", DupKind::Consensus);
+        let sess = chain("sessions_pgcid", DupKind::PgcidPerDup);
+        let derived = chain("sessions_derived", DupKind::Derived);
+        let nb = nonblocking.then(|| chain("sessions_overlap", DupKind::Overlapped));
         let ratio = sess / wpm;
-        if let Some(nb) = nb {
-            println!(
-                "{:>6} {:>6} {:>16.2} {:>18.2} {:>18.2} {:>18.2} {:>8.2}",
-                nodes, np, wpm, sess, derived, nb, ratio
-            );
-        } else {
-            println!(
-                "{:>6} {:>6} {:>16.2} {:>18.2} {:>18.2} {:>8.2}",
-                nodes, np, wpm, sess, derived, ratio
-            );
-        }
+        println!(
+            "{:>6} {:>6} {:>16.2} {:>18.2} {:>18.2}{} {:>8.2}",
+            nodes,
+            np,
+            wpm,
+            sess,
+            derived,
+            overlap_col(nb.map(|v| format!("{v:.2}"))),
+            ratio
+        );
         rows.push(Row {
             nodes,
             np,
@@ -237,5 +127,4 @@ fn main() {
     }
     dump_json("fig4_comm_dup", &rows);
     sink.finish();
-    traces.finish();
 }

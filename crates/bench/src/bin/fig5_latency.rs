@@ -4,8 +4,8 @@
 //! Usage: `fig5_latency [--max-size 1048576] [--iters 200] [--reps 3]`
 
 use apps::osu::{run_latency_job, size_sweep};
-use apps::{cli_opt, InitMode};
-use bench_harness::{dump_json, geomean};
+use apps::InitMode;
+use bench_harness::{cli_opt, dump_json, geomean};
 use serde::Serialize;
 use simnet::SimTestbed;
 
@@ -29,14 +29,8 @@ fn main() {
         // Best-of-reps per size to tame single-core scheduler noise.
         let mut best = vec![f64::INFINITY; sizes.len()];
         for _ in 0..reps {
-            let samples = run_latency_job(
-                SimTestbed::tiny(1, 2),
-                mode,
-                sizes.clone(),
-                10,
-                iters,
-            );
-            for (i, s) in samples.iter().enumerate() {
+            let run = run_latency_job(SimTestbed::tiny(1, 2), mode, sizes.clone(), 10, iters);
+            for (i, s) in run.ranks[0].iter().enumerate() {
                 best[i] = best[i].min(s.usec);
             }
         }

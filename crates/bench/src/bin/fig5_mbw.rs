@@ -15,9 +15,9 @@
 //! on-node vs inter-node traffic. `--trace-out` dumps per-run causal
 //! span-DAG traces with the exCID handshake spans.)
 
-use apps::osu::{run_mbw_job_traced, size_sweep};
-use apps::{cli_flag, cli_opt, InitMode};
-use bench_harness::{dump_json, geomean, MetricsSink, TraceSink};
+use apps::osu::{run_mbw_job, size_sweep};
+use apps::InitMode;
+use bench_harness::{cli_flag, cli_opt, dump_json, geomean, Sink};
 use serde::Serialize;
 use simnet::SimTestbed;
 
@@ -38,28 +38,16 @@ fn run_config(
     sizes: &[usize],
     window: usize,
     iters: usize,
-    sink: &mut MetricsSink,
-    traces: &mut TraceSink,
+    sink: &mut Sink,
 ) -> Vec<Row> {
-    let run = |mode| {
-        run_mbw_job_traced(
-            SimTestbed::tiny(1, procs),
-            mode,
-            procs,
-            sizes.to_vec(),
-            window,
-            2,
-            iters,
-            presync,
-            traces.enabled(),
-        )
+    let mut run = |mode, label: &str| {
+        let tb = SimTestbed::tiny(1, procs);
+        let mut run = run_mbw_job(tb, mode, procs, sizes.to_vec(), window, 2, iters, presync);
+        sink.record(&format!("p{procs}_presync{presync}_{label}"), &run);
+        run.ranks.swap_remove(0)
     };
-    let (wpm, wpm_m, wpm_t) = run(InitMode::Wpm);
-    let (sess, sess_m, sess_t) = run(InitMode::Sessions);
-    sink.record(&format!("p{procs}_presync{presync}_wpm"), wpm_m);
-    sink.record(&format!("p{procs}_presync{presync}_sessions"), sess_m);
-    traces.record(&format!("p{procs}_presync{presync}_wpm"), wpm_t);
-    traces.record(&format!("p{procs}_presync{presync}_sessions"), sess_t);
+    let wpm = run(InitMode::Wpm, "wpm");
+    let sess = run(InitMode::Sessions, "sessions");
     sizes
         .iter()
         .enumerate()
@@ -105,8 +93,7 @@ fn main() {
         vec![(procs, cli_flag(&args, "--presync"))]
     };
 
-    let mut sink = MetricsSink::from_args(&args);
-    let mut traces = TraceSink::from_args(&args);
+    let mut sink = Sink::from_args(&args);
     let mut all = Vec::new();
     for (procs, presync) in configs {
         println!(
@@ -116,7 +103,7 @@ fn main() {
             procs / 2,
             if presync { ", pre-synchronized (sendrecv before loop)" } else { "" }
         );
-        let rows = run_config(procs, presync, &sizes, window, iters, &mut sink, &mut traces);
+        let rows = run_config(procs, presync, &sizes, window, iters, &mut sink);
         print_rows(&rows);
         all.extend(rows);
     }
@@ -124,5 +111,4 @@ fn main() {
     println!("# multi-pair w/o presync dips below 1.0 at small sizes; presync restores ≈1.0.");
     dump_json("fig5_mbw", &all);
     sink.finish();
-    traces.finish();
 }

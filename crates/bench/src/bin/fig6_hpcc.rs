@@ -4,8 +4,8 @@
 //! Usage: `fig6_hpcc [--nodes 1,2,4,8] [--ppn 8] [--iters 50] [--paper]`
 
 use apps::hpcc::run_hpcc_rings;
-use apps::{cli_flag, cli_opt, InitMode};
-use bench_harness::{dump_json, parse_list};
+use apps::InitMode;
+use bench_harness::{cli_flag, cli_opt, dump_json, parse_list};
 use serde::Serialize;
 use simnet::SimTestbed;
 

@@ -9,8 +9,7 @@
 //! Usage: `fig7_mesh2 [--reps 3] [--paper]`
 
 use apps::mesh2::{run_mesh2_median, Mesh2Config};
-use apps::{cli_flag, cli_opt};
-use bench_harness::dump_json;
+use bench_harness::{cli_flag, cli_opt, dump_json};
 use quo::QuoBackend;
 use serde::Serialize;
 use simnet::SimTestbed;

@@ -21,11 +21,10 @@
 //! through `trace_check` and diffs the stage orderings against
 //! `ci/golden_lazy_critical_path.txt`.)
 
-use apps::osu::{osu_init_traced, InitResult};
-use apps::{cli_opt, InitMode};
-use bench_harness::{dump_json, parse_list, MetricsSink, TraceSink};
+use apps::osu::osu_init;
+use apps::InitMode;
+use bench_harness::{best_of, cli_opt, critical_path_cost, dump_json, parse_list, stage_field, Sink};
 use serde::Serialize;
-use serde_json::Value;
 use simnet::SimTestbed;
 
 #[derive(Serialize)]
@@ -44,46 +43,6 @@ struct Row {
     lazy_fanout: u64,
 }
 
-fn best_of(
-    reps: usize,
-    f: impl Fn() -> (InitResult, Value, Value),
-) -> (InitResult, Value, Value) {
-    (0..reps.max(1))
-        .map(|_| f())
-        .min_by(|a, b| a.0.max.total_s.total_cmp(&b.0.max.total_s))
-        .expect("at least one rep")
-}
-
-/// Max logical critical-path cost over the report's traces (the same
-/// reduction bench_gate records).
-fn critical_path_cost(report: &Value) -> u64 {
-    report
-        .as_object()
-        .and_then(|r| r.get("traces"))
-        .and_then(Value::as_array)
-        .map(|traces| {
-            traces
-                .iter()
-                .filter_map(|t| t.as_object()?.get("critical_path_cost")?.as_u64())
-                .max()
-                .unwrap_or(0)
-        })
-        .unwrap_or(0)
-}
-
-/// Execution count of one stage name across the whole DAG.
-fn stage_count(report: &Value, stage: &str) -> u64 {
-    report
-        .as_object()
-        .and_then(|r| r.get("stages"))
-        .and_then(Value::as_object)
-        .and_then(|s| s.get(stage))
-        .and_then(Value::as_object)
-        .and_then(|s| s.get("count"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let nodes_list = parse_list(&cli_opt(&args, "--nodes").unwrap_or_else(|| "1,2,4".into()));
@@ -95,8 +54,7 @@ fn main() {
 
     println!("# Lazy vs. eager session init across scale (fence-free startup, DESIGN.md §14)");
     println!("# per-subsystem component-load cost: {load_us} us (--load-cost-us)");
-    let mut sink = MetricsSink::from_args(&args);
-    let mut traces = TraceSink::from_args(&args);
+    let mut sink = Sink::from_args(&args);
     let mut rows = Vec::new();
     let mut failed = false;
     for &ppn in &ppn_list {
@@ -112,27 +70,24 @@ fn main() {
                 tb
             };
             let np = nodes * ppn;
-            // Traces are always wanted here: the deterministic columns
-            // come from the span DAG, not the wall clock.
-            let (eager, eager_metrics, eager_trace) =
-                best_of(reps, || osu_init_traced(mk_tb(), np, InitMode::Sessions, true));
-            let (lazy, lazy_metrics, lazy_trace) =
-                best_of(reps, || osu_init_traced(mk_tb(), np, InitMode::Lazy, true));
-            sink.record(&format!("ppn{ppn}_nodes{nodes}_eager"), eager_metrics);
-            sink.record(&format!("ppn{ppn}_nodes{nodes}_lazy"), lazy_metrics);
+            let best =
+                |mode| best_of(reps, || osu_init(mk_tb(), np, mode), |r| r.slowest().total_s);
+            let (eager, lazy) = (best(InitMode::Sessions), best(InitMode::Lazy));
+            sink.record(&format!("ppn{ppn}_nodes{nodes}_eager"), &eager);
+            sink.record(&format!("ppn{ppn}_nodes{nodes}_lazy"), &lazy);
+            // The deterministic columns come from the span DAG, not the
+            // wall clock.
             let row = Row {
                 ppn,
                 nodes,
                 np,
-                eager_ms: eager.max.total_s * 1e3,
-                lazy_ms: lazy.max.total_s * 1e3,
-                eager_path: critical_path_cost(&eager_trace),
-                lazy_path: critical_path_cost(&lazy_trace),
-                eager_fanout: stage_count(&eager_trace, "group.fanout"),
-                lazy_fanout: stage_count(&lazy_trace, "group.fanout"),
+                eager_ms: eager.slowest().total_s * 1e3,
+                lazy_ms: lazy.slowest().total_s * 1e3,
+                eager_path: critical_path_cost(eager.trace()),
+                lazy_path: critical_path_cost(lazy.trace()),
+                eager_fanout: stage_field(eager.trace(), "group.fanout", "count"),
+                lazy_fanout: stage_field(lazy.trace(), "group.fanout", "count"),
             };
-            traces.record(&format!("ppn{ppn}_nodes{nodes}_eager"), eager_trace);
-            traces.record(&format!("ppn{ppn}_nodes{nodes}_lazy"), lazy_trace);
             println!(
                 "{:>6} {:>6} {:>10.3} {:>10.3} {:>11} {:>11} {:>8} {:>8}",
                 nodes,
@@ -170,7 +125,6 @@ fn main() {
     );
     dump_json("fig_init_scale", &rows);
     sink.finish();
-    traces.finish();
     if failed {
         std::process::exit(1);
     }

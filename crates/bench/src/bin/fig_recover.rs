@@ -12,8 +12,9 @@
 //! Usage: `fig_recover [--metrics-out <path>] [--trace-out <path>]`
 
 use apps::recover::{RankOutcome, RecoverConfig};
-use bench_harness::dump_json;
-use prrte::{JobSpec, Launcher};
+use apps::run::Job;
+use bench_harness::{dump_json, Sink};
+use prrte::JobSpec;
 use serde::Serialize;
 use simnet::SimTestbed;
 use std::sync::mpsc;
@@ -30,11 +31,10 @@ struct Row {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     // Fast typed Timeout verdicts while repair epochs disagree
     // (docs/TUNING.md: pmix.group_timeout_ms).
-    let obs = launcher.universe().fabric().obs();
-    obs.cvar_write("universe", "pmix.group_timeout_ms", obs::CvarValue::U64(2000)).expect("cvar");
+    let job = Job::new(SimTestbed::tiny(2, 2))
+        .cvar("pmix.group_timeout_ms", obs::CvarValue::U64(2000));
     let cfg = RecoverConfig {
         steps: 12,
         step_wait: Duration::from_secs(2),
@@ -42,16 +42,16 @@ fn main() {
         init: apps::InitMode::Sessions,
     };
     let (tx, rx) = mpsc::channel::<(u32, u32)>();
-    let handle = launcher.spawn_named("recover", JobSpec::new(4), {
+    let body = {
         let cfg = cfg.clone();
-        move |ctx| {
+        move |ctx: prrte::ProcCtx| {
             let tx = tx.clone();
             let rank = ctx.rank();
             apps::recover::run_rank_with_progress(&ctx, &cfg, |step| {
                 let _ = tx.send((rank, step));
             })
         }
-    });
+    };
 
     // Highest step acked per rank. After a repair the step-agreement ring
     // may roll a survivor back to the last globally consistent step, so
@@ -69,17 +69,23 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1e6
     };
 
-    let mut rows = Vec::new();
-    rows.push(Row {
-        phase: "steady_4",
-        members: 4,
-        settle_us: settle(&[0, 1, 2, 3], &mut latest),
+    let (run, rows) = job.drive("recover", JobSpec::new(4), body, |handle, _| {
+        let mut rows = Vec::new();
+        rows.push(Row {
+            phase: "steady_4",
+            members: 4,
+            settle_us: settle(&[0, 1, 2, 3], &mut latest),
+        });
+        handle.kill_rank(3);
+        rows.push(Row {
+            phase: "kill_rank3",
+            members: 3,
+            settle_us: settle(&[0, 1, 2], &mut latest),
+        });
+        handle.kill_rank(2);
+        rows.push(Row { phase: "kill_rank2", members: 2, settle_us: settle(&[0, 1], &mut latest) });
+        rows
     });
-    handle.kill_rank(3);
-    rows.push(Row { phase: "kill_rank3", members: 3, settle_us: settle(&[0, 1, 2], &mut latest) });
-    handle.kill_rank(2);
-    rows.push(Row { phase: "kill_rank2", members: 2, settle_us: settle(&[0, 1], &mut latest) });
-    let out = handle.join().expect("recover job");
 
     println!("# Checkpoint-free recovery: kill-to-fresh-progress settle latency");
     println!("{:>12} {:>8} {:>14}", "phase", "members", "settle (us)");
@@ -91,7 +97,7 @@ fn main() {
     let mut repairs = 0u32;
     let mut stale_retries = 0u32;
     let mut step_faults = 0u32;
-    for (rank, outcome) in out.iter().enumerate() {
+    for (rank, outcome) in run.ranks.iter().enumerate() {
         match (rank, outcome) {
             // A victim exits Removed — or, when its kill landed after its
             // last step, finishes like any survivor.
@@ -126,24 +132,15 @@ fn main() {
          ({stale_retries} rebuild re-entries or fan-in retries, {step_faults} typed step \
          faults routed into repair)"
     );
-    // Drain the tail of in-flight step acks (survivors kept stepping past
-    // the last settle point); none may claim a step beyond the configured
-    // count.
-    while let Ok((rank, step)) = rx.recv_timeout(Duration::from_millis(50)) {
+    // The tail of step acks (survivors kept stepping past the last settle
+    // point) is queued now that the job has joined; none may claim a step
+    // beyond the configured count.
+    for (rank, step) in rx.try_iter() {
         assert!(step <= cfg.steps, "rank {rank} acked step {step} past the last step");
     }
 
-    let registry = launcher.universe().fabric().obs();
-    let mut sink = bench_harness::MetricsSink::from_args(&args);
-    sink.record("recover", bench_harness::settled_export(&launcher));
+    let mut sink = Sink::from_args(&args);
+    sink.record("recover", &run);
     sink.finish();
-    let mut traces = bench_harness::TraceSink::from_args(&args);
-    if traces.enabled() {
-        traces.record(
-            "recover",
-            obs::analyze::analyze(&registry.spans_snapshot(), registry.spans_dropped()),
-        );
-    }
-    traces.finish();
     dump_json("fig_recover", &rows);
 }

@@ -18,7 +18,7 @@
 //!
 //! Usage: `introspect_dump [--out <path>] [--chaos-fail]`
 
-use apps::cli_opt;
+use bench_harness::cli_opt;
 use chaos::{ChaosWorld, FaultPlan};
 use mpi_sessions::{coll, introspect, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 use prrte::{JobSpec, Launcher};

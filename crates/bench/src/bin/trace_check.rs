@@ -23,7 +23,7 @@
 //!        `trace_check --introspect <snapshot.json> [--schema <schema.json>]`
 //! Exits nonzero on the first violation.
 
-use apps::cli_opt;
+use bench_harness::cli_opt;
 use serde_json::{parse_value, Map, Value};
 
 fn fail(msg: &str) -> ! {

@@ -5,9 +5,10 @@
 //! simulated testbed, prints the same rows/series the paper reports, and
 //! can dump machine-readable JSON next to the human-readable table.
 
+use apps::run::Run;
 use serde::Serialize;
 use serde_json::{Map, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Standard location for JSON result dumps (`target/figures/`).
 pub fn results_dir() -> PathBuf {
@@ -20,255 +21,144 @@ pub fn results_dir() -> PathBuf {
 pub fn dump_json<T: Serialize>(figure: &str, value: &T) {
     let path = results_dir().join(format!("{figure}.json"));
     match serde_json::to_vec_pretty(value) {
-        Ok(bytes) => {
-            if let Err(e) = std::fs::write(&path, bytes) {
-                eprintln!("warn: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("(wrote {})", path.display());
-            }
-        }
+        Ok(bytes) => write_file(&path, figure, &bytes),
         Err(e) => eprintln!("warn: could not serialize {figure}: {e}"),
     }
 }
 
-/// The obs export of a finished run, taken after the universe shuts
-/// down. Shutdown drains every PMIx server's mailbox: the last release of
-/// a PGCID may still be on its one-way trip to the lead server when the
-/// ranks exit, and only a drained lead has counted it (`bench_gate` reads
-/// its record the same way).
-pub fn settled_export(launcher: &prrte::Launcher) -> Value {
-    launcher.universe().shutdown();
-    launcher.universe().fabric().obs().export()
+/// Read `--key value` style options.
+pub fn cli_opt(args: &[String], key: &str) -> Option<String> {
+    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
 }
 
-/// Collects per-run obs registry exports (`--metrics-out <path>`).
+/// Presence of a flag.
+pub fn cli_flag(args: &[String], key: &str) -> bool {
+    args.iter().any(|a| a == key)
+}
+
+/// Run `f` `reps` times (at least once) and keep the run with the
+/// smallest `key`.
+pub fn best_of<T>(reps: usize, f: impl Fn() -> T, key: impl Fn(&T) -> f64) -> T {
+    (0..reps.max(1))
+        .map(|_| f())
+        .min_by(|a, b| key(a).total_cmp(&key(b)))
+        .expect("at least one rep")
+}
+
+/// Max logical critical-path cost over a trace report's traces.
+pub fn critical_path_cost(report: &Value) -> u64 {
+    report
+        .as_object()
+        .and_then(|r| r.get("traces")?.as_array())
+        .and_then(|traces| {
+            traces.iter().filter_map(|t| t.as_object()?.get("critical_path_cost")?.as_u64()).max()
+        })
+        .unwrap_or(0)
+}
+
+/// One field (`count`, `exclusive`) of one stage of a trace report (or
+/// of a `bench_gate` record, which keeps the same `stages` shape).
+pub fn stage_field(report: &Value, stage: &str, field: &str) -> u64 {
+    report
+        .as_object()
+        .and_then(|r| r.get("stages")?.as_object()?.get(stage)?.as_object()?.get(field)?.as_u64())
+        .unwrap_or(0)
+}
+
+/// Collects per-run obs exports (`--metrics-out <path>`) and analyzed
+/// span-DAG traces (`--trace-out <path>`) under run labels.
 ///
-/// Each figure binary records the observability export of its runs under
-/// a run label; `finish` writes one JSON object mapping labels to exports.
-/// Without `--metrics-out` on the command line the sink is disabled and
-/// `record`/`finish` are no-ops, so the instrumented path costs nothing.
-pub struct MetricsSink {
-    path: Option<PathBuf>,
-    runs: Map,
+/// `finish` writes each enabled file as one JSON object mapping labels to
+/// exports or reports, plus a flamegraph-style text rendering of every
+/// trace next to the trace file (`<path>.flame.txt`). Trace reports are
+/// derived from logical clocks and work counters only, so two runs at the
+/// same seed and size produce byte-identical trace files. Without either
+/// flag the sink is disabled and `record` reads nothing from the run.
+pub struct Sink {
+    metrics: Option<(PathBuf, Map)>,
+    traces: Option<(PathBuf, Map)>,
 }
 
-impl MetricsSink {
-    /// Build from argv: honors `--metrics-out <path>`.
-    pub fn from_args(args: &[String]) -> MetricsSink {
-        let path = args
-            .iter()
-            .position(|a| a == "--metrics-out")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from);
-        MetricsSink { path, runs: Map::new() }
+impl Sink {
+    /// Build from argv: honors `--metrics-out <path>` and `--trace-out <path>`.
+    pub fn from_args(args: &[String]) -> Sink {
+        let out = |key| cli_opt(args, key).map(|p| (PathBuf::from(p), Map::new()));
+        Sink { metrics: out("--metrics-out"), traces: out("--trace-out") }
     }
 
-    /// Whether `--metrics-out` was given (skip export work otherwise).
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// Record one run's metrics export under `label`.
+    /// Record one settled run under `label`.
     ///
-    /// A `--metrics-out` run with dropped events is a **hard failure**:
-    /// the export would silently under-report, so refuse to produce it
-    /// (raise the ring capacity or trim the workload instead).
-    pub fn record(&mut self, label: &str, metrics: Value) {
-        if self.enabled() {
+    /// A run whose obs ring dropped events, or whose span buffer
+    /// overflowed, is a **hard failure**: the export would silently
+    /// under-report and an incomplete DAG would yield a silently wrong
+    /// critical path, so refuse to produce either (raise the capacity or
+    /// trim the workload instead).
+    pub fn record<T>(&mut self, label: &str, run: &Run<T>) {
+        if let Some((_, runs)) = &mut self.metrics {
+            let metrics = run.export();
             let dropped = metrics
                 .as_object()
-                .and_then(|o| o.get("events"))
-                .and_then(|e| e.as_object())
-                .and_then(|e| e.get("dropped"))
-                .and_then(Value::as_u64)
+                .and_then(|o| o.get("events")?.as_object()?.get("dropped")?.as_u64())
                 .unwrap_or(0);
             assert!(
                 dropped == 0,
                 "run '{label}': {dropped} event(s) dropped from the obs ring; \
                  a --metrics-out export must be complete"
             );
-            self.runs.insert(label.to_owned(), metrics);
+            runs.insert(label.to_owned(), metrics);
+        }
+        if let Some((_, runs)) = &mut self.traces {
+            let trace = run.trace();
+            let dropped =
+                trace.as_object().and_then(|o| o.get("spans_dropped")?.as_u64()).unwrap_or(0);
+            assert!(
+                dropped == 0,
+                "run '{label}': {dropped} span(s) dropped from the trace buffer; \
+                 a --trace-out report must be complete"
+            );
+            runs.insert(label.to_owned(), trace.clone());
         }
     }
 
-    /// Write the collected exports; prints the destination on success.
+    /// Write the collected files; prints each destination on success.
     pub fn finish(self) {
-        let Some(path) = self.path else { return };
-        match serde_json::to_vec_pretty(&Value::Object(self.runs)) {
-            Ok(bytes) => {
-                if let Err(e) = std::fs::write(&path, bytes) {
-                    eprintln!("warn: could not write metrics to {}: {e}", path.display());
-                } else {
-                    eprintln!("(wrote metrics to {})", path.display());
-                }
+        if let Some((path, runs)) = self.traces {
+            let mut flame = String::new();
+            for (label, report) in &runs {
+                flame.push_str(&format!("== {label} ==\n"));
+                flame.push_str(&obs::analyze::flamegraph_text(report));
+                flame.push('\n');
             }
-            Err(e) => eprintln!("warn: could not serialize metrics: {e}"),
+            write_json(&path, "traces", Value::Object(runs));
+            let flame_path = PathBuf::from(format!("{}.flame.txt", path.display()));
+            write_file(&flame_path, "flamegraph", flame.as_bytes());
+        }
+        if let Some((path, runs)) = self.metrics {
+            write_json(&path, "metrics", Value::Object(runs));
         }
     }
 }
 
-/// Collects per-run span-DAG trace reports (`--trace-out <path>`).
-///
-/// Mirrors [`MetricsSink`]: figure binaries record the analyzed trace of
-/// each run (see `obs::analyze`) under a run label; `finish` writes one
-/// JSON object mapping labels to reports, plus a flamegraph-style text
-/// rendering of every trace next to it (`<path>.flame.txt`). Reports are
-/// derived from logical clocks and work counters only, so two runs at the
-/// same seed and size produce byte-identical files.
-pub struct TraceSink {
-    path: Option<PathBuf>,
-    runs: Map,
-}
-
-impl TraceSink {
-    /// Build from argv: honors `--trace-out <path>`.
-    pub fn from_args(args: &[String]) -> TraceSink {
-        let path = args
-            .iter()
-            .position(|a| a == "--trace-out")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from);
-        TraceSink { path, runs: Map::new() }
-    }
-
-    /// Whether `--trace-out` was given (skip trace analysis otherwise).
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// Record one run's trace report under `label`.
-    ///
-    /// A traced run that overflowed the span buffer is a hard failure for
-    /// the same reason dropped events are: an incomplete DAG would yield a
-    /// silently wrong critical path.
-    pub fn record(&mut self, label: &str, trace: Value) {
-        if !self.enabled() {
-            return;
-        }
-        let dropped = trace
-            .as_object()
-            .and_then(|o| o.get("spans_dropped"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        assert!(
-            dropped == 0,
-            "run '{label}': {dropped} span(s) dropped from the trace buffer; \
-             a --trace-out report must be complete"
-        );
-        self.runs.insert(label.to_owned(), trace);
-    }
-
-    /// Write the collected reports; prints the destinations on success.
-    pub fn finish(self) {
-        let Some(path) = self.path else { return };
-        let mut flame = String::new();
-        for (label, report) in &self.runs {
-            flame.push_str(&format!("== {label} ==\n"));
-            flame.push_str(&obs::analyze::flamegraph_text(report));
-            flame.push('\n');
-        }
-        match serde_json::to_vec_pretty(&Value::Object(self.runs)) {
-            Ok(bytes) => {
-                if let Err(e) = std::fs::write(&path, bytes) {
-                    eprintln!("warn: could not write traces to {}: {e}", path.display());
-                } else {
-                    eprintln!("(wrote traces to {})", path.display());
-                }
-            }
-            Err(e) => eprintln!("warn: could not serialize traces: {e}"),
-        }
-        let flame_path = PathBuf::from(format!("{}.flame.txt", path.display()));
-        if let Err(e) = std::fs::write(&flame_path, flame) {
-            eprintln!("warn: could not write flamegraph to {}: {e}", flame_path.display());
-        } else {
-            eprintln!("(wrote flamegraph to {})", flame_path.display());
-        }
+fn write_json(path: &Path, what: &str, value: Value) {
+    match serde_json::to_vec_pretty(&value) {
+        Ok(bytes) => write_file(path, what, &bytes),
+        Err(e) => eprintln!("warn: could not serialize {what}: {e}"),
     }
 }
 
-/// Shared machinery for the sessions-as-a-service soak harness
-/// (`fig_soak` and `bench_gate`'s soak workload): resource-level sampling
-/// over the obs gauges and the leak-freedom verdict the soak gates on.
+fn write_file(path: &Path, what: &str, bytes: &[u8]) {
+    match std::fs::write(path, bytes) {
+        Ok(()) => eprintln!("(wrote {what} to {})", path.display()),
+        Err(e) => eprintln!("warn: could not write {what} to {}: {e}", path.display()),
+    }
+}
+
+/// The sessions-as-a-service soak's report (`fig_soak`): per-component
+/// high-water marks and the leak-freedom verdict the soak gates on, over
+/// the levels `apps::workload::soak` samples.
 pub mod soak {
+    use apps::workload::LevelSample;
     use serde::Serialize;
-
-    /// One reading of the per-component resource levels the lifecycle GC
-    /// is responsible for, sampled from the shared obs registry. Gauges
-    /// are *levels* (their high-water marks are tracked separately by
-    /// `obs`), so a drained runtime must show the baseline again.
-    #[derive(Clone, Copy, Debug, Serialize)]
-    pub struct LevelSample {
-        /// Churn wave at which the sample was taken.
-        pub wave: u64,
-        /// Sum of per-process communicator-table occupancy (`cid/table_used`).
-        pub cid_table_used: i64,
-        /// Sum of per-process PML handshake-cache entries (`pml/cache_entries`).
-        pub pml_cache_entries: i64,
-        /// Live psets in the namespace registry (`registry/pmix/psets_live`).
-        pub psets_live: i64,
-        /// Retained tombstones (`registry/pmix/psets_tombstoned`).
-        pub psets_tombstoned: i64,
-        /// Sum of per-shard server KVS entries (`pmix/kvs_entries`).
-        pub kvs_entries: i64,
-        /// Sum of per-server PGCID pool occupancy (`pmix/pgcid_pool_len`).
-        pub pgcid_pool: i64,
-    }
-
-    /// The six lifecycle levels bound once as MPI_T pvar handles — the
-    /// soak harness samples the runtime through the same tool surface an
-    /// external MPI_T agent would use, and `PvarSession` reads are defined
-    /// to agree with `Registry::export`, so the soak report and a tool
-    /// watching the same run can never disagree.
-    pub struct SoakPvars {
-        session: obs::PvarSession,
-        cid_table_used: obs::PvarHandle,
-        pml_cache_entries: obs::PvarHandle,
-        psets_live: obs::PvarHandle,
-        psets_tombstoned: obs::PvarHandle,
-        kvs_entries: obs::PvarHandle,
-        pgcid_pool: obs::PvarHandle,
-    }
-
-    impl SoakPvars {
-        /// Bind the level handles over `registry`.
-        pub fn bind(registry: std::sync::Arc<obs::Registry>) -> Self {
-            let mut session = obs::PvarSession::new(registry);
-            let cid_table_used = session.bind_level_sum("cid", "table_used");
-            let pml_cache_entries = session.bind_level_sum("pml", "cache_entries");
-            let psets_live = session.bind_level("registry", "pmix", "psets_live");
-            let psets_tombstoned = session.bind_level("registry", "pmix", "psets_tombstoned");
-            let kvs_entries = session.bind_level_sum("pmix", "kvs_entries");
-            let pgcid_pool = session.bind_level_sum("pmix", "pgcid_pool_len");
-            Self {
-                session,
-                cid_table_used,
-                pml_cache_entries,
-                psets_live,
-                psets_tombstoned,
-                kvs_entries,
-                pgcid_pool,
-            }
-        }
-
-        /// Sample every bound level.
-        pub fn sample(&self, wave: u64) -> LevelSample {
-            LevelSample {
-                wave,
-                cid_table_used: self.session.read_i64(self.cid_table_used),
-                pml_cache_entries: self.session.read_i64(self.pml_cache_entries),
-                psets_live: self.session.read_i64(self.psets_live),
-                psets_tombstoned: self.session.read_i64(self.psets_tombstoned),
-                kvs_entries: self.session.read_i64(self.kvs_entries),
-                pgcid_pool: self.session.read_i64(self.pgcid_pool),
-            }
-        }
-    }
-
-    /// Sample the current resource levels (one-shot convenience over
-    /// [`SoakPvars`]).
-    pub fn sample(obs: &std::sync::Arc<obs::Registry>, wave: u64) -> LevelSample {
-        SoakPvars::bind(obs.clone()).sample(wave)
-    }
 
     /// Per-component high-water marks (peak levels over the whole run),
     /// as `(label, peak)` rows for the soak report.
@@ -428,26 +318,47 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_is_noop_without_flag() {
-        let mut sink = MetricsSink::from_args(&["prog".to_string()]);
-        assert!(!sink.enabled());
-        sink.record("run", Value::U64(1));
-        sink.finish(); // writes nothing, panics on nothing
+    fn cli_helpers() {
+        let args: Vec<String> =
+            ["--nodes", "4", "--presync"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(cli_opt(&args, "--nodes").as_deref(), Some("4"));
+        assert_eq!(cli_opt(&args, "--ppn"), None);
+        assert!(cli_flag(&args, "--presync"));
+        assert!(!cli_flag(&args, "--quiet"));
     }
 
     #[test]
-    fn metrics_sink_writes_labeled_runs() {
-        let path = std::env::temp_dir().join("bench_metrics_sink_test.json");
-        let args: Vec<String> = ["prog", "--metrics-out", path.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut sink = MetricsSink::from_args(&args);
-        assert!(sink.enabled());
-        sink.record("nodes2_sessions", Value::U64(7));
+    fn sink_writes_labeled_runs_only_when_asked() {
+        let run = apps::workload::comm_cycle(
+            apps::run::Job::new(simnet::SimTestbed::tiny(1, 2)),
+            2,
+            apps::InitMode::Sessions,
+        );
+        let mut off = Sink::from_args(&["prog".to_string()]);
+        off.record("run", &run);
+        off.finish(); // writes nothing, panics on nothing
+
+        let dir = std::env::temp_dir();
+        let metrics = dir.join(format!("bench_sink_test_{}.json", std::process::id()));
+        let traces = dir.join(format!("bench_sink_test_{}.trace.json", std::process::id()));
+        let flame = PathBuf::from(format!("{}.flame.txt", traces.display()));
+        let args: Vec<String> = [
+            "prog",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--trace-out",
+            traces.to_str().unwrap(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut sink = Sink::from_args(&args);
+        sink.record("nodes1_sessions", &run);
         sink.finish();
-        let data = std::fs::read_to_string(&path).unwrap();
-        assert!(data.contains("nodes2_sessions"));
-        let _ = std::fs::remove_file(&path);
+        for path in [&metrics, &traces, &flame] {
+            let data = std::fs::read_to_string(path).unwrap();
+            assert!(data.contains("nodes1_sessions"), "{}", path.display());
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Collective correctness across communicator sizes and both CID regimes.
 
 mod common;
+#[path = "../../../tests/common/mod.rs"]
+mod gate;
 
 use common::{await_state, run};
 use mpi_sessions::{coll, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
@@ -120,8 +122,9 @@ fn scan_inclusive_prefix() {
 
 #[test]
 fn ibarrier_completes_via_test_polling() {
-    let entered = std::sync::Barrier::new(4);
+    let entered = gate::Gate::new(4);
     run(1, 4, 4, move |ctx| {
+        let entered = entered.pass();
         let (s, c) = world_comm(&ctx, "ib");
         // The last rank enters only after the others have issued theirs and
         // seen it incomplete, so test() must poll a while on early ranks.

@@ -2,12 +2,15 @@
 //! ordering, the exCID first-message handshake, and failure surfacing.
 
 mod common;
+#[path = "../../../tests/common/mod.rs"]
+mod gate;
 
 use common::{await_ranks, await_state, run};
+use gate::{Gate, Pass};
 use mpi_sessions::{
     Comm, ErrClass, ErrHandler, Info, Request, Session, ThreadLevel, ANY_SOURCE, ANY_TAG,
 };
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn world_comm(ctx: &prrte::ProcCtx, tag: &str) -> (Session, Comm) {
@@ -63,8 +66,9 @@ fn rendezvous_large_message() {
 
 #[test]
 fn rendezvous_with_preposted_receive() {
-    let posted = Barrier::new(2);
+    let posted = Gate::new(2);
     run(1, 2, 2, move |ctx| {
+        let posted = posted.pass();
         let (s, c) = world_comm(&ctx, "rdv-pre");
         let big = vec![0x5au8; 150_000];
         if ctx.rank() == 1 {
@@ -383,9 +387,11 @@ fn send_to_dead_peer_fails_with_proc_failed() {
 }
 
 /// Where the test thread kills the last rank of a
-/// [`with_last_rank_killed`] job: after every rank called `ready`.
+/// [`with_last_rank_killed`] job: after every rank called `ready`. Each
+/// rank holds its own, taken before anything that can panic, so a rank
+/// that panics first fails the test instead of stranding the others.
 struct KillPoint {
-    ready: Barrier,
+    ready: Pass,
     fabric: simnet::Fabric,
 }
 
@@ -411,10 +417,11 @@ impl KillPoint {
 fn with_last_rank_killed<T: Send + 'static>(np: u32, body: fn(&Comm, &KillPoint) -> T) -> Vec<T> {
     let launcher = prrte::Launcher::new(simnet::SimTestbed::tiny(1, np));
     let fabric = launcher.universe().fabric().clone();
-    let kill = Arc::new(KillPoint { ready: Barrier::new(np as usize + 1), fabric });
+    let ready = Gate::new(np as usize + 1);
     let handle = launcher.spawn(prrte::JobSpec::new(np), {
-        let kill = kill.clone();
+        let ready = ready.clone();
         move |ctx| {
+            let kill = KillPoint { ready: ready.pass(), fabric: fabric.clone() };
             let (s, c) = world_comm(&ctx, "doomed");
             let out = body(&c, &kill);
             if ctx.rank() == np - 1 {
@@ -427,7 +434,7 @@ fn with_last_rank_killed<T: Send + 'static>(np: u32, body: fn(&Comm, &KillPoint)
             Some(out)
         }
     });
-    kill.ready.wait();
+    ready.pass().wait();
     handle.kill_rank(np - 1);
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
